@@ -1,7 +1,7 @@
-"""Forward-mode AD in nnrad: scalars, seeds, and exact Jacobians.
+"""Forward-mode AD in nnrad: values, seeds, and exact Jacobians.
 
 The solver differentiates nonlinear force laws with a forward-mode AD
-scalar type rather than finite differences.  This script walks through
+array type rather than finite differences.  This script walks through
 the building blocks: lifting inputs, propagating derivatives through
 arithmetic, the smoothed-contact primitive `relu_pow`, and the
 `jacobian` convenience wrapper, then compares an AD Jacobian against a
@@ -13,9 +13,10 @@ import numpy as np
 from nnrad import ad
 
 # --- 1. Lifting inputs -----------------------------------------------------
-# `lift` turns an n-vector of floats into n ADScalars carrying identity
-# seed rows: variable i has seeds e_i, so every downstream value's
-# `seeds` attribute is its gradient with respect to the inputs.
+# `lift` turns an n-vector of floats into one ADArray carrying identity
+# seed rows: entry i has seeds e_i, so every downstream value's `seeds`
+# attribute is its gradient with respect to the inputs.  Unpacking the
+# lifted vector gives its 0-d entries.
 x, y = ad.lift([3.0, 5.0])
 print("x          =", x.value, "seeds", x.seeds)
 print("y          =", y.value, "seeds", y.seeds)
@@ -60,11 +61,13 @@ print("FD Jacobian:\n", J_fd)
 print("max |AD - FD| = %.3e  (pure FD truncation error; AD is exact)"
       % np.max(np.abs(J_ad - J_fd)))
 
-# --- 4. Batched linear terms -----------------------------------------------
-# Inside the time-stepping residual the M, C, K products act on AD
-# vectors.  `ad_matvec` propagates values and all seed columns in two
-# matmuls instead of n^2 scalar operations.
+# --- 4. Whole arrays at once ----------------------------------------------
+# An ADArray holds a value array and one seed row per entry, so linear
+# terms and elementwise force laws propagate all derivatives in a few
+# NumPy calls: `A @ x` multiplies values and seeds by a constant matrix.
 A = np.array([[2.0, 1.0], [0.0, 3.0]])
-w = ad.ad_matvec(A, ad.lift([1.0, 2.0]))
-print("\nad_matvec values ", [s.value for s in w])
-print("ad_matvec seeds  ", [list(s.seeds) for s in w], " (rows of A)")
+w = A @ ad.lift([1.0, 2.0])
+print("\nA @ x values ", w.value)
+print("A @ x seeds\n", w.seeds, " (rows of A)")
+p = ad.relu_pow(ad.lift([0.3, -0.1, 0.2]), 10.0 / 9.0)
+print("relu_pow over three entries: values", p.value, "sum of seeds", p.sum().seeds)

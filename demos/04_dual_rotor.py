@@ -29,8 +29,10 @@ print("Gyroscopic part of C antisymmetric: %s" % np.allclose(G, -G.T))
 # All bearing restoring forces live in the nonlinear term (Hertz
 # contact), so the linear K alone is free-free: eight near-zero
 # rigid-body modes, two per shaft per plane.
-from scipy.linalg import eigh
-w2 = eigh(sys_.K, sys_.M, eigvals_only=True)
+# Generalised eigenvalues of (K, M) from the symmetric standard problem
+# L^-1 K L^-T, with M = L L^T its Cholesky factorisation.
+L_inv = np.linalg.inv(np.linalg.cholesky(sys_.M))
+w2 = np.linalg.eigvalsh(L_inv @ sys_.K @ L_inv.T)
 print("Near-zero (rigid-body) eigenvalues of (K, M): %d"
       % int(np.sum(np.abs(w2) < 1e-6)))
 

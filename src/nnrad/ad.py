@@ -1,23 +1,27 @@
-"""Forward-mode automatic differentiation on scalar seed bundles.
+"""Forward-mode automatic differentiation on arrays of seed bundles.
 
-An ADScalar carries a value together with a vector of partial derivatives
-("seeds") with respect to a fixed set of independent inputs.  Arithmetic
-propagates the seeds by the exact chain rule, so Jacobians read off the
-seeds are accurate to machine precision.  The bundle width is fixed when
-the inputs are lifted; mixing bundles of different width is an error.
+An ADArray carries a value array together with the partial derivatives
+("seeds") of every entry with respect to a fixed set of independent
+inputs: ``seeds.shape == value.shape + (width,)``, so a scalar has a 0-d
+value and a seed vector.  Arithmetic propagates the seeds by the exact
+chain rule (vector forward mode), so Jacobians read off the seeds are
+accurate to machine precision.  The bundle width is fixed when the
+inputs are lifted; mixing bundles of different width is an error.
+
+The same code evaluates on floats and NumPy arrays: every elementary
+function here accepts either and returns a plain result for plain input.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
+    "ADArray",
     "ADScalar",
     "ADDomainError",
     "lift",
-    "constant",
+    "stack",
     "jacobian",
     "sin",
     "cos",
@@ -25,10 +29,9 @@ __all__ = [
     "exp",
     "atan",
     "atan2",
+    "pow_real",
     "relu_pow",
     "value_of",
-    "values",
-    "ad_matvec",
 ]
 
 
@@ -36,261 +39,332 @@ class ADDomainError(ValueError):
     """An elementary operation was evaluated outside its domain."""
 
 
-class ADScalar:
-    """Value plus seed-derivative bundle. Treat instances as immutable."""
+def _any(mask):
+    """np.any for a comparison result, without np.any's dispatch cost."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _has_zero(v):
+    """True when some entry of v is exactly zero (one pass for arrays)."""
+    return not v.all() if isinstance(v, np.ndarray) else v == 0.0
+
+
+def _col(c):
+    """Array c with a trailing axis, so it scales each entry's seed row."""
+    return c[..., None] if c.ndim else c
+
+
+def _new(value, seeds):
+    out = object.__new__(ADArray)
+    out.value = value
+    out.seeds = seeds
+    return out
+
+
+class ADArray:
+    """Value array plus seed-derivative bundle. Treat instances as immutable.
+
+    Supports elementwise arithmetic with other ADArrays of the same width
+    and with constants (numbers and ndarrays; NumPy broadcasting applies
+    to the values), indexing and iteration along the first axis, ``sum``,
+    ``A @ x`` for a constant matrix A and a 1-D x, and the dot product
+    ``x @ y`` of 1-D vectors.  Comparisons act on values only.
+    """
 
     __slots__ = ("value", "seeds")
+    # NumPy defers every operator with an ADArray operand to its reflected
+    # method here, instead of treating it as an object to broadcast.
+    __array_ufunc__ = None
 
     def __init__(self, value, seeds):
-        self.value = float(value)
-        self.seeds = np.asarray(seeds, dtype=float)
+        value = np.asarray(value, dtype=float)
+        seeds = np.asarray(seeds, dtype=float)
+        if seeds.shape[:-1] != value.shape or seeds.ndim == 0:
+            raise ValueError(
+                f"seeds of shape {seeds.shape} do not fit a value of shape "
+                f"{value.shape}"
+            )
+        self.value = value
+        self.seeds = seeds
 
     @property
     def width(self):
-        return self.seeds.shape[0]
+        return self.seeds.shape[-1]
 
     def __repr__(self):
-        return f"ADScalar({self.value!r}, seeds={self.seeds!r})"
+        return f"ADArray({self.value!r}, seeds={self.seeds!r})"
 
-    def _coerce(self, other):
-        if isinstance(other, ADScalar):
-            if other.seeds.shape != self.seeds.shape:
-                raise ValueError(
-                    f"seed width mismatch: {self.width} vs {other.width}"
-                )
-            return other
-        return ADScalar(other, np.zeros_like(self.seeds))
+    def __len__(self):
+        return len(self.value)
+
+    def __getitem__(self, index):
+        return _new(self.value[index], self.seeds[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.value)))
+
+    def _seeds_of(self, other):
+        """other's seeds, after checking that its width matches."""
+        seeds = other.seeds
+        if seeds.shape[-1] != self.seeds.shape[-1]:
+            raise ValueError(
+                f"seed width mismatch: {self.width} vs {other.width}"
+            )
+        return seeds
+
+    def _spread(self, value):
+        """Own seeds broadcast to a result value's shape."""
+        if value.shape == self.value.shape:
+            return self.seeds
+        return np.zeros(value.shape + self.seeds.shape[-1:]) + self.seeds
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return ADScalar(self.value + o.value, self.seeds + o.seeds)
+        if isinstance(other, ADArray):
+            return _new(self.value + other.value, self.seeds + self._seeds_of(other))
+        value = self.value + other
+        return _new(value, self._spread(value))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return ADScalar(self.value - o.value, self.seeds - o.seeds)
+        if isinstance(other, ADArray):
+            return _new(self.value - other.value, self.seeds - self._seeds_of(other))
+        value = self.value - other
+        return _new(value, self._spread(value))
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return ADScalar(o.value - self.value, o.seeds - self.seeds)
+        value = other - self.value
+        return _new(value, -self._spread(value))
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        return ADScalar(
-            self.value * o.value, self.value * o.seeds + o.value * self.seeds
-        )
+        a = self.value
+        if isinstance(other, ADArray):
+            b = other.value
+            sb = self._seeds_of(other)
+            if a.ndim or b.ndim:  # _col, inlined on this hot path
+                return _new(a * b, self.seeds * b[..., None] + sb * a[..., None])
+            return _new(a * b, self.seeds * b + sb * a)
+        if isinstance(other, np.ndarray) and other.ndim:
+            return _new(a * other, self.seeds * other[..., None])
+        return _new(a * other, self.seeds * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o.value == 0.0:
+        if isinstance(other, ADArray):
+            seeds = self._seeds_of(other)
+            if _has_zero(other.value):
+                raise ADDomainError(f"division by zero (numerator {self.value})")
+            inv = 1.0 / other.value
+            q = self.value * inv
+            return _new(q, (self.seeds - seeds * _col(q)) * _col(inv))
+        if _has_zero(other):
             raise ADDomainError(f"division by zero (numerator {self.value})")
-        inv = 1.0 / o.value
-        return ADScalar(
-            self.value * inv,
-            (self.seeds - self.value * inv * o.seeds) * inv,
-        )
+        return self * (1.0 / other)
 
     def __rtruediv__(self, other):
-        return self._coerce(other).__truediv__(self)
+        if _has_zero(self.value):
+            raise ADDomainError(f"division by zero (numerator {other})")
+        inv = 1.0 / self.value
+        q = other * inv
+        return _new(q, self._spread(q) * _col(-q * inv))
 
     def __neg__(self):
-        return ADScalar(-self.value, -self.seeds)
+        return _new(-self.value, -self.seeds)
 
     def __pow__(self, p):
         return pow_real(self, p)
 
+    def __matmul__(self, other):
+        """x @ y for 1-D x and y: the dot product; y an ADArray or constant."""
+        a = self.value
+        if a.ndim != 1 or np.ndim(value_of(other)) != 1:
+            raise ValueError("x @ y on an ADArray x needs 1-D x and y")
+        if isinstance(other, ADArray):
+            b = other.value
+            return _new(a @ b, b @ self.seeds + a @ self._seeds_of(other))
+        return _new(a @ other, other @ self.seeds)
+
+    def __rmatmul__(self, A):
+        """A @ x for a constant matrix (or vector) A and a 1-D x."""
+        if self.value.ndim != 1:
+            raise ValueError("A @ x needs a 1-D ADArray x")
+        return _new(A @ self.value, A @ self.seeds)
+
+    def sum(self, axis=None):
+        ndim = self.value.ndim
+        axes = tuple(range(ndim)) if axis is None else axis % ndim
+        return _new(self.value.sum(axis=axes), self.seeds.sum(axis=axes))
+
     # Comparisons act on values only; useful for branch selection.
 
     def __lt__(self, other):
-        return self.value < _val(other)
+        return self.value < value_of(other)
 
     def __le__(self, other):
-        return self.value <= _val(other)
+        return self.value <= value_of(other)
 
     def __gt__(self, other):
-        return self.value > _val(other)
+        return self.value > value_of(other)
 
     def __ge__(self, other):
-        return self.value >= _val(other)
+        return self.value >= value_of(other)
 
     def __float__(self):
-        return self.value
+        return float(self.value)
 
 
-def _val(x):
-    return x.value if isinstance(x, ADScalar) else float(x)
+# The scalar case is the 0-d ADArray; the old name stays for callers.
+ADScalar = ADArray
 
 
-# -- lifting ------------------------------------------------------------
+def value_of(a):
+    """Value part of an ADArray; plain numbers and arrays pass through."""
+    return a.value if isinstance(a, ADArray) else a
+
+
+# -- lifting and stacking -----------------------------------------------
 
 
 def lift(x):
-    """Lift a real vector to ADScalars with identity seeding.
+    """Lift a real vector to an ADArray with identity seeding.
 
-    Element i receives seed vector e_i, so a single evaluation of a
+    Entry i receives seed vector e_i, so a single evaluation of a
     function on the lifted inputs yields all columns of its Jacobian.
+    Iterating the result gives its 0-d entries: ``x, y = lift([1, 2])``.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("lift expects a nonempty 1-D vector")
-    n = x.size
-    eye = np.eye(n)
-    return [ADScalar(x[i], eye[i]) for i in range(n)]
+    return _new(x, np.eye(x.size))
 
 
-def constant(c, width):
-    """Lift a constant: value c, all-zero seeds of the given width."""
-    return ADScalar(c, np.zeros(width))
+def stack(xs):
+    """One 1-D ADArray from a sequence of 0-d ADArrays and numbers.
+
+    ADArrays pass through; an ndarray or a sequence without any ADArray
+    entry becomes a float ndarray.  Numbers get all-zero seeds.
+    """
+    if isinstance(xs, ADArray):
+        return xs
+    if isinstance(xs, np.ndarray):
+        return xs.astype(float, copy=False)
+    width = next((x.width for x in xs if isinstance(x, ADArray)), None)
+    if width is None:
+        return np.asarray(xs, dtype=float)
+    zeros = np.zeros(width)
+    value = np.array([value_of(x) for x in xs], dtype=float)
+    seeds = np.array([x.seeds if isinstance(x, ADArray) else zeros for x in xs])
+    if seeds.shape != value.shape + (width,):
+        raise ValueError("stack expects 0-d entries of one seed width")
+    return _new(value, seeds)
+
+
+def jacobian(f, x0, columns=None):
+    """Dense Jacobian of a vector function at x0 via one forward pass.
+
+    f maps a lifted 1-D ADArray to an ADArray or to a sequence of 0-d
+    ADArrays and numbers (numbers where f is locally constant).
+    Returns an (m, n) array with row i = d f_i / d x_j.  With
+    ``columns``, only those entries of x0 are seeded (the rest are held
+    constant), the seed width is len(columns), and the result holds just
+    their columns: an (m, len(columns)) array.
+    """
+    xs = lift(x0)
+    if columns is not None:
+        xs = _new(xs.value, xs.seeds[:, columns])
+    width = xs.seeds.shape[-1]
+    out = stack(f(xs))
+    if not isinstance(out, ADArray):
+        return np.zeros((np.size(out), width))
+    if out.seeds.shape[-1] != width:
+        raise ValueError("output seed width does not match input")
+    return out.seeds.reshape(-1, width)
 
 
 # -- elementary functions -----------------------------------------------
 
 
 def sin(a):
-    if isinstance(a, ADScalar):
-        return ADScalar(math.sin(a.value), math.cos(a.value) * a.seeds)
-    return math.sin(a)
+    if isinstance(a, ADArray):
+        return _new(np.sin(a.value), a.seeds * _col(np.cos(a.value)))
+    return np.sin(a)
 
 
 def cos(a):
-    if isinstance(a, ADScalar):
-        return ADScalar(math.cos(a.value), -math.sin(a.value) * a.seeds)
-    return math.cos(a)
+    if isinstance(a, ADArray):
+        return _new(np.cos(a.value), a.seeds * _col(-np.sin(a.value)))
+    return np.cos(a)
 
 
 def exp(a):
-    if isinstance(a, ADScalar):
-        e = math.exp(a.value)
-        return ADScalar(e, e * a.seeds)
-    return math.exp(a)
+    if isinstance(a, ADArray):
+        e = np.exp(a.value)
+        return _new(e, a.seeds * _col(e))
+    return np.exp(a)
 
 
 def sqrt(a):
-    if isinstance(a, ADScalar):
-        if a.value <= 0.0:
-            raise ADDomainError(f"sqrt of non-positive value {a.value}")
-        s = math.sqrt(a.value)
-        return ADScalar(s, (0.5 / s) * a.seeds)
-    if a <= 0.0:
-        raise ADDomainError(f"sqrt of non-positive value {a}")
-    return math.sqrt(a)
+    v = value_of(a)
+    if _any(v <= 0.0):
+        raise ADDomainError(f"sqrt of non-positive value {v}")
+    s = np.sqrt(v)
+    if isinstance(a, ADArray):
+        return _new(s, a.seeds * _col(0.5 / s))
+    return s
 
 
 def atan(a):
-    if isinstance(a, ADScalar):
-        return ADScalar(math.atan(a.value), a.seeds / (1.0 + a.value * a.value))
-    return math.atan(a)
+    if isinstance(a, ADArray):
+        v = a.value
+        return _new(np.arctan(v), a.seeds * _col(1.0 / (1.0 + v * v)))
+    return np.arctan(a)
 
 
 def atan2(y, x):
     """Quadrant-correct arctangent; undefined at (0, 0)."""
-    yv, xv = _val(y), _val(x)
-    if yv == 0.0 and xv == 0.0:
+    yv, xv = value_of(y), value_of(x)
+    if _any((yv == 0.0) & (xv == 0.0)):
         raise ADDomainError("atan2 undefined at (0, 0)")
-    if not isinstance(y, ADScalar) and not isinstance(x, ADScalar):
-        return math.atan2(yv, xv)
-    width = y.width if isinstance(y, ADScalar) else x.width
-    ys = y.seeds if isinstance(y, ADScalar) else np.zeros(width)
-    xs = x.seeds if isinstance(x, ADScalar) else np.zeros(width)
+    angle = np.arctan2(yv, xv)
+    if not isinstance(y, ADArray) and not isinstance(x, ADArray):
+        return angle
     r2 = xv * xv + yv * yv
-    return ADScalar(math.atan2(yv, xv), (xv * ys - yv * xs) / r2)
+    seeds = 0.0
+    if isinstance(y, ADArray):
+        seeds = y.seeds * _col(xv / r2)
+    if isinstance(x, ADArray):
+        seeds = seeds - x.seeds * _col(yv / r2)
+    return _new(angle, seeds)
 
 
 def pow_real(a, p):
     """a**p for real exponent p; non-integer p needs a >= 0."""
     p = float(p)
-    av = _val(a)
-    if av < 0.0 and p != round(p):
-        raise ADDomainError(f"pow_real: negative base {av} with exponent {p}")
-    if not isinstance(a, ADScalar):
-        return av**p
-    if av == 0.0:
-        # d/da a^p at 0 is 0 for p > 1, p itself for p == 1.
-        if p > 1.0:
-            return ADScalar(0.0, np.zeros_like(a.seeds))
-        if p == 1.0:
-            return ADScalar(0.0, a.seeds.copy())
-        raise ADDomainError(f"pow_real: zero base with exponent {p} <= 1")
-    return ADScalar(av**p, p * av ** (p - 1.0) * a.seeds)
+    v = value_of(a)
+    if p != round(p) and _any(v < 0.0):
+        raise ADDomainError(f"pow_real: negative base {v} with exponent {p}")
+    if not isinstance(a, ADArray):
+        return v**p
+    # d/da a^p at a = 0 is 0 for p > 1 and 1 for p == 1 (0**0 == 1).
+    if p < 1.0 and _has_zero(v):
+        raise ADDomainError(f"pow_real: zero base with exponent {p} < 1")
+    return _new(v**p, a.seeds * _col(p * v ** (p - 1.0)))
 
 
 def relu_pow(a, p):
     """max(a, 0)**p with p > 1: the clipped power of contact models.
 
     Continuous with continuous value at the onset a = 0; the derivative
-    p*max(a,0)**(p-1)*step(a) is continuous there because p > 1 (the
-    step's own derivative at exactly 0 is taken as 0).
+    p*max(a,0)**(p-1) is continuous there because p > 1 and is exactly
+    0 for every a <= 0.
     """
     p = float(p)
     if p <= 1.0:
         raise ADDomainError(f"relu_pow requires exponent > 1, got {p}")
-    av = _val(a)
-    if not isinstance(a, ADScalar):
-        return av**p if av > 0.0 else 0.0
-    if av <= 0.0:
-        return ADScalar(0.0, np.zeros_like(a.seeds))
-    return ADScalar(av**p, p * av ** (p - 1.0) * a.seeds)
-
-
-# -- vector helpers -----------------------------------------------------
-
-
-def value_of(a):
-    """Plain float of an ADScalar or number."""
-    return _val(a)
-
-
-def values(xs):
-    """Value vector of a sequence of ADScalars/numbers."""
-    return np.array([_val(x) for x in xs])
-
-
-def ad_matvec(A, xs):
-    """A @ xs for xs a float vector or a sequence of ADScalars.
-
-    The ADScalar path batches the seed propagation through numpy
-    (values: A @ v, seeds: A @ S), which keeps dense linear terms cheap.
-    """
-    A = np.asarray(A, dtype=float)
-    if not any(isinstance(x, ADScalar) for x in xs):
-        return A @ np.asarray(xs, dtype=float)
-    width = next(x.width for x in xs if isinstance(x, ADScalar))
-    v = np.empty(len(xs))
-    S = np.empty((len(xs), width))
-    for i, x in enumerate(xs):
-        if isinstance(x, ADScalar):
-            if x.width != width:
-                raise ValueError("seed width mismatch in ad_matvec")
-            v[i] = x.value
-            S[i] = x.seeds
-        else:
-            v[i] = float(x)
-            S[i] = 0.0
-    ov = A @ v
-    oS = A @ S
-    return [ADScalar(ov[i], oS[i]) for i in range(ov.shape[0])]
-
-
-def jacobian(f, x0):
-    """Dense Jacobian of a vector function at x0 via one forward pass.
-
-    f maps a sequence of ADScalars to a sequence of ADScalars (entries
-    may degenerate to plain floats where f is locally constant).
-    Returns an (m, n) array with row i = d f_i / d x_j.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    xs = lift(x0)
-    out = f(xs)
-    n = x0.size
-    J = np.zeros((len(out), n))
-    for i, o in enumerate(out):
-        if isinstance(o, ADScalar):
-            if o.width != n:
-                raise ValueError("output seed width does not match input")
-            J[i] = o.seeds
-    return J
+    pos = np.maximum(value_of(a), 0.0)
+    if not isinstance(a, ADArray):
+        return pos**p
+    return _new(pos**p, a.seeds * _col(p * pos ** (p - 1.0)))

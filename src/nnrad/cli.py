@@ -51,10 +51,23 @@ def _load_config(path):
     return doc
 
 
-def _build_system(spec, speed=None):
-    """Instantiate a built-in system from its config description."""
+def _require(doc, key):
+    """doc[key], or a ConfigError naming the missing field."""
+    if key not in doc:
+        raise ConfigError(f"config needs a \"{key}\" field")
+    return doc[key]
+
+
+def _system_spec(doc):
+    """The config's "system" object, checked for its "type" field."""
+    spec = doc.get("system")
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("system spec must be an object with a \"type\" field")
+    return spec
+
+
+def _build_system(spec, speed=None):
+    """Instantiate a built-in system from its checked config description."""
     kind = spec["type"]
     if kind == "van_der_pol":
         return van_der_pol(eps=spec.get("eps", 1.0))
@@ -123,13 +136,13 @@ def _write_csv(path, header, rows):
 
 def cmd_solve(args):
     doc = _load_config(args.config)
-    sys_ = _build_system(doc.get("system"))
+    sys_ = _build_system(_system_spec(doc))
     cfg = _newmark_config(doc, args)
     n = sys_.n_dof
     x0 = np.asarray(doc.get("x0", np.zeros(n)), dtype=float)
     v0 = np.asarray(doc.get("v0", np.zeros(n)), dtype=float)
     t0 = float(doc.get("t0", 0.0))
-    t_end = float(doc["t_end"])
+    t_end = float(_require(doc, "t_end"))
     if t_end == t0:
         from .newmark import initial_acceleration
 
@@ -157,7 +170,8 @@ def cmd_solve(args):
 
 def cmd_sweep(args):
     doc = _load_config(args.config)
-    model_spec = doc.get("model") or doc.get("system")
+    model_spec = _system_spec(doc)
+    t_end = float(_require(doc, "t_end"))
     cfg = _newmark_config(doc, args)
     speeds_spec = doc.get("speeds")
     if isinstance(speeds_spec, list):
@@ -183,7 +197,7 @@ def cmd_sweep(args):
         speeds=speeds,
         cfg=cfg,
         probe_nodes=probe_nodes,
-        t_end=float(doc["t_end"]),
+        t_end=t_end,
         steady_fraction=float(doc.get("steady_fraction", 0.3)),
     )
     header = ["speed"] + [f"A_node{p}" for p in probe_nodes] + ["error"]
@@ -205,8 +219,8 @@ def cmd_sweep(args):
 
 def cmd_spectrum(args):
     doc = _load_config(args.config)
-    path = doc["input"]
-    column = doc["column"]
+    path = _require(doc, "input")
+    column = _require(doc, "column")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
@@ -233,7 +247,7 @@ def cmd_spectrum(args):
 def cmd_check_jacobian(args):
     """AD vs central finite differences on randomized step residuals."""
     doc = _load_config(args.config)
-    sys_ = _build_system(doc.get("system"))
+    sys_ = _build_system(_system_spec(doc))
     cfg = _newmark_config(doc, args)
     n = sys_.n_dof
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))

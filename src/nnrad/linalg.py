@@ -1,29 +1,38 @@
-"""Dense linear algebra helpers: LU solves, norms, FE scatter-assembly.
+"""Dense linear algebra helpers: factor/solve, norms, FE scatter-assembly.
 
-Factorization is delegated to LAPACK through scipy; this module adds the
-singularity screening and the small assembly utilities the integrator
-and the finite element models need.
+``lu_factor`` returns the explicit inverse of A, computed by
+``numpy.linalg.inv``, and ``lu_solve`` applies it with one matvec.  On
+the Newton loop's matrices, at most a few dozen rows, that costs less
+than SciPy's LU factors and triangular solves, and it needs no SciPy.
+
+Singular rule: A is singular when partial-pivot LU elimination meets a
+pivot U_kk with |U_kk| <= SINGULARITY_RTOL * max|A|; SingularMatrixError
+then reports the first such k.  The inverse screens for this cheaply.
+With partial pivoting every |L_ij| <= 1, so U^-1 = A^-1 P^T L gives
+||A^-1||_inf >= 1/(n |U_kk|) for every pivot, and a small pivot forces
+max|A| * ||A^-1||_inf >= 1/(n * SINGULARITY_RTOL).  Only when ``inv``
+raises, returns non-finite values, or that product comes within
+SCREEN_MARGIN of the bound, does a partial-pivot Gauss-Jordan elimination
+run; it applies the exact pivot rule and, if no pivot is small, supplies
+the inverse.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 __all__ = [
-    "LUFactorization",
     "SingularMatrixError",
     "lu_factor",
     "lu_solve",
     "norm2",
-    "matvec",
-    "mat_add",
     "scatter_add",
 ]
 
 SINGULARITY_RTOL = 1e-14
+# Fraction of the bound at which the screen hands over to elimination; it
+# covers the rounding error of a computed inverse of a near-singular A.
+SCREEN_MARGIN = 1e-3
 
 
 class SingularMatrixError(ValueError):
@@ -34,64 +43,62 @@ class SingularMatrixError(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class LUFactorization:
-    """Packed LU factors (L unit-lower, U upper) with row permutation.
+def _gauss_jordan_inverse(A, threshold):
+    """Inverse of A by Gauss-Jordan elimination with partial pivoting.
 
-    `permutation` maps factored row k to original row permutation[k],
-    i.e. (P A)[k] = A[permutation[k]].
+    Pivots equal those of LU with partial pivoting; raises
+    SingularMatrixError at the first one at or under threshold.
     """
-
-    lu: np.ndarray
-    piv: np.ndarray  # LAPACK-style sequential pivots
-    permutation: np.ndarray
-
-    @property
-    def n(self):
-        return self.lu.shape[0]
+    n = A.shape[0]
+    W = np.hstack([A, np.eye(n)])
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(W[k:, k])))
+        if abs(W[p, k]) <= threshold:
+            raise SingularMatrixError(k)
+        W[[k, p]] = W[[p, k]]
+        W[k] /= W[k, k]
+        col = W[:, k].copy()
+        col[k] = 0.0
+        W -= np.outer(col, W[k])
+    return W[:, n:]
 
 
 def lu_factor(A):
-    """LU with partial pivoting; raises SingularMatrixError on a tiny pivot.
+    """Factor A for lu_solve; raises SingularMatrixError on a tiny pivot.
 
-    A pivot counts as singular when its magnitude falls below
-    1e-14 * max|A|.
+    A pivot counts as singular when its magnitude is at or under
+    1e-14 * max|A| (see the module docstring for the screen).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
-    lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    threshold = SINGULARITY_RTOL * max(np.max(np.abs(A)), 0.0)
-    diag = np.abs(np.diag(lu))
-    bad = np.nonzero(diag <= threshold)[0]
-    if bad.size:
-        raise SingularMatrixError(int(bad[0]))
-    perm = np.arange(A.shape[0])
-    for k, p in enumerate(piv):
-        perm[k], perm[p] = perm[p], perm[k]
-    return LUFactorization(lu=lu, piv=piv, permutation=perm)
+    n = A.shape[0]
+    scale = np.abs(A).max()
+    try:
+        inv = np.linalg.inv(A)
+        # False for a non-finite inverse too.
+        passed = scale * np.abs(inv).sum(axis=1).max() < SCREEN_MARGIN / (
+            n * SINGULARITY_RTOL
+        )
+    except np.linalg.LinAlgError:
+        passed = False
+    if not passed:
+        inv = _gauss_jordan_inverse(A, SINGULARITY_RTOL * scale)
+    return inv
 
 
 def lu_solve(f, b):
+    """Solve A x = b with f = lu_factor(A)."""
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != f.n:
-        raise ValueError(f"dimension mismatch: factor is {f.n}, b is {b.shape[0]}")
-    return scipy.linalg.lu_solve((f.lu, f.piv), b, check_finite=False)
+    if b.shape[0] != f.shape[0]:
+        raise ValueError(
+            f"dimension mismatch: factor is {f.shape[0]}, b is {b.shape[0]}"
+        )
+    return f @ b
 
 
 def norm2(v):
     return float(np.linalg.norm(np.asarray(v, dtype=float)))
-
-
-def matvec(A, v):
-    return np.asarray(A, dtype=float) @ np.asarray(v, dtype=float)
-
-
-def mat_add(*mats):
-    out = np.array(mats[0], dtype=float, copy=True)
-    for m in mats[1:]:
-        out += np.asarray(m, dtype=float)
-    return out
 
 
 def scatter_add(global_mat, local_mat, dof_map, signs=None):

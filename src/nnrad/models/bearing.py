@@ -10,9 +10,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .. import ad
 
-__all__ = ["BearingParams", "cage_speed", "bearing_force"]
+__all__ = [
+    "BearingParams",
+    "cage_speed",
+    "ball_angles",
+    "ball_forces",
+    "bearing_force",
+]
 
 HERTZ_EXPONENT = 10.0 / 9.0
 
@@ -47,25 +55,31 @@ def cage_speed(p: BearingParams) -> float:
     )
 
 
+def ball_angles(p: BearingParams, t):
+    """Angles theta_k = 2*pi*(k-1)/N_b + omega_c*t of the balls at time t."""
+    return 2.0 * math.pi * np.arange(p.n_balls) / p.n_balls + cage_speed(p) * t
+
+
+def ball_forces(dx, dy, theta, clearance, k_hertz):
+    """(x, y) Hertz contact force of each ball, vectorised over balls.
+
+    A ball at angle theta carries k_hertz * relu_pow(delta, 10/9), where
+    its interference delta is the race-relative displacement (dx, dy)
+    projected on the ball direction minus the radial clearance.  Any
+    argument may be an array over balls; dx and dy may be ADArrays.
+    """
+    c, s = np.cos(theta), np.sin(theta)
+    load = k_hertz * ad.relu_pow(dx * c + dy * s - clearance, HERTZ_EXPONENT)
+    return load * c, load * s
+
+
 def bearing_force(x_i, y_i, x_o, y_o, t, p: BearingParams):
     """(F_x, F_y) Hertz contact force for inner/outer race displacements.
 
-    Ball k sits at angle theta_k = 2*pi*(k-1)/N_b + omega_c*t; its
-    interference is the race-relative displacement projected on that
-    direction minus the radial clearance.  Inactive balls contribute
-    zero smoothly.  All arithmetic runs over ADScalar when the inputs
-    carry seeds.
+    The sum of ball_forces over the bearing's balls; inactive balls
+    contribute zero smoothly.  Runs over ADArrays when the inputs carry
+    seeds.
     """
-    omega_c = cage_speed(p)
-    dx = x_i - x_o
-    dy = y_i - y_o
-    fx = 0.0
-    fy = 0.0
-    for k in range(p.n_balls):
-        theta = 2.0 * math.pi * k / p.n_balls + omega_c * t
-        c, s = math.cos(theta), math.sin(theta)
-        delta = dx * c + dy * s - p.clearance
-        load = p.k_hertz * ad.relu_pow(delta, HERTZ_EXPONENT)
-        fx = fx + load * c
-        fy = fy + load * s
-    return fx, fy
+    fx, fy = ball_forces(x_i - x_o, y_i - y_o, ball_angles(p, t), p.clearance,
+                         p.k_hertz)
+    return fx.sum(), fy.sum()

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..linalg import scatter_add
 from ..system import DynamicSystem
-from .bearing import BearingParams, bearing_force
+from .bearing import BearingParams, ball_angles, ball_forces, cage_speed
 from .disk import DiskProps, disk_matrices
 from .shaft import ShaftElementProps, shaft_element_matrices
 
@@ -138,7 +138,8 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
     alpha*M + beta*K plus the antisymmetric gyroscopic matrix scaled by
     each rotor's spin speed.  The nonlinear force sums Hertz bearing
     forces; the inter-shaft bearing loads its node pair with equal and
-    opposite forces.
+    opposite forces.  It reads only the x and y DOFs of the bearing nodes,
+    which the system declares as its nl_dofs.
     """
     layout.validate()
     n_dof = layout.n_dof
@@ -174,45 +175,45 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
 
     C = layout.rayleigh_alpha * M + layout.rayleigh_beta * K + G
 
-    # Resolve ring speeds per placement: support bearings have a fixed
-    # outer race; the inter-shaft bearing's races follow the two rotors.
-    supports = [
-        (
-            4 * b.node,
-            replace(
-                b.params,
-                omega_inner=layout.speed_of(b.rotor),
-                omega_outer=0.0,
-            ),
-        )
+    # Every ball of every bearing in one flat list.  Support bearings have
+    # a fixed outer race; the inter-shaft bearing's races follow the two
+    # rotors.  Row b of Gx/Gy picks the race-relative x/y displacement of
+    # ball b's bearing, and their transposes load the races back.
+    placements = [
+        (4 * b.node, None, replace(b.params, omega_inner=layout.speed_of(b.rotor),
+                                   omega_outer=0.0))
         for b in layout.support_bearings
-    ]
-    intershafts = [
-        (
-            4 * b.inner_node,
-            4 * b.outer_node,
-            replace(
-                b.params,
-                omega_inner=layout.omega_lp,
-                omega_outer=layout.omega_hp,
-            ),
-        )
+    ] + [
+        (4 * b.inner_node, 4 * b.outer_node,
+         replace(b.params, omega_inner=layout.omega_lp, omega_outer=layout.omega_hp))
         for b in layout.intershaft_bearings
     ]
+    params = [p for _, _, p in placements]
+    n_balls = [p.n_balls for p in params]
+    Gx = np.zeros((sum(n_balls), n_dof))
+    Gy = np.zeros((sum(n_balls), n_dof))
+    first = 0
+    for inner, outer, p in placements:
+        balls = slice(first, first + p.n_balls)
+        Gx[balls, inner] = 1.0
+        Gy[balls, inner + 1] = 1.0
+        if outer is not None:
+            Gx[balls, outer] = -1.0
+            Gy[balls, outer + 1] = -1.0
+        first += p.n_balls
+    theta0 = np.concatenate([ball_angles(p, 0.0) for p in params] + [np.zeros(0)])
+    omega_c, clearance, k_hertz = (
+        np.repeat(np.array(values, dtype=float), n_balls)
+        for values in (
+            [cage_speed(p) for p in params],
+            [p.clearance for p in params],
+            [p.k_hertz for p in params],
+        )
+    )
 
     def f_nl(x, v, a, t):
-        out = [0.0] * n_dof
-        for base, params in supports:
-            fx, fy = bearing_force(x[base], x[base + 1], 0.0, 0.0, t, params)
-            out[base] = out[base] + fx
-            out[base + 1] = out[base + 1] + fy
-        for bi, bo, params in intershafts:
-            fx, fy = bearing_force(x[bi], x[bi + 1], x[bo], x[bo + 1], t, params)
-            out[bi] = out[bi] + fx
-            out[bi + 1] = out[bi + 1] + fy
-            out[bo] = out[bo] - fx
-            out[bo + 1] = out[bo + 1] - fy
-        return out
+        fx, fy = ball_forces(Gx @ x, Gy @ x, theta0 + omega_c * t, clearance, k_hertz)
+        return Gx.T @ fx + Gy.T @ fy
 
     grav = np.zeros(n_dof)
     if layout.gravity:
@@ -229,7 +230,8 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
         return force
 
     return DynamicSystem(
-        n_dof=n_dof, M=M, C=C, K=K, Q=q, F_nl=f_nl, name="dual_rotor"
+        n_dof=n_dof, M=M, C=C, K=K, Q=q, F_nl=f_nl, name="dual_rotor",
+        nl_dofs=np.flatnonzero(np.any(Gx != 0.0, axis=0) | np.any(Gy != 0.0, axis=0)),
     )
 
 

@@ -4,7 +4,7 @@ Short-bearing theory gives the radial/tangential film forces in terms of
 journal eccentricity, its rate, and the precession rate, through three
 Sommerfeld integrals evaluated with a 15-node Gauss-Legendre rule over
 the positive-pressure half film.  Everything is written over the AD
-scalar type, so the integrals differentiate through the quadrature.
+array type, so the integrals differentiate through the quadrature.
 """
 
 from __future__ import annotations
@@ -78,7 +78,12 @@ _GL15_NODES, _GL15_WEIGHTS = gauss_legendre_15()
 
 @dataclass(frozen=True)
 class SFDParams:
-    """Squeeze-film damper geometry and lubricant properties."""
+    """Squeeze-film damper geometry and lubricant properties.
+
+    half_film_rules[P - 1] is the composite rule of P panels over a span
+    of pi (see _panel_rule), precomputed for every panel count that
+    _n_panels gives below film rupture.
+    """
 
     viscosity: float  # Pa s
     journal_radius: float  # m
@@ -86,6 +91,7 @@ class SFDParams:
     film_clearance: float  # m
     nodes: np.ndarray = field(default_factory=lambda: _GL15_NODES.copy())
     weights: np.ndarray = field(default_factory=lambda: _GL15_WEIGHTS.copy())
+    half_film_rules: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.film_clearance <= 0.0:
@@ -97,6 +103,11 @@ class SFDParams:
                 "questionable",
                 stacklevel=2,
             )
+        rules = tuple(
+            _panel_rule(self.nodes, self.weights, n, math.pi)
+            for n in range(1, MAX_PANELS + 1)
+        )
+        object.__setattr__(self, "half_film_rules", rules)
 
 
 def default_sfd_params() -> SFDParams:
@@ -120,11 +131,40 @@ def _n_panels(r_value):
     return int(math.ceil(10.0 * r_value))
 
 
+MAX_PANELS = 10  # _n_panels below film rupture, r < 1
+
+
+def _panel_rule(nodes, weights, n_panels, span):
+    """Offsets from the start of the span and weights of the composite rule.
+
+    Point (panel p, node t_i) sits at the fraction (p + 0.5 + 0.5 t_i)/P
+    of the span; each panel's rule is scaled by its half width span/(2P).
+    span may be an ADArray; then so are both results.
+    """
+    frac = ((np.arange(n_panels)[:, None] + 0.5 + 0.5 * nodes) / n_panels).ravel()
+    return span * frac, np.tile(weights, n_panels) * (span * 0.5 / n_panels)
+
+
+def _film_quadrature(r, theta1, rule):
+    """The film integrals' quadrature over all panels x nodes at once.
+
+    With rule = (offsets, weights) from _panel_rule, returns (w, s, c),
+    arrays over the quadrature points, such that
+    int_{theta1}^{theta1+span} sin^l cos^m / (1 + r cos)^3 dtheta
+    = sum(w * s**l * c**m).  r, theta1 and the rule may be ADArrays.
+    """
+    offsets, weights = rule
+    theta = theta1 + offsets
+    s = ad.sin(theta)
+    c = ad.cos(theta)
+    return weights * (1.0 + r * c) ** -3.0, s, c
+
+
 def sommerfeld_integral(l, m, r, theta1, theta2, nodes=None, weights=None):
     """I_3^{lm} = int_{theta1}^{theta2} sin^l cos^m / (1 + r cos)^3 dtheta.
 
-    Evaluated by composite 15-node Gauss-Legendre quadrature; r and
-    theta1 may be ADScalars.  Valid for 0 <= r < 1; at r >= 1 the film
+    Evaluated by composite 15-node Gauss-Legendre quadrature; r, theta1
+    and theta2 may be ADArrays.  Valid for 0 <= r < 1; at r >= 1 the film
     is ruptured.
     """
     if l not in (0, 1, 2) or m not in (0, 1, 2):
@@ -133,50 +173,67 @@ def sommerfeld_integral(l, m, r, theta1, theta2, nodes=None, weights=None):
         raise FilmRuptureError(ad.value_of(r))
     if nodes is None:
         nodes, weights = _GL15_NODES, _GL15_WEIGHTS
-    n_panels = _n_panels(ad.value_of(r))
-    width = (theta2 - theta1) * (1.0 / n_panels)
-    half = width * 0.5
-    acc = 0.0
-    for panel in range(n_panels):
-        mid = theta1 + width * (panel + 0.5)
-        for ti, wi in zip(nodes, weights):
-            theta = half * ti + mid
-            s = ad.sin(theta)
-            c = ad.cos(theta)
-            d = 1.0 + r * c
-            term = 1.0 / (d * d * d)
-            for _ in range(l):
-                term = term * s
-            for _ in range(m):
-                term = term * c
-            acc = acc + wi * term
-    return half * acc
-
-
-def _sommerfeld_triple(r, theta1, nodes, weights):
-    """(I_3^11, I_3^02, I_3^20) over [theta1, theta1+pi] in one pass."""
-    n_panels = _n_panels(ad.value_of(r))
-    width = math.pi / n_panels
-    half = width * 0.5
-    i11 = 0.0
-    i02 = 0.0
-    i20 = 0.0
-    for panel in range(n_panels):
-        mid_off = width * (panel + 0.5)
-        for ti, wi in zip(nodes, weights):
-            theta = theta1 + (half * ti + mid_off)
-            s = ad.sin(theta)
-            c = ad.cos(theta)
-            d = 1.0 + r * c
-            inv3 = 1.0 / (d * d * d)
-            i11 = i11 + (wi * inv3) * (s * c)
-            i02 = i02 + (wi * inv3) * (c * c)
-            i20 = i20 + (wi * inv3) * (s * s)
-    return half * i11, half * i02, half * i20
+    rule = _panel_rule(nodes, weights, _n_panels(ad.value_of(r)), theta2 - theta1)
+    w, s, c = _film_quadrature(r, theta1, rule)
+    for _ in range(l):
+        w = w * s
+    for _ in range(m):
+        w = w * c
+    return w.sum()
 
 
 CONCENTRIC_FLOOR = 1e-12  # m; below this the precession angle is undefined
 STATIC_FLOOR = 1e-14  # squeeze velocities below this give zero force
+
+
+# (a, b) -> (b, -a): the quarter turn that forms cross products of 2-vectors.
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def _journal_map(l1, p: SFDParams):
+    """Matrix taking (x, y, theta_x, theta_y) to the journal center in clearances.
+
+    The journal center is (x + theta_y*l1, y - theta_x*l1).
+    """
+    return np.array([[1.0, 0.0, 0.0, l1], [0.0, 1.0, -l1, 0.0]]) / p.film_clearance
+
+
+def _film_force(q, dq, p: SFDParams):
+    """(F_x, F_y) oil-film force for journal position q and its rate dq.
+
+    q and dq are 2-vectors (float arrays or ADArrays) in units of the
+    film clearance, so |q| is the dimensionless eccentricity r.
+    """
+    r2 = q @ q
+    if ad.value_of(r2) < (CONCENTRIC_FLOOR / p.film_clearance) ** 2:
+        return np.zeros(2)
+    r = ad.sqrt(r2)
+    if ad.value_of(r) >= 1.0:
+        u, w = ad.value_of(q) * p.film_clearance
+        raise FilmRuptureError(
+            ad.value_of(r), context=f"journal at u={u:.3e}, w={w:.3e}"
+        )
+    # r' and r psi' (psi the precession angle): q.dq / r and (q x dq) / r.
+    dr = (q @ dq) / r
+    rdpsi = (q @ (_QUARTER_TURN @ dq)) / r
+    if abs(ad.value_of(rdpsi)) < STATIC_FLOOR and abs(ad.value_of(dr)) < STATIC_FLOOR:
+        # No squeeze motion: forces vanish; pin theta1 to avoid atan2(0,0).
+        theta1 = 0.0
+    else:
+        theta1 = ad.atan2(-dr, rdpsi)
+
+    # Radial and tangential forces integrate the short-bearing pressure
+    # p = (r psi' sin + r' cos) / (1 + r cos)^3 against cos and sin over
+    # the positive-pressure half film: f_r = coef (I_3^11 r psi' +
+    # I_3^02 r'), f_t = coef (I_3^20 r psi' + I_3^11 r').
+    rule = p.half_film_rules[_n_panels(ad.value_of(r)) - 1]
+    wq, s, c = _film_quadrature(r, theta1, rule)
+    wp = wq * (s * rdpsi + c * dr)
+    f_r = wp @ c
+    f_t = wp @ s
+    # f_r along q/r, f_t along the quarter turn of q the other way, (-w, u)/r.
+    coef = p.viscosity * p.journal_radius * p.land_length**3 / p.film_clearance**2
+    return (f_r * q - f_t * (_QUARTER_TURN @ q)) * (coef / r)
 
 
 def sfd_force(x, y, theta_x, theta_y, vx, vy, vtheta_x, vtheta_y, p: SFDParams, l1):
@@ -187,39 +244,13 @@ def sfd_force(x, y, theta_x, theta_y, vx, vy, vtheta_x, vtheta_y, p: SFDParams, 
     tangential short-bearing forces are rotated into Cartesian axes.
     Raises FilmRuptureError when the eccentricity reaches the clearance.
     """
-    u = x + theta_y * l1
-    w = y - theta_x * l1
-    du = vx + vtheta_y * l1
-    dw = vy - vtheta_x * l1
-
-    e2 = u * u + w * w
-    if ad.value_of(e2) < CONCENTRIC_FLOOR**2:
-        return 0.0, 0.0
-    e = ad.sqrt(e2)
-    de = (u * du + w * dw) / e
-    dpsi = (u * dw - w * du) / e2
-    r = e / p.film_clearance
-    dr = de / p.film_clearance
-    if ad.value_of(r) >= 1.0:
-        raise FilmRuptureError(
-            ad.value_of(r),
-            context=f"journal at u={ad.value_of(u):.3e}, w={ad.value_of(w):.3e}",
-        )
-
-    rdpsi = r * dpsi
-    if abs(ad.value_of(rdpsi)) < STATIC_FLOOR and abs(ad.value_of(dr)) < STATIC_FLOOR:
-        # No squeeze motion: forces vanish; pin theta1 to avoid atan2(0,0).
-        theta1 = 0.0
-    else:
-        theta1 = ad.atan2(-dr, rdpsi)
-
-    i11, i02, i20 = _sommerfeld_triple(r, theta1, p.nodes, p.weights)
-    coef = p.viscosity * p.journal_radius * p.land_length**3 / p.film_clearance**2
-    f_r = coef * (i11 * rdpsi + i02 * dr)
-    f_t = coef * (i20 * rdpsi + i11 * dr)
-    f_x = f_r * (u / e) - f_t * (w / e)
-    f_y = f_r * (w / e) + f_t * (u / e)
-    return f_x, f_y
+    T = _journal_map(l1, p)
+    f = _film_force(
+        T @ ad.stack([x, y, theta_x, theta_y]),
+        T @ ad.stack([vx, vy, vtheta_x, vtheta_y]),
+        p,
+    )
+    return f[0], f[1]
 
 
 def sfd_rotor_system(
@@ -272,9 +303,13 @@ def sfd_rotor_system(
             [amp * math.cos(omega * t), amp * math.sin(omega * t), 0.0, 0.0]
         )
 
+    # The film force (F_x, F_y) enters the equations as (F_x, F_y,
+    # -F_y*l1, F_x*l1), the transpose of the journal map in metres.
+    T = _journal_map(l1, sfd)
+    load = T.T * sfd.film_clearance
+
     def f_nl(x, v, a, t):
-        f_x, f_y = sfd_force(x[0], x[1], x[2], x[3], v[0], v[1], v[2], v[3], sfd, l1)
-        return [f_x, f_y, -f_y * l1, f_x * l1]
+        return load @ _film_force(T @ x, T @ v, sfd)
 
     return DynamicSystem(
         n_dof=4, M=M, C=C, K=K, Q=q, F_nl=f_nl, name="sfd_rotor"

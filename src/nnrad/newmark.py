@@ -1,15 +1,18 @@
 """Implicit Newmark time stepping with Newton-Raphson corrector.
 
 Each step solves the displacement update of the discretized equation of
-motion by Newton iteration; the iteration Jacobian comes from forward-mode
-AD of the step residual, so arbitrary nonlinear forces need no hand-derived
-tangent.  Three iteration strategies are available: a full Newton that
-refactors the Jacobian every iteration, a simplified Newton that holds it
-fixed within a step, and a Broyden rank-1 secant variant.
+motion by Newton iteration.  The iteration Jacobian is the constant
+linear part c_a M + c_v C + K, built once per integration, plus the
+forward-mode AD derivative of the nonlinear force in the DOFs it reads,
+so arbitrary nonlinear forces need no hand-derived tangent.  Three
+iteration strategies are available: a full Newton that refactors the
+Jacobian every iteration, a simplified Newton that holds it fixed within
+a step, and a Broyden rank-1 secant variant.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -30,6 +33,8 @@ __all__ = [
     "predict_acceleration",
     "predict_velocity",
     "residual",
+    "step_matrix",
+    "step_jacobian",
     "initial_acceleration",
     "step",
     "integrate",
@@ -110,26 +115,18 @@ def _newmark_coeffs(cfg):
 
 def predict_acceleration(x1, s: State, cfg: NewmarkConfig):
     """Acceleration at t+dt implied by the trial displacement x1."""
+    c_a, _ = _newmark_coeffs(cfg)
     b, dt = cfg.beta, cfg.dt
-    c_a = 1.0 / (b * dt * dt)
     g = c_a * (-s.x) - s.v / (b * dt) - (0.5 / b - 1.0) * s.a
-    if isinstance(x1, np.ndarray) or not any(
-        isinstance(xi, ad.ADScalar) for xi in x1
-    ):
-        return c_a * np.asarray(x1, dtype=float) + g
-    return [c_a * x1[i] + g[i] for i in range(len(x1))]
+    return c_a * ad.stack(x1) + g
 
 
 def predict_velocity(x1, s: State, cfg: NewmarkConfig):
     """Velocity at t+dt implied by the trial displacement x1."""
+    _, c_v = _newmark_coeffs(cfg)
     b, g_, dt = cfg.beta, cfg.gamma, cfg.dt
-    c_v = g_ / (b * dt)
     g = c_v * (-s.x) + (1.0 - g_ / b) * s.v + (1.0 - g_ / (2.0 * b)) * dt * s.a
-    if isinstance(x1, np.ndarray) or not any(
-        isinstance(xi, ad.ADScalar) for xi in x1
-    ):
-        return c_v * np.asarray(x1, dtype=float) + g
-    return [c_v * x1[i] + g[i] for i in range(len(x1))]
+    return c_v * ad.stack(x1) + g
 
 
 def residual(x1, s: State, t1: float, sys: DynamicSystem, cfg: NewmarkConfig):
@@ -137,27 +134,38 @@ def residual(x1, s: State, t1: float, sys: DynamicSystem, cfg: NewmarkConfig):
 
     R = M a1 + C v1 + K x1 + F_nl(x1, v1, a1, t1) - Q(t1) with a1, v1
     substituted from the Newmark update formulas.  Accepts a float vector
-    or a sequence of ADScalars; the latter yields seeds for the Jacobian.
+    or an ADArray; the latter yields seeds for the Jacobian.
     """
+    x1 = ad.stack(x1)
     a1 = predict_acceleration(x1, s, cfg)
     v1 = predict_velocity(x1, s, cfg)
-    q = sys.Q(t1)
-    is_ad = not isinstance(a1, np.ndarray)
-    if not is_ad:
-        x1f = np.asarray(x1, dtype=float)
-        lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1f
-        f = np.asarray(sys.F_nl(x1f, v1, a1, t1), dtype=float)
-        return lin + f - q
-    # Fold the three matrix terms into one batched AD matvec: the
-    # predictors are affine in x1 with known constant parts.
+    lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1
+    return lin + ad.stack(sys.F_nl(x1, v1, a1, t1)) - sys.Q(t1)
+
+
+def step_matrix(sys: DynamicSystem, cfg: NewmarkConfig):
+    """A_eff = c_a M + c_v C + K: the step Jacobian of the linear terms."""
     c_a, c_v = _newmark_coeffs(cfg)
-    A_eff = c_a * sys.M + c_v * sys.C + sys.K
-    const = sys.M @ (ad.values(a1) - c_a * ad.values(x1)) + sys.C @ (
-        ad.values(v1) - c_v * ad.values(x1)
-    )
-    lin = ad.ad_matvec(A_eff, x1)
-    f = sys.F_nl(x1, v1, a1, t1)
-    return [lin[i] + f[i] + (const[i] - q[i]) for i in range(sys.n_dof)]
+    return c_a * sys.M + c_v * sys.C + sys.K
+
+
+def step_jacobian(x1, s: State, t1, sys: DynamicSystem, cfg: NewmarkConfig, A_eff):
+    """dR/dx1: A_eff plus the AD derivative of F_nl in the DOFs it reads.
+
+    Only sys.nl_dofs are seeded.  Through the Newmark predictors a
+    displacement seed e_j carries the velocity seed c_v e_j and the
+    acceleration seed c_a e_j, so one forward pass of F_nl gives
+    dF/dx + c_v dF/dv + c_a dF/da for those columns.
+    """
+
+    def f_nl(x):
+        return sys.F_nl(
+            x, predict_velocity(x, s, cfg), predict_acceleration(x, s, cfg), t1
+        )
+
+    J = A_eff.copy()
+    J[:, sys.nl_dofs] += ad.jacobian(f_nl, x1, columns=sys.nl_dofs)
+    return J
 
 
 def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
@@ -173,21 +181,12 @@ def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
         f = np.asarray(sys.F_nl(x0, v0, np.zeros(sys.n_dof), t0), dtype=float)
         return lu_solve(lu_factor(sys.M), rhs_static - f)
 
-    def g(a_ad):
-        width = a_ad[0].width
-        xs = [ad.constant(xi, width) for xi in x0]
-        vs = [ad.constant(vi, width) for vi in v0]
-        ma = ad.ad_matvec(sys.M, a_ad)
-        f = sys.F_nl(xs, vs, a_ad, t0)
-        return [ma[i] + f[i] - rhs_static[i] for i in range(sys.n_dof)]
-
-    def g_val(a):
-        f = np.asarray(sys.F_nl(x0, v0, a, t0), dtype=float)
-        return sys.M @ a + f - rhs_static
+    def g(a):
+        return sys.M @ a + ad.stack(sys.F_nl(x0, v0, a, t0)) - rhs_static
 
     a = np.zeros(sys.n_dof)
     for _ in range(50):
-        r = g_val(a)
+        r = g(a)
         if norm2(r) < 1e-10 * (1.0 + norm2(rhs_static)):
             return a
         J = ad.jacobian(g, a)
@@ -195,16 +194,22 @@ def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
         a = a - da
         if norm2(da) < 1e-12 * (1.0 + norm2(a)):
             return a
-    raise NonConvergenceError(-1, 50, norm2(g_val(a)), float("nan"))
+    raise NonConvergenceError(-1, 50, norm2(g(a)), float("nan"))
 
 
-def _step_core(sys, s, cfg, step_index=0):
+def _step_core(sys, s, cfg, A_eff, step_index=0):
     """One Newmark step; returns (state, iterations, final residual norm)."""
     t1 = s.t + cfg.dt
     x = s.x.copy()
+    iters = 0
 
-    def res_ad(xs):
-        return residual(xs, s, t1, sys, cfg)
+    def evaluate(x):
+        """Residual and its norm; a non-finite one ends the step at once."""
+        R = residual(x, s, t1, sys, cfg)
+        rn = norm2(R)
+        if not math.isfinite(rn):
+            raise NonConvergenceError(step_index, iters, rn, float("nan"))
+        return R, rn
 
     def factor(J):
         try:
@@ -215,10 +220,8 @@ def _step_core(sys, s, cfg, step_index=0):
     J = None
     lu = None
     broyden_refreshed = False
-    iters = 0
     while True:
-        R = residual(x, s, t1, sys, cfg)
-        rn = norm2(R)
+        R, rn = evaluate(x)
         if rn < cfg.tol_res:
             break
         if iters >= cfg.max_iter:
@@ -233,7 +236,7 @@ def _step_core(sys, s, cfg, step_index=0):
             )
         )
         if refresh:
-            J = ad.jacobian(res_ad, x)
+            J = step_jacobian(x, s, t1, sys, cfg, A_eff)
             lu = factor(J)
             if iters > 0 and cfg.strategy == BROYDEN_RANK1:
                 broyden_refreshed = True
@@ -241,13 +244,12 @@ def _step_core(sys, s, cfg, step_index=0):
         x = x - dx
         iters += 1
         if norm2(dx) < cfg.tol_dx * (1.0 + norm2(x)):
-            R = residual(x, s, t1, sys, cfg)
-            rn = norm2(R)
+            R, rn = evaluate(x)
             break
         if cfg.strategy == BROYDEN_RANK1:
             # Good Broyden secant update: J += (dR - J dx') dx'^T / |dx'|^2
             # with dx' = x_new - x_old = -dx.
-            R_new = residual(x, s, t1, sys, cfg)
+            R_new, _ = evaluate(x)
             dxp = -dx
             denom = float(dxp @ dxp)
             if denom > 0.0:
@@ -261,7 +263,7 @@ def _step_core(sys, s, cfg, step_index=0):
 
 def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:
     """Advance one time step; raises on non-convergence or singular Jacobian."""
-    new_state, _, _ = _step_core(sys, s, cfg)
+    new_state, _, _ = _step_core(sys, s, cfg, step_matrix(sys, cfg))
     return new_state
 
 
@@ -285,8 +287,9 @@ def integrate(
 
     state = State(t0, x0, v0, initial_acceleration(sys, x0, v0, t0))
     xs[0], vs[0], accs[0] = state.x, state.v, state.a
+    A_eff = step_matrix(sys, cfg)
     for i in range(1, n_steps + 1):
-        state, it, rn = _step_core(sys, state, cfg, step_index=i)
+        state, it, rn = _step_core(sys, state, cfg, A_eff, step_index=i)
         xs[i], vs[i], accs[i] = state.x, state.v, state.a
         iters[i] = it
         res_norms[i] = rn

@@ -2,7 +2,7 @@
 
 A DynamicSystem describes M xdd + C xd + K x + F_nl(xdd, xd, x, t) = Q(t).
 The nonlinear force F_nl must be written with the operations from
-`nnrad.ad` so that it evaluates both on plain floats and on ADScalars;
+`nnrad.ad` so that it evaluates both on float arrays and on ADArrays;
 the integrators rely on that to obtain exact Jacobians.
 """
 
@@ -52,6 +52,13 @@ class DynamicSystem:
     accel_dependent marks whether F_nl actually uses the acceleration
     argument; systems without acceleration dependence admit the cheap
     first-order reduction and the direct initial-acceleration solve.
+
+    nl_dofs lists the DOFs whose displacement, velocity or acceleration
+    F_nl reads (default: all).  The Newton Jacobian differentiates F_nl
+    with respect to these DOFs only, so a DOF missing from the list
+    silently drops its column of dF_nl/dx.  Declare it from the model's
+    structure: a probe evaluation would miss, say, a bearing ball out of
+    contact, whose derivative is exactly zero at that state.
     """
 
     n_dof: int
@@ -62,6 +69,7 @@ class DynamicSystem:
     F_nl: Optional[Callable[[Sequence, Sequence, Sequence, float], Sequence]] = None
     accel_dependent: bool = False
     name: str = ""
+    nl_dofs: Optional[Sequence[int]] = None
 
     def __post_init__(self):
         n = self.n_dof
@@ -74,6 +82,13 @@ class DynamicSystem:
             self.Q = _zero_force(n)
         if self.F_nl is None:
             self.F_nl = _zero_nonlinearity
+        if self.nl_dofs is None:
+            self.nl_dofs = np.arange(n)
+        else:
+            dofs = sorted({int(i) for i in self.nl_dofs})
+            if dofs and (dofs[0] < 0 or dofs[-1] >= n):
+                raise ValueError(f"nl_dofs must lie in 0..{n - 1}, got {dofs}")
+            self.nl_dofs = np.array(dofs, dtype=int)
 
 
 @dataclass

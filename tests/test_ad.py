@@ -9,6 +9,11 @@ from nnrad import ad
 from nnrad.ad import ADScalar, ADDomainError
 
 
+def const(value, width):
+    """An AD value with all-zero seeds."""
+    return ADScalar(value, np.zeros(width))
+
+
 def central_fd_jacobian(f, x0, h=1e-6):
     """Finite-difference oracle, independent of the seed-propagation path."""
     x0 = np.asarray(x0, dtype=float)
@@ -31,11 +36,6 @@ class TestLift:
         x, y = ad.lift([3.0, 5.0])
         assert np.array_equal(x.seeds, [1.0, 0.0])
         assert np.array_equal(y.seeds, [0.0, 1.0])
-
-    def test_constant_has_zero_seeds(self):
-        c = ad.constant(7.0, 2)
-        assert c.value == 7.0
-        assert np.array_equal(c.seeds, [0.0, 0.0])
 
     def test_empty_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -71,7 +71,7 @@ class TestElementaryOps:
 
     def test_relu_pow_requires_p_above_one(self):
         with pytest.raises(ADDomainError):
-            ad.relu_pow(ad.constant(1.0, 1), 1.0)
+            ad.relu_pow(const(1.0, 1), 1.0)
 
     def test_division_by_zero(self):
         x, y = ad.lift([1.0, 0.0])
@@ -80,11 +80,11 @@ class TestElementaryOps:
 
     def test_sqrt_domain(self):
         with pytest.raises(ADDomainError):
-            ad.sqrt(ad.constant(-1.0, 1))
+            ad.sqrt(const(-1.0, 1))
 
     def test_pow_real_negative_base_fractional(self):
         with pytest.raises(ADDomainError):
-            ad.pow_real(ad.constant(-2.0, 1), 0.5)
+            ad.pow_real(const(-2.0, 1), 0.5)
 
     def test_atan2_quadrants(self):
         for yv, xv in [(1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0)]:
@@ -99,8 +99,8 @@ class TestElementaryOps:
             ad.atan2(0.0, 0.0)
 
     def test_width_mismatch_rejected(self):
-        a = ad.constant(1.0, 2)
-        b = ad.constant(1.0, 3)
+        a = const(1.0, 2)
+        b = const(1.0, 3)
         with pytest.raises(ValueError):
             a + b
 
@@ -187,20 +187,65 @@ class TestJacobian:
             assert np.allclose(J_comp, J_ref, rtol=1e-14, atol=1e-14)
 
 
-class TestVectorHelpers:
-    def test_ad_matvec_matches_scalar_path(self):
+class TestArrayOps:
+    def test_matmul_by_constant_matrix(self):
         rng = np.random.default_rng(3)
         A = rng.standard_normal((3, 3))
         x = rng.standard_normal(3)
-        xs = ad.lift(x)
-        out = ad.ad_matvec(A, xs)
-        assert np.allclose([o.value for o in out], A @ x)
-        assert np.allclose(np.vstack([o.seeds for o in out]), A)
+        out = A @ ad.lift(x)
+        assert np.allclose(out.value, A @ x)
+        assert np.allclose(out.seeds, A)
 
-    def test_ad_matvec_float_path(self):
-        A = np.array([[2.0, 0.0], [0.0, 3.0]])
-        assert np.allclose(ad.ad_matvec(A, [1.0, 1.0]), [2.0, 3.0])
+    def test_dot_product(self):
+        x = ad.lift([1.0, 2.0, 3.0])
+        c = np.array([0.5, -1.0, 2.0])
+        xx = x @ x
+        assert xx.value == 14.0
+        assert np.array_equal(xx.seeds, [2.0, 4.0, 6.0])
+        xc = x @ c
+        assert xc.value == 4.5
+        assert np.array_equal(xc.seeds, c)
 
-    def test_values(self):
-        xs = ad.lift([1.0, 2.0])
-        assert np.array_equal(ad.values(xs), [1.0, 2.0])
+    def test_elementwise_matches_scalar_loop(self):
+        # Every operation on a 1-D ADArray equals the same operation on
+        # its 0-d entries one at a time.
+        rng = np.random.default_rng(8)
+        x = ad.lift(rng.uniform(0.5, 1.5, 4))
+        c = rng.standard_normal(4)
+
+        def f(z, c):
+            angle = ad.atan2(ad.sqrt(z) * c - 2.0 / z, ad.exp(z) + ad.cos(z))
+            return angle + ad.relu_pow(z - 1.0, 1.5) * ad.sin(z) - ad.atan(z) ** 2
+
+        whole = f(x, c)
+        for i, xi in enumerate(x):
+            one = f(xi, c[i])
+            assert one.value == pytest.approx(whole.value[i], rel=1e-14)
+            assert np.allclose(one.seeds, whole.seeds[i], rtol=1e-14, atol=1e-14)
+
+    def test_broadcast_scalar_against_array(self):
+        (t,) = ad.lift([0.5])
+        out = t * np.array([1.0, 2.0, 3.0]) + 1.0
+        assert np.allclose(out.value, [1.5, 2.0, 2.5])
+        assert np.allclose(out.seeds, [[1.0], [2.0], [3.0]])
+        shifted = t + np.zeros(3)
+        assert np.allclose(shifted.seeds, [[1.0], [1.0], [1.0]])
+
+    def test_sum(self):
+        x = ad.lift([1.0, 2.0, 3.0])
+        s = (x * x).sum()
+        assert s.value == 14.0
+        assert np.array_equal(s.seeds, [2.0, 4.0, 6.0])
+
+    def test_stack_mixes_numbers_and_ad(self):
+        x, y = ad.lift([1.0, 2.0])
+        out = ad.stack([x * y, 3.0])
+        assert np.array_equal(out.value, [2.0, 3.0])
+        assert np.array_equal(out.seeds, [[2.0, 1.0], [0.0, 0.0]])
+        assert isinstance(ad.stack([1.0, 2.0]), np.ndarray)
+
+    def test_domain_checked_elementwise(self):
+        with pytest.raises(ADDomainError):
+            ad.sqrt(ad.lift([1.0, -1.0]))
+        with pytest.raises(ADDomainError):
+            1.0 / ad.lift([1.0, 0.0])

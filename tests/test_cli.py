@@ -82,6 +82,13 @@ class TestSolve:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_missing_t_end_exit_2(self, tmp_path, capsys):
+        doc = dict(DUFFING_SOLVE)
+        del doc["t_end"]
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert '"t_end"' in capsys.readouterr().err
+
 
 class TestSweep:
     def test_single_speed_sfd(self, tmp_path):
@@ -130,6 +137,30 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
 
+    def test_missing_t_end_exit_2(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "system": {"type": "sfd_rotor"},
+            "newmark": {"dt": 1e-4},
+            "speeds": [900.0],
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert '"t_end"' in capsys.readouterr().err
+
+    def test_model_key_is_not_a_system(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "model": {"type": "sfd_rotor"},
+            "newmark": {"dt": 1e-4},
+            "speeds": [900.0],
+            "t_end": 0.01,
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "system" in capsys.readouterr().err
+
+
 class TestSpectrum:
     def _write_sine_csv(self, path, w0=40.0, dt=1e-3, n=2000):
         t = dt * np.arange(n)
@@ -158,6 +189,17 @@ class TestSpectrum:
         doc = {"schema_version": 1, "input": str(sig), "column": "x_9"}
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+
+    @pytest.mark.parametrize("field", ["input", "column"])
+    def test_missing_field_exit_2(self, tmp_path, capsys, field):
+        sig = tmp_path / "sig.csv"
+        self._write_sine_csv(sig)
+        doc = {"schema_version": 1, "input": str(sig), "column": "x_0"}
+        del doc[field]
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = str(tmp_path / "o.csv")
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 2
+        assert f'"{field}"' in capsys.readouterr().err
 
     def test_duffing_round_trip_dominant_bin(self, tmp_path):
         # solve -> spectrum: the forced Duffing response is dominated by

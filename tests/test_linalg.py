@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from nnrad.linalg import (
+    SINGULARITY_RTOL,
     SingularMatrixError,
     lu_factor,
     lu_solve,
-    mat_add,
-    matvec,
     norm2,
     scatter_add,
 )
@@ -14,27 +13,22 @@ from nnrad.linalg import (
 
 class TestLUFactor:
     def test_identity(self):
-        f = lu_factor(np.eye(3))
-        assert np.array_equal(f.lu, np.eye(3))
-        assert np.array_equal(f.permutation, [0, 1, 2])
+        b = np.array([1.0, -2.0, 3.5])
+        assert np.array_equal(lu_solve(lu_factor(np.eye(3)), b), b)
 
     def test_pivoting_forced(self):
         A = np.array([[0.0, 1.0], [1.0, 0.0]])
         f = lu_factor(A)  # must not raise despite the zero at (0,0)
-        assert sorted(f.permutation.tolist()) == [0, 1]
-        assert f.permutation.tolist() == [1, 0]
+        assert np.array_equal(lu_solve(f, [2.0, 3.0]), [3.0, 2.0])
 
     def test_reconstruction_oracle(self):
-        # PA = LU to 1e-13 relative, checked on well-conditioned randoms.
+        # Solves to 1e-13 relative, checked on well-conditioned randoms.
         rng = np.random.default_rng(42)
         for _ in range(10):
             A = rng.standard_normal((10, 10)) + 5.0 * np.eye(10)
-            f = lu_factor(A)
-            L = np.tril(f.lu, -1) + np.eye(10)
-            U = np.triu(f.lu)
-            PA = A[f.permutation]
-            err = np.linalg.norm(PA - L @ U) / np.linalg.norm(A)
-            assert err < 1e-13
+            x = rng.standard_normal(10)
+            x_back = lu_solve(lu_factor(A), A @ x)
+            assert np.linalg.norm(x_back - x) / np.linalg.norm(x) < 1e-13
 
     def test_singular_matrix_reports_pivot(self):
         with pytest.raises(SingularMatrixError) as exc:
@@ -48,6 +42,32 @@ class TestLUFactor:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             lu_factor(np.ones((2, 3)))
+
+    def test_screen_defers_to_exact_pivot_rule(self):
+        # Pivots at 1e-10 and 1e-15 of max|A| both trip the inverse screen;
+        # elimination accepts the first and reports the second.
+        for tiny, singular in ((1e-10, False), (1e-15, True)):
+            A = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + tiny, 0.0], [0.0, 0.0, 1.0]])
+            if singular:
+                with pytest.raises(SingularMatrixError) as exc:
+                    lu_factor(A)
+                assert exc.value.pivot_index == 1
+            else:
+                x = lu_solve(lu_factor(A), A @ np.array([1.0, 2.0, 3.0]))
+                assert np.allclose(x, [1.0, 2.0, 3.0], rtol=1e-5)
+
+    def test_pivot_at_threshold_is_singular(self):
+        # Diagonal pivots: the screen must hand the exact boundary case on.
+        A = np.diag([1.0, SINGULARITY_RTOL, 1.0])
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_factor(A)
+        assert exc.value.pivot_index == 1
+        lu_factor(np.diag([1.0, 2.0 * SINGULARITY_RTOL, 1.0]))
+
+    def test_non_finite_matrix_accepted(self):
+        # NaN pivots are not small; the solve carries the NaN to the caller.
+        f = lu_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        assert np.isnan(lu_solve(f, [1.0, 1.0])[0])
 
 
 class TestLUSolve:
@@ -77,17 +97,13 @@ class TestLUSolve:
         n = 300
         A = rng.standard_normal((n, n)) + n * np.eye(n)
         x = rng.standard_normal(n)
-        x_back = lu_solve(lu_factor(A), matvec(A, x))
+        x_back = lu_solve(lu_factor(A), A @ x)
         assert np.linalg.norm(x_back - x) / np.linalg.norm(x) < 1e-10
 
 
 class TestSmallOps:
     def test_norm2(self):
         assert norm2([3.0, 4.0]) == 5.0
-
-    def test_mat_add(self):
-        out = mat_add(np.eye(2), 2.0 * np.eye(2))
-        assert np.array_equal(out, 3.0 * np.eye(2))
 
 
 class TestScatterAdd:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,8 +20,17 @@ from nnrad import (
     step,
     to_first_order,
 )
-from nnrad.models import default_dual_rotor_layout, duffing, pendulum, van_der_pol
+from nnrad import ad
+from nnrad.models import (
+    default_dual_rotor_layout,
+    duffing,
+    pendulum,
+    sfd_rotor_system,
+    van_der_pol,
+)
+from nnrad.models.bearing import ball_angles
 from nnrad.models.rotor import assemble_dual_rotor
+from nnrad.newmark import step_jacobian, step_matrix
 
 
 def linear_sdof(k=1.0, c=0.0):
@@ -175,8 +185,6 @@ class TestResidual:
             assert abs(R[0] - ref) < 1e-10 * (1.0 + abs(ref))
 
     def test_float_and_ad_paths_agree(self):
-        from nnrad import ad
-
         sys_ = duffing()
         cfg = NewmarkConfig(dt=1e-3)
         s = State(0.2, [1.5], [-0.3], [2.0])
@@ -186,6 +194,71 @@ class TestResidual:
         assert abs(float(R_float[0]) - R_ad[0].value) < 1e-12 * (
             1.0 + abs(R_ad[0].value)
         )
+
+
+class TestStepJacobian:
+    """The solver's Jacobian (A_eff plus AD of F_nl in sys.nl_dofs) equals
+    the dense AD Jacobian of the whole residual; a DOF missing from
+    nl_dofs would drop its column."""
+
+    def _gap(self, sys_, s, x1, cfg):
+        t1 = s.t + cfg.dt
+        J = step_jacobian(x1, s, t1, sys_, cfg, step_matrix(sys_, cfg))
+        J_dense = ad.jacobian(lambda z: residual(z, s, t1, sys_, cfg), x1)
+        return float(np.max(np.abs(J - J_dense)) / np.max(np.abs(J_dense)))
+
+    def _state(self, rng, x, scale_v):
+        n = x.size
+        return State(float(rng.uniform(0.0, 0.5)), x,
+                     scale_v * rng.standard_normal(n), scale_v * rng.standard_normal(n))
+
+    def test_oscillators(self):
+        rng = np.random.default_rng(21)
+        cfg = NewmarkConfig(dt=1e-3)
+        for sys_ in (duffing(), van_der_pol(1.0), pendulum()):
+            for _ in range(5):
+                s = self._state(rng, rng.standard_normal(1), 1.0)
+                assert self._gap(sys_, s, rng.standard_normal(1), cfg) < 1e-12
+
+    def test_sfd_rotor(self):
+        rng = np.random.default_rng(22)
+        cfg = NewmarkConfig(dt=1e-4)
+        sys_ = sfd_rotor_system(900.0)
+        for _ in range(5):
+            def draw():
+                ecc = rng.uniform(0.1, 0.6) * 2.5e-4
+                ang = rng.uniform(0.0, 2.0 * math.pi)
+                tilt = 1e-6 * rng.standard_normal(2)
+                return np.array([ecc * math.cos(ang), ecc * math.sin(ang), *tilt])
+            s = self._state(rng, draw(), 0.01)
+            assert self._gap(sys_, s, draw(), cfg) < 1e-12
+
+    def test_dual_rotor_balls_in_and_out_of_contact(self):
+        rng = np.random.default_rng(23)
+        cfg = NewmarkConfig(dt=1e-4)
+        layout = default_dual_rotor_layout()
+        sys_ = assemble_dual_rotor(layout)
+        assert sys_.nl_dofs.size == 10
+        support = layout.support_bearings[0]
+        base = 4 * support.node
+        for k in range(6):
+            x1 = 1e-5 * rng.standard_normal(sys_.n_dof)
+            if k % 2:
+                x1[base:base + 2] = 0.0  # that bearing's balls all out of contact
+            s = self._state(rng, 1e-5 * rng.standard_normal(sys_.n_dof), 1e-3)
+            theta = ball_angles(support.params, s.t + cfg.dt)
+            delta = x1[base] * np.cos(theta) + x1[base + 1] * np.sin(theta)
+            if k % 2:
+                assert np.all(delta <= support.params.clearance)
+            else:
+                assert np.any(delta > support.params.clearance)
+                assert np.any(delta <= support.params.clearance)
+            assert self._gap(sys_, s, x1, cfg) < 1e-12
+
+    def test_replace_keeps_declared_dofs(self):
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        copy = dataclasses.replace(sys_, F_nl=sys_.F_nl)
+        assert np.array_equal(copy.nl_dofs, sys_.nl_dofs)
 
 
 class TestInitialAcceleration:
@@ -257,6 +330,21 @@ class TestStep:
         with pytest.raises(NonConvergenceError) as exc:
             step(sys_, s, cfg)
         assert exc.value.iterations == 3
+
+    def test_non_finite_residual_stops_at_once(self):
+        # F_nl turns NaN past x = 1; the first Newton iterate lands there.
+        def f_nl(x, v, a, t):
+            return [x[0] * (math.nan if ad.value_of(x[0]) > 1.0 else 1.0)]
+
+        sys_ = DynamicSystem(n_dof=1, M=np.eye(1), C=np.zeros((1, 1)), K=np.eye(1),
+                             Q=lambda t: np.array([1000.0]), F_nl=f_nl)
+        cfg = NewmarkConfig(dt=0.1)
+        s = State(0.0, [0.5], [0.0], [0.0])
+        with pytest.raises(NonConvergenceError) as exc:
+            step(sys_, s, cfg)
+        assert exc.value.iterations < cfg.max_iter
+        assert exc.value.iterations == 1
+        assert math.isnan(exc.value.res_norm)
 
     def test_singular_jacobian_error(self):
         sys_ = DynamicSystem(
