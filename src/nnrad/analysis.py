@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -98,7 +96,6 @@ def sweep(
     Each speed starts from the same initial condition (zero by default).
     Per-speed solver failures are recorded in the row and the sweep
     continues.  Rows come back ordered by the input speed sequence.
-    NNRAD_THREADS > 1 evaluates rows concurrently.
     """
     speeds = list(speeds)
     if not speeds:
@@ -113,8 +110,4 @@ def sweep(
         except Exception as err:  # recorded per-row, sweep continues
             return SweepRow(speed=speed, amplitudes=None, error=str(err))
 
-    n_threads = int(os.environ.get("NNRAD_THREADS", "1"))
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(run_one, speeds))
     return [run_one(s) for s in speeds]

@@ -24,10 +24,20 @@ from .models import (
     sfd_rotor_system,
     van_der_pol,
 )
-from .newmark import NewmarkConfig, residual, integrate
+from .newmark import STRATEGIES, NewmarkConfig, residual, integrate
 from .system import State
 
 SCHEMA_VERSION = 1
+
+# The keys each system type accepts besides "type"; any other is an error.
+SYSTEM_KEYS = {
+    "van_der_pol": ("eps",),
+    "duffing": ("delta", "alpha", "beta", "gamma_f", "omega"),
+    "pendulum": (),
+    "sfd_rotor": ("omega", "mass", "stiffness", "j_d", "j_p", "l1", "l2",
+                  "damping", "unbalance"),
+    "dual_rotor": ("file", "omega_lp", "omega_hp"),
+}
 
 
 class ConfigError(ValueError):
@@ -59,15 +69,24 @@ def _require(doc, key):
 
 
 def _system_spec(doc):
-    """The config's "system" object, checked for its "type" field."""
+    """The config's "system" object, checked for its type and its keys."""
     spec = doc.get("system")
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("system spec must be an object with a \"type\" field")
+    kind = spec["type"]
+    if not isinstance(kind, str) or kind not in SYSTEM_KEYS:
+        raise ConfigError(f"unknown system type {kind!r}")
+    unknown = sorted(set(spec) - {"type"} - set(SYSTEM_KEYS[kind]))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]!r} for system type {kind!r}; accepted: "
+            + ", ".join(SYSTEM_KEYS[kind])
+        )
     return spec
 
 
 def _build_system(spec, speed=None):
-    """Instantiate a built-in system from its checked config description."""
+    """Instantiate a built-in system from a spec checked by _system_spec."""
     kind = spec["type"]
     if kind == "van_der_pol":
         return van_der_pol(eps=spec.get("eps", 1.0))
@@ -82,35 +101,22 @@ def _build_system(spec, speed=None):
     if kind == "pendulum":
         return pendulum()
     if kind == "sfd_rotor":
-        omega = speed if speed is not None else spec.get("omega")
-        if omega is None:
+        kwargs = {key: spec[key] for key in SYSTEM_KEYS[kind] if key in spec}
+        if speed is not None:
+            kwargs["omega"] = speed
+        if kwargs.get("omega") is None:
             raise ConfigError("sfd_rotor needs an \"omega\" field")
-        kwargs = {
-            key: spec[key]
-            for key in (
-                "mass",
-                "stiffness",
-                "j_d",
-                "j_p",
-                "l1",
-                "l2",
-                "damping",
-                "unbalance",
-            )
-            if key in spec
-        }
-        return sfd_rotor_system(omega=omega, **kwargs)
-    if kind == "dual_rotor":
-        if "file" in spec:
-            layout = load_rotor_layout(spec["file"])
-        else:
-            layout = default_dual_rotor_layout()
-        omega_lp = speed if speed is not None else spec.get("omega_lp")
-        if omega_lp is not None:
-            layout.omega_lp = float(omega_lp)
-            layout.omega_hp = float(spec.get("omega_hp", 1.2 * float(omega_lp)))
-        return assemble_dual_rotor(layout)
-    raise ConfigError(f"unknown system type {kind!r}")
+        return sfd_rotor_system(**kwargs)
+    # "dual_rotor", the last type in SYSTEM_KEYS.
+    if "file" in spec:
+        layout = load_rotor_layout(spec["file"])
+    else:
+        layout = default_dual_rotor_layout()
+    omega_lp = speed if speed is not None else spec.get("omega_lp")
+    if omega_lp is not None:
+        layout.omega_lp = float(omega_lp)
+        layout.omega_hp = float(spec.get("omega_hp", 1.2 * float(omega_lp)))
+    return assemble_dual_rotor(layout)
 
 
 def _newmark_config(doc, args):
@@ -307,7 +313,7 @@ def main(argv=None):
             p.add_argument("--out", required=True, help="output CSV path")
         p.add_argument(
             "--strategy",
-            choices=["full", "simplified", "broyden"],
+            choices=STRATEGIES,
             default=None,
             help="override the Newton iteration strategy",
         )

@@ -1,7 +1,8 @@
 """Dense linear algebra helpers: factor/solve, norms, FE scatter-assembly.
 
 ``lu_factor`` returns the explicit inverse of A, computed by
-``numpy.linalg.inv``, and ``lu_solve`` applies it with one matvec.  On
+``numpy.linalg.inv``, ``lu_solve`` applies it with one matvec, and
+``lu_update`` applies a rank-1 change of A to it in O(n^2).  On
 the Newton loop's matrices, at most a few dozen rows, that costs less
 than SciPy's LU factors and triangular solves, and it needs no SciPy.
 
@@ -25,6 +26,7 @@ __all__ = [
     "SingularMatrixError",
     "lu_factor",
     "lu_solve",
+    "lu_update",
     "norm2",
     "scatter_add",
 ]
@@ -95,6 +97,21 @@ def lu_solve(f, b):
             f"dimension mismatch: factor is {f.shape[0]}, b is {b.shape[0]}"
         )
     return f @ b
+
+
+def lu_update(f, u, v):
+    """Factor of A + u v^T from f = lu_factor(A), by Sherman-Morrison.
+
+    Returns f - (f u)(v^T f) / (1 + v^T f u) in O(n^2).  By the matrix
+    determinant lemma A + u v^T is singular when the denominator is zero;
+    then, or when it is not finite, SingularMatrixError is raised with no
+    pivot index.
+    """
+    fu = f @ u
+    denom = 1.0 + float(v @ fu)
+    if denom == 0.0 or not np.isfinite(denom):
+        raise SingularMatrixError(None, "rank-1 update makes the matrix singular")
+    return f - np.outer(fu, v @ f) / denom
 
 
 def norm2(v):

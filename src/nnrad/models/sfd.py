@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,20 +78,12 @@ _GL15_NODES, _GL15_WEIGHTS = gauss_legendre_15()
 
 @dataclass(frozen=True)
 class SFDParams:
-    """Squeeze-film damper geometry and lubricant properties.
-
-    half_film_rules[P - 1] is the composite rule of P panels over a span
-    of pi (see _panel_rule), precomputed for every panel count that
-    _n_panels gives below film rupture.
-    """
+    """Squeeze-film damper geometry and lubricant properties."""
 
     viscosity: float  # Pa s
     journal_radius: float  # m
     land_length: float  # m
     film_clearance: float  # m
-    nodes: np.ndarray = field(default_factory=lambda: _GL15_NODES.copy())
-    weights: np.ndarray = field(default_factory=lambda: _GL15_WEIGHTS.copy())
-    half_film_rules: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.film_clearance <= 0.0:
@@ -103,11 +95,6 @@ class SFDParams:
                 "questionable",
                 stacklevel=2,
             )
-        rules = tuple(
-            _panel_rule(self.nodes, self.weights, n, math.pi)
-            for n in range(1, MAX_PANELS + 1)
-        )
-        object.__setattr__(self, "half_film_rules", rules)
 
 
 def default_sfd_params() -> SFDParams:
@@ -134,15 +121,20 @@ def _n_panels(r_value):
 MAX_PANELS = 10  # _n_panels below film rupture, r < 1
 
 
-def _panel_rule(nodes, weights, n_panels, span):
-    """Offsets from the start of the span and weights of the composite rule.
+def _panel_rule(n_panels, span):
+    """Offsets from the start of the span and weights of the GL15 composite rule.
 
     Point (panel p, node t_i) sits at the fraction (p + 0.5 + 0.5 t_i)/P
     of the span; each panel's rule is scaled by its half width span/(2P).
     span may be an ADArray; then so are both results.
     """
-    frac = ((np.arange(n_panels)[:, None] + 0.5 + 0.5 * nodes) / n_panels).ravel()
-    return span * frac, np.tile(weights, n_panels) * (span * 0.5 / n_panels)
+    frac = ((np.arange(n_panels)[:, None] + 0.5 + 0.5 * _GL15_NODES) / n_panels).ravel()
+    return span * frac, np.tile(_GL15_WEIGHTS, n_panels) * (span * 0.5 / n_panels)
+
+
+# _HALF_FILM_RULES[P - 1] is the composite rule of P panels over a span of
+# pi, for every panel count that _n_panels gives below film rupture.
+_HALF_FILM_RULES = tuple(_panel_rule(n, math.pi) for n in range(1, MAX_PANELS + 1))
 
 
 def _film_quadrature(r, theta1, rule):
@@ -160,7 +152,7 @@ def _film_quadrature(r, theta1, rule):
     return weights * (1.0 + r * c) ** -3.0, s, c
 
 
-def sommerfeld_integral(l, m, r, theta1, theta2, nodes=None, weights=None):
+def sommerfeld_integral(l, m, r, theta1, theta2):
     """I_3^{lm} = int_{theta1}^{theta2} sin^l cos^m / (1 + r cos)^3 dtheta.
 
     Evaluated by composite 15-node Gauss-Legendre quadrature; r, theta1
@@ -171,9 +163,7 @@ def sommerfeld_integral(l, m, r, theta1, theta2, nodes=None, weights=None):
         raise ValueError("exponents l, m must lie in 0..2")
     if ad.value_of(r) >= 1.0:
         raise FilmRuptureError(ad.value_of(r))
-    if nodes is None:
-        nodes, weights = _GL15_NODES, _GL15_WEIGHTS
-    rule = _panel_rule(nodes, weights, _n_panels(ad.value_of(r)), theta2 - theta1)
+    rule = _panel_rule(_n_panels(ad.value_of(r)), theta2 - theta1)
     w, s, c = _film_quadrature(r, theta1, rule)
     for _ in range(l):
         w = w * s
@@ -226,7 +216,7 @@ def _film_force(q, dq, p: SFDParams):
     # p = (r psi' sin + r' cos) / (1 + r cos)^3 against cos and sin over
     # the positive-pressure half film: f_r = coef (I_3^11 r psi' +
     # I_3^02 r'), f_t = coef (I_3^20 r psi' + I_3^11 r').
-    rule = p.half_film_rules[_n_panels(ad.value_of(r)) - 1]
+    rule = _HALF_FILM_RULES[_n_panels(ad.value_of(r)) - 1]
     wq, s, c = _film_quadrature(r, theta1, rule)
     wp = wq * (s * rdpsi + c * dr)
     f_r = wp @ c

@@ -4,10 +4,12 @@ Each step solves the displacement update of the discretized equation of
 motion by Newton iteration.  The iteration Jacobian is the constant
 linear part c_a M + c_v C + K, built once per integration, plus the
 forward-mode AD derivative of the nonlinear force in the DOFs it reads,
-so arbitrary nonlinear forces need no hand-derived tangent.  Three
-iteration strategies are available: a full Newton that refactors the
-Jacobian every iteration, a simplified Newton that holds it fixed within
-a step, and a Broyden rank-1 secant variant.
+so arbitrary nonlinear forces need no hand-derived tangent.  The three
+iteration strategies run one loop and differ only in when the factor is
+refreshed from a new Jacobian and whether it is updated in between:
+every iteration (full Newton), once per step (simplified Newton), or
+once per step and once more past half of max_iter with a Broyden rank-1
+secant update of the factor after each iteration (broyden).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ad
-from .linalg import SingularMatrixError, lu_factor, lu_solve, norm2
+from .linalg import SingularMatrixError, lu_factor, lu_solve, lu_update, norm2
 from .system import DynamicSystem, State, Trajectory
 
 __all__ = [
@@ -211,50 +213,38 @@ def _step_core(sys, s, cfg, A_eff, step_index=0):
             raise NonConvergenceError(step_index, iters, rn, float("nan"))
         return R, rn
 
-    def factor(J):
+    def factor(fn, *args):
+        """lu_factor or lu_update, a singular result as SingularJacobianError."""
         try:
-            return lu_factor(J)
+            return fn(*args)
         except SingularMatrixError as err:
             raise SingularJacobianError(step_index, err.pivot_index) from err
 
-    J = None
     lu = None
-    broyden_refreshed = False
-    while True:
-        R, rn = evaluate(x)
-        if rn < cfg.tol_res:
-            break
+    R, rn = evaluate(x)
+    while rn >= cfg.tol_res:
         if iters >= cfg.max_iter:
             raise NonConvergenceError(step_index, iters, rn, float("nan"))
-        refresh = (
-            cfg.strategy == FULL_NEWTON
-            or J is None
-            or (
-                cfg.strategy == BROYDEN_RANK1
-                and not broyden_refreshed
-                and iters > cfg.max_iter // 2
-            )
-        )
-        if refresh:
-            J = step_jacobian(x, s, t1, sys, cfg, A_eff)
-            lu = factor(J)
-            if iters > 0 and cfg.strategy == BROYDEN_RANK1:
-                broyden_refreshed = True
+        # Full Newton refreshes every iteration, simplified once per step,
+        # Broyden once more past half of max_iter.
+        if (
+            lu is None
+            or cfg.strategy == FULL_NEWTON
+            or (cfg.strategy == BROYDEN_RANK1 and iters == cfg.max_iter // 2 + 1)
+        ):
+            lu = factor(lu_factor, step_jacobian(x, s, t1, sys, cfg, A_eff))
         dx = lu_solve(lu, R)
         x = x - dx
         iters += 1
+        R, rn = evaluate(x)
         if norm2(dx) < cfg.tol_dx * (1.0 + norm2(x)):
-            R, rn = evaluate(x)
             break
         if cfg.strategy == BROYDEN_RANK1:
-            # Good Broyden secant update: J += (dR - J dx') dx'^T / |dx'|^2
-            # with dx' = x_new - x_old = -dx.
-            R_new, _ = evaluate(x)
-            dxp = -dx
-            denom = float(dxp @ dxp)
-            if denom > 0.0:
-                J = J + np.outer((R_new - R) - J @ dxp, dxp) / denom
-                lu = factor(J)
+            # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
+            # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.
+            dd = float(dx @ dx)
+            if dd > 0.0:
+                lu = factor(lu_update, lu, R / dd, -dx)
 
     a1 = predict_acceleration(x, s, cfg)
     v1 = predict_velocity(x, s, cfg)

@@ -164,14 +164,3 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(lambda s: sfd_rotor_system(s), [], NewmarkConfig(dt=1e-4),
                   [0], t_end=0.01)
-
-    def test_threaded_matches_serial(self, monkeypatch):
-        cfg = NewmarkConfig(dt=1e-4, strategy="simplified")
-        serial = sweep(lambda s: sfd_rotor_system(s), [800.0, 1000.0], cfg, [0],
-                       t_end=0.02)
-        monkeypatch.setenv("NNRAD_THREADS", "2")
-        threaded = sweep(lambda s: sfd_rotor_system(s), [800.0, 1000.0], cfg,
-                         [0], t_end=0.02)
-        for a, b in zip(serial, threaded):
-            assert a.speed == b.speed
-            assert a.amplitudes[0] == pytest.approx(b.amplitudes[0], rel=1e-12)

@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nnrad.cli import main
+from nnrad.cli import _system_spec, main
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def write_config(path, doc):
@@ -81,6 +84,20 @@ class TestSolve:
         doc = dict(DUFFING_SOLVE, system={"type": "wobblator"})
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_unknown_system_key_exit_2(self, tmp_path, capsys):
+        doc = dict(DUFFING_SOLVE, system={"type": "duffing", "detla": 0.5})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "detla" in capsys.readouterr().err
+
+    def test_shipped_configs_pass_the_system_check(self):
+        paths = sorted(CONFIGS.glob("*.json"))
+        assert paths
+        for path in paths:
+            doc = json.loads(path.read_text())
+            if "system" in doc:
+                _system_spec(doc)
 
     def test_missing_t_end_exit_2(self, tmp_path, capsys):
         doc = dict(DUFFING_SOLVE)

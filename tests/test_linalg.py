@@ -6,6 +6,7 @@ from nnrad.linalg import (
     SingularMatrixError,
     lu_factor,
     lu_solve,
+    lu_update,
     norm2,
     scatter_add,
 )
@@ -99,6 +100,24 @@ class TestLUSolve:
         x = rng.standard_normal(n)
         x_back = lu_solve(lu_factor(A), A @ x)
         assert np.linalg.norm(x_back - x) / np.linalg.norm(x) < 1e-10
+
+
+class TestLUUpdate:
+    def test_solves_rank1_modified_system(self):
+        rng = np.random.default_rng(3)
+        for _ in range(10):
+            A = rng.standard_normal((8, 8)) + 4.0 * np.eye(8)
+            u, v, b = rng.standard_normal((3, 8))
+            x = lu_solve(lu_update(lu_factor(A), u, v), b)
+            x_ref = np.linalg.solve(A + np.outer(u, v), b)
+            assert np.linalg.norm(x - x_ref) / np.linalg.norm(x_ref) < 1e-12
+
+    def test_zero_denominator_is_singular(self):
+        # 1 + v^T A^-1 u = 1 - 1 = 0: A + u v^T = [[1, 0], [0, 0]].
+        f = lu_factor(np.eye(2))
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_update(f, np.array([0.0, 1.0]), np.array([0.0, -1.0]))
+        assert exc.value.pivot_index is None
 
 
 class TestSmallOps:

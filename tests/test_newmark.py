@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nnrad.newmark
 from nnrad import (
     BROYDEN_RANK1,
     FULL_NEWTON,
@@ -357,6 +358,59 @@ class TestStep:
         s = State(0.0, [0.0], [0.0], [0.0])
         with pytest.raises(SingularJacobianError):
             step(sys_, s, NewmarkConfig(dt=0.1))
+
+
+class TestNewtonLoop:
+    """Calls the step loop makes, counted through newmark's namespace."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # "factor_at" holds the residual count at each lu_factor call.
+        calls = {"residual": 0, "factor_at": []}
+        res, fac = nnrad.newmark.residual, nnrad.newmark.lu_factor
+
+        def counted_residual(*args):
+            calls["residual"] += 1
+            return res(*args)
+
+        def counted_factor(A):
+            calls["factor_at"].append(calls["residual"])
+            return fac(A)
+
+        monkeypatch.setattr(nnrad.newmark, "residual", counted_residual)
+        monkeypatch.setattr(nnrad.newmark, "lu_factor", counted_factor)
+        return calls
+
+    def test_broyden_one_residual_per_iteration_one_factor_per_step(self, calls):
+        cfg = NewmarkConfig(dt=1e-3, strategy=BROYDEN_RANK1)
+        traj = integrate(sfd_rotor_system(900.0), np.zeros(4), np.zeros(4),
+                         0.0, 0.2, cfg)
+        steps = traj.n_samples - 1
+        assert calls["residual"] == traj.iterations.sum() + steps
+        # One more factor for the mass matrix in initial_acceleration.
+        assert len(calls["factor_at"]) == np.count_nonzero(traj.iterations) + 1
+
+    def test_broyden_refreshes_once_past_half_of_max_iter(self, calls):
+        sys_ = duffing()
+        s = State(0.0, [2.0], [0.0], [-16.0])  # a(0) = 10 - 2 - 3 * 2^3
+        cfg = NewmarkConfig(dt=0.1, tol_dx=0.0, tol_res=0.0, max_iter=4,
+                            strategy=BROYDEN_RANK1)
+        with pytest.raises(NonConvergenceError) as exc:
+            step(sys_, s, cfg)
+        assert exc.value.iterations == 4
+        # Residuals before iterations 0 and 3: the factor is built there.
+        assert calls["factor_at"] == [1, 4]
+
+    def test_singular_secant_update(self):
+        # R(x) = x^2 - 2x + 4 from x = 0: dx = -2 lands on R(2) = R(0), so
+        # the secant slope, and with it the updated Jacobian, is exactly 0.
+        zero = np.zeros((1, 1))
+        sys_ = DynamicSystem(n_dof=1, M=zero, C=zero, K=zero,
+                             Q=lambda t: np.array([-4.0]),
+                             F_nl=lambda x, v, a, t: [x[0] * x[0] - 2.0 * x[0]])
+        s = State(0.0, [0.0], [0.0], [0.0])
+        with pytest.raises(SingularJacobianError):
+            step(sys_, s, NewmarkConfig(dt=0.1, strategy=BROYDEN_RANK1))
 
 
 class TestIntegrate:
