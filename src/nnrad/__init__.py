@@ -18,6 +18,7 @@ from .newmark import (
     integrate,
     residual,
     step,
+    step_terms,
 )
 from .rk4 import rk4_integrate, to_first_order
 from .system import DynamicSystem, State, Trajectory
@@ -42,6 +43,7 @@ __all__ = [
     "integrate",
     "residual",
     "step",
+    "step_terms",
     "rk4_integrate",
     "to_first_order",
 ]

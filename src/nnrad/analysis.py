@@ -108,6 +108,8 @@ def sweep(
             )
             return SweepRow(speed=speed, amplitudes=amps)
         except Exception as err:  # recorded per-row, sweep continues
-            return SweepRow(speed=speed, amplitudes=None, error=str(err))
+            return SweepRow(
+                speed=speed, amplitudes=None, error=f"{type(err).__name__}: {err}"
+            )
 
     return [run_one(s) for s in speeds]

@@ -24,7 +24,7 @@ from .models import (
     sfd_rotor_system,
     van_der_pol,
 )
-from .newmark import STRATEGIES, NewmarkConfig, residual, integrate
+from .newmark import STRATEGIES, NewmarkConfig, integrate, residual, step_terms
 from .system import State
 
 SCHEMA_VERSION = 1
@@ -39,6 +39,16 @@ SYSTEM_KEYS = {
     "dual_rotor": ("file", "omega_lp", "omega_hp"),
 }
 
+# The top-level config keys each command accepts; any other is an error.
+CONFIG_KEYS = {
+    "solve": ("schema_version", "system", "newmark", "x0", "v0", "t0", "t_end"),
+    "sweep": ("schema_version", "system", "newmark", "speeds", "probe_nodes",
+              "t_end", "steady_fraction"),
+    "spectrum": ("schema_version", "input", "column", "dt"),
+    "check-jacobian": ("schema_version", "system", "newmark", "seed", "n_states",
+                       "scale", "fd_step", "tol"),
+}
+
 
 class ConfigError(ValueError):
     pass
@@ -48,15 +58,22 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _load_config(path):
+def _load_config(path, command):
+    """The JSON config at path, checked for its schema and its top-level keys."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as err:
         raise ConfigError(f"cannot read config {path}: {err}") from err
-    if doc.get("schema_version") != SCHEMA_VERSION:
+    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
         raise ConfigError(
             f"config must declare \"schema_version\": {SCHEMA_VERSION}"
+        )
+    unknown = sorted(set(doc) - set(CONFIG_KEYS[command]))
+    if unknown:
+        raise ConfigError(
+            f"unknown key {unknown[0]!r} for {command}; accepted: "
+            + ", ".join(CONFIG_KEYS[command])
         )
     return doc
 
@@ -119,6 +136,27 @@ def _build_system(spec, speed=None):
     return assemble_dual_rotor(layout)
 
 
+def _dof_vector(doc, key, n):
+    """doc[key] as a float vector of n entries, zeros when it is absent."""
+    try:
+        value = np.asarray(doc.get(key, np.zeros(n)), dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"\"{key}\" must be a list of numbers: {err}") from err
+    if value.shape != (n,):
+        raise ConfigError(
+            f"\"{key}\" must list {n} value(s), one per DOF of the system; "
+            f"got shape {value.shape}"
+        )
+    return value
+
+
+def _solve_setup(doc):
+    """A solve config's system, x0 and v0."""
+    sys_ = _build_system(_system_spec(doc))
+    n = sys_.n_dof
+    return sys_, _dof_vector(doc, "x0", n), _dof_vector(doc, "v0", n)
+
+
 def _newmark_config(doc, args):
     nm = dict(doc.get("newmark", {}))
     if args.dt is not None:
@@ -141,12 +179,10 @@ def _write_csv(path, header, rows):
 
 
 def cmd_solve(args):
-    doc = _load_config(args.config)
-    sys_ = _build_system(_system_spec(doc))
+    doc = _load_config(args.config, args.command)
+    sys_, x0, v0 = _solve_setup(doc)
     cfg = _newmark_config(doc, args)
     n = sys_.n_dof
-    x0 = np.asarray(doc.get("x0", np.zeros(n)), dtype=float)
-    v0 = np.asarray(doc.get("v0", np.zeros(n)), dtype=float)
     t0 = float(doc.get("t0", 0.0))
     t_end = float(_require(doc, "t_end"))
     if t_end == t0:
@@ -175,7 +211,7 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, args.command)
     model_spec = _system_spec(doc)
     t_end = float(_require(doc, "t_end"))
     cfg = _newmark_config(doc, args)
@@ -224,7 +260,7 @@ def cmd_sweep(args):
 
 
 def cmd_spectrum(args):
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, args.command)
     path = _require(doc, "input")
     column = _require(doc, "column")
     with open(path) as fh:
@@ -252,7 +288,7 @@ def cmd_spectrum(args):
 
 def cmd_check_jacobian(args):
     """AD vs central finite differences on randomized step residuals."""
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, args.command)
     sys_ = _build_system(_system_spec(doc))
     cfg = _newmark_config(doc, args)
     n = sys_.n_dof
@@ -272,10 +308,10 @@ def cmd_check_jacobian(args):
             a=scale * rng.standard_normal(n),
         )
         x1 = scale * rng.standard_normal(n)
-        t1 = s.t + cfg.dt
+        p = step_terms(sys_, s, cfg)
 
         def res(z):
-            return residual(z, s, t1, sys_, cfg)
+            return residual(z, p, sys_)
 
         J_ad = ad.jacobian(res, x1)
         J_fd = np.zeros((n, n))

@@ -20,6 +20,8 @@ the inverse.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -115,7 +117,13 @@ def lu_update(f, u, v):
 
 
 def norm2(v):
-    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+    """Euclidean norm of a vector, as numpy.linalg.norm computes it.
+
+    That is sqrt(v.dot(v)) on a contiguous copy, bit for bit, without
+    norm's argument handling.
+    """
+    v = np.ascontiguousarray(v, dtype=float)
+    return math.sqrt(v.dot(v))
 
 
 def scatter_add(global_mat, local_mat, dof_map, signs=None):

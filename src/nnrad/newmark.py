@@ -9,7 +9,10 @@ iteration strategies run one loop and differ only in when the factor is
 refreshed from a new Jacobian and whether it is updated in between:
 every iteration (full Newton), once per step (simplified Newton), or
 once per step and once more past half of max_iter with a Broyden rank-1
-secant update of the factor after each iteration (broyden).
+secant update of the factor after each iteration (broyden).  What a
+step holds fixed, the offsets of the Newmark maps from x1 to v1 and a1
+and the load Q(t1), is built once per step (StepTerms), so every
+residual and Jacobian of the step shares it.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,8 +36,8 @@ __all__ = [
     "NewmarkConfig",
     "NonConvergenceError",
     "SingularJacobianError",
-    "predict_acceleration",
-    "predict_velocity",
+    "StepTerms",
+    "step_terms",
     "residual",
     "step_matrix",
     "step_jacobian",
@@ -115,34 +119,52 @@ def _newmark_coeffs(cfg):
     return c_a, c_v
 
 
-def predict_acceleration(x1, s: State, cfg: NewmarkConfig):
-    """Acceleration at t+dt implied by the trial displacement x1."""
-    c_a, _ = _newmark_coeffs(cfg)
-    b, dt = cfg.beta, cfg.dt
-    g = c_a * (-s.x) - s.v / (b * dt) - (0.5 / b - 1.0) * s.a
-    return c_a * ad.stack(x1) + g
+class StepTerms(NamedTuple):
+    """What a step from a State holds fixed: t1, the Newmark maps and Q(t1).
+
+    The Newmark update gives the acceleration and velocity at t1 as
+    affine maps of the trial displacement x1, a1 = c_a x1 + g_a and
+    v1 = c_v x1 + g_v, whose offsets depend only on the step's start.
+    """
+
+    t1: float
+    c_a: float
+    g_a: np.ndarray
+    c_v: float
+    g_v: np.ndarray
+    q1: np.ndarray
+
+    def acceleration(self, x1):
+        """Acceleration at t1 implied by the trial displacement x1."""
+        return self.c_a * x1 + self.g_a
+
+    def velocity(self, x1):
+        """Velocity at t1 implied by the trial displacement x1."""
+        return self.c_v * x1 + self.g_v
 
 
-def predict_velocity(x1, s: State, cfg: NewmarkConfig):
-    """Velocity at t+dt implied by the trial displacement x1."""
-    _, c_v = _newmark_coeffs(cfg)
-    b, g_, dt = cfg.beta, cfg.gamma, cfg.dt
-    g = c_v * (-s.x) + (1.0 - g_ / b) * s.v + (1.0 - g_ / (2.0 * b)) * dt * s.a
-    return c_v * ad.stack(x1) + g
+def step_terms(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> StepTerms:
+    """The StepTerms of the step from s to t1 = s.t + dt."""
+    c_a, c_v = _newmark_coeffs(cfg)
+    b, g, dt = cfg.beta, cfg.gamma, cfg.dt
+    t1 = s.t + dt
+    g_a = c_a * (-s.x) - s.v / (b * dt) - (0.5 / b - 1.0) * s.a
+    g_v = c_v * (-s.x) + (1.0 - g / b) * s.v + (1.0 - g / (2.0 * b)) * dt * s.a
+    return StepTerms(t1, c_a, g_a, c_v, g_v, sys.Q(t1))
 
 
-def residual(x1, s: State, t1: float, sys: DynamicSystem, cfg: NewmarkConfig):
-    """Step residual R(x1) whose root advances the trajectory to t1.
+def residual(x1, p: StepTerms, sys: DynamicSystem):
+    """Step residual R(x1) whose root advances the trajectory to p.t1.
 
     R = M a1 + C v1 + K x1 + F_nl(x1, v1, a1, t1) - Q(t1) with a1, v1
-    substituted from the Newmark update formulas.  Accepts a float vector
-    or an ADArray; the latter yields seeds for the Jacobian.
+    from the Newmark maps of p.  Accepts a float vector or an ADArray;
+    the latter yields seeds for the Jacobian.
     """
     x1 = ad.stack(x1)
-    a1 = predict_acceleration(x1, s, cfg)
-    v1 = predict_velocity(x1, s, cfg)
+    a1 = p.acceleration(x1)
+    v1 = p.velocity(x1)
     lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1
-    return lin + ad.stack(sys.F_nl(x1, v1, a1, t1)) - sys.Q(t1)
+    return lin + ad.stack(sys.F_nl(x1, v1, a1, p.t1)) - p.q1
 
 
 def step_matrix(sys: DynamicSystem, cfg: NewmarkConfig):
@@ -151,19 +173,17 @@ def step_matrix(sys: DynamicSystem, cfg: NewmarkConfig):
     return c_a * sys.M + c_v * sys.C + sys.K
 
 
-def step_jacobian(x1, s: State, t1, sys: DynamicSystem, cfg: NewmarkConfig, A_eff):
+def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, A_eff):
     """dR/dx1: A_eff plus the AD derivative of F_nl in the DOFs it reads.
 
-    Only sys.nl_dofs are seeded.  Through the Newmark predictors a
+    Only sys.nl_dofs are seeded.  Through the Newmark maps a
     displacement seed e_j carries the velocity seed c_v e_j and the
     acceleration seed c_a e_j, so one forward pass of F_nl gives
     dF/dx + c_v dF/dv + c_a dF/da for those columns.
     """
 
     def f_nl(x):
-        return sys.F_nl(
-            x, predict_velocity(x, s, cfg), predict_acceleration(x, s, cfg), t1
-        )
+        return sys.F_nl(x, p.velocity(x), p.acceleration(x), p.t1)
 
     J = A_eff.copy()
     J[:, sys.nl_dofs] += ad.jacobian(f_nl, x1, columns=sys.nl_dofs)
@@ -201,13 +221,13 @@ def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
 
 def _step_core(sys, s, cfg, A_eff, step_index=0):
     """One Newmark step; returns (state, iterations, final residual norm)."""
-    t1 = s.t + cfg.dt
+    p = step_terms(sys, s, cfg)
     x = s.x.copy()
     iters = 0
 
     def evaluate(x):
         """Residual and its norm; a non-finite one ends the step at once."""
-        R = residual(x, s, t1, sys, cfg)
+        R = residual(x, p, sys)
         rn = norm2(R)
         if not math.isfinite(rn):
             raise NonConvergenceError(step_index, iters, rn, float("nan"))
@@ -232,7 +252,7 @@ def _step_core(sys, s, cfg, A_eff, step_index=0):
             or cfg.strategy == FULL_NEWTON
             or (cfg.strategy == BROYDEN_RANK1 and iters == cfg.max_iter // 2 + 1)
         ):
-            lu = factor(lu_factor, step_jacobian(x, s, t1, sys, cfg, A_eff))
+            lu = factor(lu_factor, step_jacobian(x, p, sys, A_eff))
         dx = lu_solve(lu, R)
         x = x - dx
         iters += 1
@@ -246,9 +266,7 @@ def _step_core(sys, s, cfg, A_eff, step_index=0):
             if dd > 0.0:
                 lu = factor(lu_update, lu, R / dd, -dx)
 
-    a1 = predict_acceleration(x, s, cfg)
-    v1 = predict_velocity(x, s, cfg)
-    return State(t1, x, v1, a1), iters, rn
+    return State(p.t1, x, p.velocity(x), p.acceleration(x)), iters, rn
 
 
 def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:
@@ -260,7 +278,13 @@ def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:
 def integrate(
     sys: DynamicSystem, x0, v0, t0, t_end, cfg: NewmarkConfig
 ) -> Trajectory:
-    """Integrate from t0 to t_end on the uniform grid t0 + i*dt."""
+    """Integrate from t0 to t_end on the uniform grid t0 + i*dt.
+
+    An exception raised in step i, by the model or by the Newton loop,
+    leaves with its type unchanged and carries ``step_index`` (i), ``t``
+    (the time step i advances to) and ``state`` (the last accepted
+    State), plus a note that names the step and the time.
+    """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
     x0 = np.asarray(x0, dtype=float)
@@ -278,11 +302,20 @@ def integrate(
     state = State(t0, x0, v0, initial_acceleration(sys, x0, v0, t0))
     xs[0], vs[0], accs[0] = state.x, state.v, state.a
     A_eff = step_matrix(sys, cfg)
-    for i in range(1, n_steps + 1):
-        state, it, rn = _step_core(sys, state, cfg, A_eff, step_index=i)
-        xs[i], vs[i], accs[i] = state.x, state.v, state.a
-        iters[i] = it
-        res_norms[i] = rn
+    try:
+        for i in range(1, n_steps + 1):
+            state, it, rn = _step_core(sys, state, cfg, A_eff, step_index=i)
+            xs[i], vs[i], accs[i] = state.x, state.v, state.a
+            iters[i] = it
+            res_norms[i] = rn
+    except Exception as err:
+        # state is still the last accepted State: the failed step never
+        # returned one.
+        t1 = state.t + cfg.dt
+        err.step_index, err.t, err.state = i, t1, state
+        err.add_note(f"in Newmark step {i}, advancing from t = {state.t!r} "
+                     f"to t = {t1!r}")
+        raise
     return Trajectory(
         t=t, x=xs, v=vs, a=accs, iterations=iters, residual_norms=res_norms
     )

@@ -21,6 +21,7 @@ from nnrad import (
     integrate,
     residual,
     rk4_integrate,
+    step_terms,
     to_first_order,
 )
 from nnrad.analysis import amplitude, spectrum, steady_window, sweep
@@ -51,14 +52,14 @@ def verdict(capsys):
     return report
 
 
-def fd_jacobian_of_residual(sys_, x1, s, t1, cfg, h=1e-6):
+def fd_jacobian_of_residual(sys_, x1, p, h=1e-6):
     n = sys_.n_dof
     J = np.zeros((n, n))
     for j in range(n):
         e = np.zeros(n)
         e[j] = h
-        rp = np.asarray(residual(x1 + e, s, t1, sys_, cfg), dtype=float)
-        rm = np.asarray(residual(x1 - e, s, t1, sys_, cfg), dtype=float)
+        rp = np.asarray(residual(x1 + e, p, sys_), dtype=float)
+        rm = np.asarray(residual(x1 - e, p, sys_), dtype=float)
         J[:, j] = (rp - rm) / (2.0 * h)
     return J
 
@@ -86,7 +87,7 @@ def sfd_safe_state(rng, n):
     return x
 
 
-def sfd_nondegenerate(s, x1, cfg):
+def sfd_nondegenerate(p, x1):
     """Reject states whose implied squeeze motion nearly vanishes.
 
     The film force is smooth but its curvature grows without bound as
@@ -94,10 +95,8 @@ def sfd_nondegenerate(s, x1, cfg):
     a central difference with fixed h cannot track the exact AD
     derivative there.  Physical trajectories never sit on that manifold.
     """
-    from nnrad.newmark import predict_velocity
-
     l1, C_f = 0.894, 2.5e-4
-    v1 = predict_velocity(x1, s, cfg)
+    v1 = p.velocity(x1)
     u, w = x1[0] + x1[3] * l1, x1[1] - x1[2] * l1
     du, dw = v1[0] + v1[3] * l1, v1[1] - v1[2] * l1
     e = math.hypot(u, w)
@@ -122,12 +121,12 @@ class TestCriterion1ADExactness:
                     a=0.1 * rng.standard_normal(n),
                 )
                 x1 = draw_x1(rng)
-                if accept is None or accept(s, x1, cfg):
+                p = step_terms(sys_, s, cfg)
+                if accept is None or accept(p, x1):
                     break
-            t1 = s.t + cfg.dt
 
-            J_ad = ad.jacobian(lambda z: residual(z, s, t1, sys_, cfg), x1)
-            J_fd = fd_jacobian_of_residual(sys_, x1, s, t1, cfg)
+            J_ad = ad.jacobian(lambda z: residual(z, p, sys_), x1)
+            J_fd = fd_jacobian_of_residual(sys_, x1, p)
             worst = max(worst, rel_jacobian_gap(J_ad, J_fd))
         return worst
 
@@ -168,7 +167,7 @@ class TestCriterion1ADExactness:
                       rng.standard_normal(1))
             x1 = rng.standard_normal(1)
             J_ad = ad.jacobian(
-                lambda z: residual(z, s, cfg.dt, sys_, cfg), x1
+                lambda z: residual(z, step_terms(sys_, s, cfg), sys_), x1
             )
             J_ref = (
                 c_a * sys_.M + c_v * sys_.C + sys_.K

@@ -160,6 +160,13 @@ class TestSweep:
         assert rows[1].amplitudes is None
         assert "synthetic model failure" in rows[1].error
 
+    def test_failure_row_names_the_error_type(self):
+        cfg = NewmarkConfig(dt=1e-4, strategy="simplified")
+        rows = sweep(lambda s: sfd_rotor_system(s, unbalance=5e-2), [1000.0], cfg,
+                     [0], t_end=0.2)
+        assert rows[0].amplitudes is None
+        assert rows[0].error.startswith("FilmRuptureError: oil film ruptured")
+
     def test_empty_speed_list(self):
         with pytest.raises(ValueError):
             sweep(lambda s: sfd_rotor_system(s), [], NewmarkConfig(dt=1e-4),

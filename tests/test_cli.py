@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnrad.cli import _system_spec, main
+from nnrad.cli import _load_config, _solve_setup, _system_spec, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -91,13 +91,35 @@ class TestSolve:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "detla" in capsys.readouterr().err
 
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys):
+        doc = dict(DUFFING_SOLVE, x_0=[2.0])
+        del doc["x0"]
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "'x_0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["x0", "v0"])
+    def test_initial_vector_length_exit_2(self, tmp_path, capsys, field):
+        doc = dict(DUFFING_SOLVE, **{field: [2.0, 1.0]})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert f'"{field}"' in capsys.readouterr().err
+
     def test_shipped_configs_pass_the_system_check(self):
+        # Each shipped config passes its command's key check and system
+        # check, and a solve config's x0 and v0 fit its system.
+        commands = {"check_jacobian_duffing": "check-jacobian",
+                    "duffing_solve": "solve", "sfd_sweep": "sweep",
+                    "spectrum": "spectrum"}
         paths = sorted(CONFIGS.glob("*.json"))
-        assert paths
+        assert sorted(path.stem for path in paths) == sorted(commands)
         for path in paths:
-            doc = json.loads(path.read_text())
+            command = commands[path.stem]
+            doc = _load_config(path, command)
             if "system" in doc:
                 _system_spec(doc)
+            if command == "solve":
+                _solve_setup(doc)
 
     def test_missing_t_end_exit_2(self, tmp_path, capsys):
         doc = dict(DUFFING_SOLVE)
@@ -164,6 +186,19 @@ class TestSweep:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert '"t_end"' in capsys.readouterr().err
+
+    def test_unknown_top_level_key_exit_2(self, tmp_path, capsys):
+        doc = {
+            "schema_version": 1,
+            "system": {"type": "sfd_rotor"},
+            "newmark": {"dt": 1e-4},
+            "speeds": [900.0],
+            "t_end": 0.01,
+            "steady_frac": 0.5,
+        }
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "'steady_frac'" in capsys.readouterr().err
 
     def test_model_key_is_not_a_system(self, tmp_path, capsys):
         doc = {

@@ -31,13 +31,20 @@ from nnrad.models import (
 )
 from nnrad.models.bearing import ball_angles
 from nnrad.models.rotor import assemble_dual_rotor
-from nnrad.newmark import step_jacobian, step_matrix
+from nnrad.newmark import step_jacobian, step_matrix, step_terms
 
 
 def linear_sdof(k=1.0, c=0.0):
     return DynamicSystem(
         n_dof=1, M=np.array([[1.0]]), C=np.array([[c]]), K=np.array([[k]])
     )
+
+
+def terms(s, cfg):
+    """The StepTerms of a step from s on an unloaded system of s's size."""
+    n = s.x.size
+    return step_terms(DynamicSystem(n, np.eye(n), np.zeros((n, n)), np.zeros((n, n))),
+                      s, cfg)
 
 
 class TestConfig:
@@ -67,35 +74,25 @@ class TestPredictors:
         # (x1 - 0)/(0.25*0.01) = 4.0 for x1 = 0.01
         cfg = NewmarkConfig(dt=0.1)
         s = State(0.0, [0.0], [0.0], [0.0])
-        from nnrad.newmark import predict_acceleration
-
-        assert np.allclose(predict_acceleration(np.array([0.01]), s, cfg), [4.0])
+        assert np.allclose(terms(s, cfg).acceleration(np.array([0.01])), [4.0])
 
     def test_acceleration_stationary(self):
         cfg = NewmarkConfig(dt=0.1)
         s = State(0.0, [0.7], [0.0], [0.0])
-        from nnrad.newmark import predict_acceleration
-
-        assert np.allclose(predict_acceleration(np.array([0.7]), s, cfg), [0.0])
+        assert np.allclose(terms(s, cfg).acceleration(np.array([0.7])), [0.0])
 
     def test_velocity_direct_substitution(self):
         cfg = NewmarkConfig(dt=0.1)
         s = State(0.0, [0.0], [0.0], [0.0])
-        from nnrad.newmark import predict_velocity
-
-        assert np.allclose(predict_velocity(np.array([0.01]), s, cfg), [0.2])
+        assert np.allclose(terms(s, cfg).velocity(np.array([0.01])), [0.2])
 
     def test_velocity_reversal(self):
         # x1 = x_n, gamma/beta = 2 -> v1 = (1 - 2) v_n = -v_n
         cfg = NewmarkConfig(dt=0.1)
         s = State(0.0, [0.3], [1.0], [0.0])
-        from nnrad.newmark import predict_velocity
-
-        assert np.allclose(predict_velocity(np.array([0.3]), s, cfg), [-1.0])
+        assert np.allclose(terms(s, cfg).velocity(np.array([0.3])), [-1.0])
 
     def test_formula_oracle_random(self):
-        from nnrad.newmark import predict_acceleration, predict_velocity
-
         rng = np.random.default_rng(4)
         for _ in range(25):
             b, g = rng.uniform(0.2, 0.5), rng.uniform(0.5, 0.8)
@@ -119,8 +116,9 @@ class TestPredictors:
                 + (1.0 - g / b) * s.v
                 + (1.0 - g / (2.0 * b)) * dt * s.a
             )
-            assert np.allclose(predict_acceleration(x1, s, cfg), a_ref, atol=1e-12)
-            assert np.allclose(predict_velocity(x1, s, cfg), v_ref, atol=1e-12)
+            p = terms(s, cfg)
+            assert np.allclose(p.acceleration(x1), a_ref, atol=1e-12)
+            assert np.allclose(p.velocity(x1), v_ref, atol=1e-12)
 
 
 def _no_warning():
@@ -140,14 +138,14 @@ class TestResidual:
             0.5 / cfg.beta - 1.0
         ) * s.a[0]
         x1 = -g_a / (c_a + 1.0)  # (c_a + k) x1 + g_a = 0 with m = k = 1
-        R = residual(np.array([x1]), s, cfg.dt, sys_, cfg)
+        R = residual(np.array([x1]), step_terms(sys_, s, cfg), sys_)
         assert abs(R[0]) < 1e-12
 
     def test_zero_system(self):
         sys_ = DynamicSystem(n_dof=2, M=np.zeros((2, 2)), C=np.zeros((2, 2)), K=np.zeros((2, 2)))
         cfg = NewmarkConfig(dt=0.1)
         s = State(0.0, [1.0, -2.0], [0.5, 0.5], [0.0, 1.0])
-        R = residual(np.array([3.0, -4.0]), s, cfg.dt, sys_, cfg)
+        R = residual(np.array([3.0, -4.0]), step_terms(sys_, s, cfg), sys_)
         assert np.array_equal(np.asarray(R), [0.0, 0.0])
 
     def test_duffing_hand_assembled_oracle(self):
@@ -182,7 +180,7 @@ class TestResidual:
                 + beta_d * x1**3
                 - gamma_f * math.cos(omega * t1)
             )
-            R = residual(np.array([x1]), s, t1, sys_, cfg)
+            R = residual(np.array([x1]), step_terms(sys_, s, cfg), sys_)
             assert abs(R[0] - ref) < 1e-10 * (1.0 + abs(ref))
 
     def test_float_and_ad_paths_agree(self):
@@ -190,8 +188,9 @@ class TestResidual:
         cfg = NewmarkConfig(dt=1e-3)
         s = State(0.2, [1.5], [-0.3], [2.0])
         x1 = np.array([1.7])
-        R_float = residual(x1, s, s.t + cfg.dt, sys_, cfg)
-        R_ad = residual(ad.lift(x1), s, s.t + cfg.dt, sys_, cfg)
+        p = step_terms(sys_, s, cfg)
+        R_float = residual(x1, p, sys_)
+        R_ad = residual(ad.lift(x1), p, sys_)
         assert abs(float(R_float[0]) - R_ad[0].value) < 1e-12 * (
             1.0 + abs(R_ad[0].value)
         )
@@ -203,10 +202,30 @@ class TestStepJacobian:
     nl_dofs would drop its column."""
 
     def _gap(self, sys_, s, x1, cfg):
-        t1 = s.t + cfg.dt
-        J = step_jacobian(x1, s, t1, sys_, cfg, step_matrix(sys_, cfg))
-        J_dense = ad.jacobian(lambda z: residual(z, s, t1, sys_, cfg), x1)
+        self._assert_residual_bits(sys_, s, x1, cfg)
+        p = step_terms(sys_, s, cfg)
+        J = step_jacobian(x1, p, sys_, step_matrix(sys_, cfg))
+        J_dense = ad.jacobian(lambda z: residual(z, p, sys_), x1)
         return float(np.max(np.abs(J - J_dense)) / np.max(np.abs(J_dense)))
+
+    @staticmethod
+    def _assert_residual_bits(sys_, s, x1, cfg):
+        """The residual on StepTerms equals, bit for bit, the one written
+        out from the Newmark update, on floats and on AD values and seeds."""
+        p = step_terms(sys_, s, cfg)
+        b, g, dt = cfg.beta, cfg.gamma, cfg.dt
+        c_a, c_v = 1.0 / (b * dt * dt), g / (b * dt)
+        t1 = s.t + dt
+        for z in (x1, ad.lift(x1)):
+            a1 = c_a * z + (c_a * (-s.x) - s.v / (b * dt) - (0.5 / b - 1.0) * s.a)
+            v1 = c_v * z + (c_v * (-s.x) + (1.0 - g / b) * s.v
+                            + (1.0 - g / (2.0 * b)) * dt * s.a)
+            ref = (sys_.M @ a1 + sys_.C @ v1 + sys_.K @ z
+                   + ad.stack(sys_.F_nl(z, v1, a1, t1)) - sys_.Q(t1))
+            got = residual(z, p, sys_)
+            assert np.array_equal(ad.value_of(got), ad.value_of(ref))
+            if isinstance(z, ad.ADArray):
+                assert np.array_equal(got.seeds, ref.seeds)
 
     def _state(self, rng, x, scale_v):
         n = x.size
@@ -414,6 +433,55 @@ class TestNewtonLoop:
 
 
 class TestIntegrate:
+    def test_load_is_evaluated_once_per_step(self):
+        sys_ = duffing()
+        times = []
+
+        def q(t):
+            times.append(t)
+            return sys_.Q(t)
+
+        traj = integrate(dataclasses.replace(sys_, Q=q), [2.0], [0.0], 0.0, 1.0,
+                         NewmarkConfig(dt=1e-3))
+        steps = traj.n_samples - 1
+        assert steps == 1000 and traj.iterations.sum() > steps
+        # Once per step, plus once for initial_acceleration.
+        assert len(times) == steps + 1
+
+    def _located(self, exc_info, sys_, x0, cfg):
+        """Check the step, time and state a model error carries."""
+        err = exc_info.value
+        i = err.step_index
+        assert i > 1
+        assert err.t == err.state.t + cfg.dt
+        assert f"step {i}" in err.__notes__[-1] and repr(err.t) in err.__notes__[-1]
+        # state is the last accepted one: where the first i - 1 steps lead.
+        before = integrate(sys_, x0, np.zeros_like(x0), 0.0, (i - 1) * cfg.dt, cfg)
+        assert np.array_equal(err.state.x, before.x[-1])
+        assert np.array_equal(err.state.v, before.v[-1])
+        assert np.array_equal(err.state.a, before.a[-1])
+        assert err.state.t == pytest.approx((i - 1) * cfg.dt)
+
+    def test_film_rupture_names_step_time_and_state(self):
+        from nnrad.models.sfd import FilmRuptureError
+
+        sys_ = sfd_rotor_system(1000.0, unbalance=5e-2)
+        cfg = NewmarkConfig(dt=1e-4, strategy=SIMPLIFIED_NEWTON)
+        with pytest.raises(FilmRuptureError) as exc:
+            integrate(sys_, np.zeros(4), np.zeros(4), 0.0, 0.2, cfg)
+        self._located(exc, sys_, np.zeros(4), cfg)
+
+    def test_ad_domain_error_names_step_time_and_state(self):
+        # sqrt(1 + x) with a load pulling x below -1 within a few steps.
+        sys_ = DynamicSystem(n_dof=1, M=np.eye(1), C=np.zeros((1, 1)),
+                             K=np.zeros((1, 1)), Q=lambda t: np.array([-1000.0]),
+                             F_nl=lambda x, v, a, t: [ad.sqrt(1.0 + x[0])])
+        cfg = NewmarkConfig(dt=1e-2)
+        with pytest.raises(ad.ADDomainError) as exc:
+            integrate(sys_, [0.0], [0.0], 0.0, 1.0, cfg)
+        self._located(exc, sys_, np.zeros(1), cfg)
+        assert exc.value.state.x[0] > -1.0
+
     def test_constant_velocity_exact(self):
         sys_ = DynamicSystem(
             n_dof=1, M=np.array([[1.0]]), C=np.zeros((1, 1)), K=np.zeros((1, 1))

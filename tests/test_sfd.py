@@ -236,13 +236,14 @@ class TestSFDRotorSystem:
         assert np.allclose(G, -G.T)
 
     def test_residual_at_zero_state(self):
-        from nnrad import NewmarkConfig, State, residual
+        from nnrad import NewmarkConfig, State, residual, step_terms
 
         omega = 900.0
         sys_ = sfd_rotor_system(omega)
         cfg = NewmarkConfig(dt=1e-4)
         s = State(-cfg.dt, np.zeros(4), np.zeros(4), np.zeros(4))
-        R = np.asarray(residual(np.zeros(4), s, 0.0, sys_, cfg), dtype=float)
+        R = np.asarray(residual(np.zeros(4), step_terms(sys_, s, cfg), sys_),
+                       dtype=float)
         amp = 6.508e-4 * omega**2
         assert R[0] == pytest.approx(-amp, rel=1e-12)
         assert abs(R[1]) < 1e-9
