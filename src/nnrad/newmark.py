@@ -283,7 +283,8 @@ def integrate(
     An exception raised in step i, by the model or by the Newton loop,
     leaves with its type unchanged and carries ``step_index`` (i), ``t``
     (the time step i advances to) and ``state`` (the last accepted
-    State), plus a note that names the step and the time.
+    State), plus, on Python >= 3.11, a note that names the step and the
+    time.
     """
     if t_end <= t0:
         raise ValueError("t_end must exceed t0")
@@ -313,8 +314,9 @@ def integrate(
         # returned one.
         t1 = state.t + cfg.dt
         err.step_index, err.t, err.state = i, t1, state
-        err.add_note(f"in Newmark step {i}, advancing from t = {state.t!r} "
-                     f"to t = {t1!r}")
+        if hasattr(err, "add_note"):  # Python >= 3.11
+            err.add_note(f"in Newmark step {i}, advancing from t = "
+                         f"{state.t!r} to t = {t1!r}")
         raise
     return Trajectory(
         t=t, x=xs, v=vs, a=accs, iterations=iters, residual_norms=res_norms

@@ -454,7 +454,9 @@ class TestIntegrate:
         i = err.step_index
         assert i > 1
         assert err.t == err.state.t + cfg.dt
-        assert f"step {i}" in err.__notes__[-1] and repr(err.t) in err.__notes__[-1]
+        if hasattr(err, "add_note"):  # Python >= 3.11
+            note = err.__notes__[-1]
+            assert f"step {i}" in note and repr(err.t) in note
         # state is the last accepted one: where the first i - 1 steps lead.
         before = integrate(sys_, x0, np.zeros_like(x0), 0.0, (i - 1) * cfg.dt, cfg)
         assert np.array_equal(err.state.x, before.x[-1])
@@ -481,6 +483,27 @@ class TestIntegrate:
             integrate(sys_, [0.0], [0.0], 0.0, 1.0, cfg)
         self._located(exc, sys_, np.zeros(1), cfg)
         assert exc.value.state.x[0] > -1.0
+
+    def test_error_without_add_note_is_located(self):
+        # Before Python 3.11 exceptions have no add_note: integrate still
+        # re-raises the same object with its step, time and state set.
+        class NoNoteError(RuntimeError):
+            @property
+            def add_note(self):
+                raise AttributeError("add_note")
+
+        def f_nl(x, v, a, t):
+            if t > 0.055:
+                raise NoNoteError("model failed")
+            return 0.0 * x
+
+        sys_ = dataclasses.replace(linear_sdof(), F_nl=f_nl)
+        cfg = NewmarkConfig(dt=1e-2)
+        with pytest.raises(NoNoteError) as exc:
+            integrate(sys_, [1.0], [0.0], 0.0, 1.0, cfg)
+        err = exc.value
+        assert not hasattr(err, "__notes__")
+        assert err.step_index == 6 and err.t == err.state.t + cfg.dt
 
     def test_constant_velocity_exact(self):
         sys_ = DynamicSystem(
