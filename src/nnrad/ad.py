@@ -10,6 +10,12 @@ inputs are lifted; mixing bundles of different width is an error.
 
 The same code evaluates on floats and NumPy arrays: every elementary
 function here accepts either and returns a plain result for plain input.
+
+Rows: an array whose leading axis indexes independent problems, say the
+speeds of a sweep, carries that axis through every operation, and
+``matvec``, ``dot`` and ``jacobian`` act row by row.  They form each row's
+product with ``np.matmul`` on stacked operands, which reproduces the
+bits of the one-row product; ``einsum`` or ``X @ A.T`` would not.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ __all__ = [
     "lift",
     "stack",
     "jacobian",
+    "matvec",
+    "dot",
     "sin",
     "cos",
     "sqrt",
@@ -67,8 +75,9 @@ class ADArray:
     Supports elementwise arithmetic with other ADArrays of the same width
     and with constants (numbers and ndarrays; NumPy broadcasting applies
     to the values), indexing and iteration along the first axis, ``sum``,
-    ``A @ x`` for a constant matrix A and a 1-D x, and the dot product
-    ``x @ y`` of 1-D vectors.  Comparisons act on values only.
+    ``A @ x`` for a constant matrix A (``matvec``) and the dot product
+    ``x @ y`` (``dot``), on vectors or row by row.  Comparisons act on
+    values only.
     """
 
     __slots__ = ("value", "seeds")
@@ -178,20 +187,12 @@ class ADArray:
         return pow_real(self, p)
 
     def __matmul__(self, other):
-        """x @ y for 1-D x and y: the dot product; y an ADArray or constant."""
-        a = self.value
-        if a.ndim != 1 or np.ndim(value_of(other)) != 1:
-            raise ValueError("x @ y on an ADArray x needs 1-D x and y")
-        if isinstance(other, ADArray):
-            b = other.value
-            return _new(a @ b, b @ self.seeds + a @ self._seeds_of(other))
-        return _new(a @ other, other @ self.seeds)
+        """x @ y: the dot product of vectors, or of rows (see dot)."""
+        return dot(self, other)
 
     def __rmatmul__(self, A):
-        """A @ x for a constant matrix (or vector) A and a 1-D x."""
-        if self.value.ndim != 1:
-            raise ValueError("A @ x needs a 1-D ADArray x")
-        return _new(A @ self.value, A @ self.seeds)
+        """A @ x for a constant matrix (or vector) A (see matvec)."""
+        return matvec(A, self)
 
     def sum(self, axis=None):
         ndim = self.value.ndim
@@ -234,10 +235,13 @@ def lift(x):
     Entry i receives seed vector e_i, so a single evaluation of a
     function on the lifted inputs yields all columns of its Jacobian.
     Iterating the result gives its 0-d entries: ``x, y = lift([1, 2])``.
+    A (B, n) array of rows gives every row the same identity seeding.
     """
     x = np.array(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("lift expects a nonempty 1-D vector")
+    if x.ndim not in (1, 2) or x.size == 0:
+        raise ValueError("lift expects a nonempty 1-D vector or (B, n) rows")
+    if x.ndim == 2:
+        return _new(x, np.repeat(np.eye(x.shape[1])[None], x.shape[0], axis=0))
     return _new(x, np.eye(x.size))
 
 
@@ -271,17 +275,76 @@ def jacobian(f, x0, columns=None):
     ``columns``, only those entries of x0 are seeded (the rest are held
     constant), the seed width is len(columns), and the result holds just
     their columns: an (m, len(columns)) array.
+
+    With (B, n) rows x0, f maps the lifted rows to (B, m) rows and the
+    result is the (B, m, width) stack of each row's Jacobian.
     """
     xs = lift(x0)
     if columns is not None:
-        xs = _new(xs.value, xs.seeds[:, columns])
+        xs = _new(xs.value, xs.seeds[..., columns])
     width = xs.seeds.shape[-1]
     out = stack(f(xs))
+    rows = xs.value.shape[:-1]
     if not isinstance(out, ADArray):
+        if rows:
+            return np.zeros(np.shape(out) + (width,))
         return np.zeros((np.size(out), width))
     if out.seeds.shape[-1] != width:
         raise ValueError("output seed width does not match input")
-    return out.seeds.reshape(-1, width)
+    return out.seeds.reshape(rows + (-1, width))
+
+
+def matvec(A, x):
+    """A @ x for a constant matrix A and a vector x, or for each row of x.
+
+    x may be an ADArray or an ndarray.  With rows, x of shape (B, n), A
+    is an (m, n) matrix or a (B, m, n) stack and the result has shape
+    (B, m); each row is formed by np.matmul on stacked operands, which
+    gives the bits of ``A @ x[i]``.
+    """
+    if isinstance(x, ADArray):
+        if x.value.ndim == 0:
+            raise ValueError("A @ x needs an ADArray x of at least one axis")
+        if x.value.ndim == 1:
+            return _new(A @ x.value, A @ x.seeds)
+        return _new(np.matmul(A, x.value[..., None])[..., 0], np.matmul(A, x.seeds))
+    if np.ndim(x) == 1:
+        return A @ x
+    return np.matmul(A, x[..., None])[..., 0]
+
+
+def dot(x, y):
+    """x @ y of vectors, or of each pair of rows, kept as a column.
+
+    For 1-D x and y this is the 0-d ``x @ y``.  For rows of shape (B, n)
+    the result has shape (B, 1), so it broadcasts against the rows it
+    came from; each entry is formed by np.matmul on stacked operands,
+    which gives the bits of ``x[i] @ y[i]``.  x, y may be ADArrays or
+    ndarrays.
+    """
+    a, b = value_of(x), value_of(y)
+    ndim = np.ndim(a)
+    if ndim != np.ndim(b) or ndim == 0:
+        raise ValueError("x @ y needs x and y both 1-D or both rows")
+    if ndim == 1:
+        value = a @ b
+        if isinstance(x, ADArray):
+            if isinstance(y, ADArray):
+                return _new(value, b @ x.seeds + a @ x._seeds_of(y))
+            return _new(value, b @ x.seeds)
+        if isinstance(y, ADArray):
+            return _new(value, a @ y.seeds)
+        return value
+    row = a[..., None, :]
+    value = np.matmul(row, b[..., :, None])[..., 0]
+    if isinstance(x, ADArray):
+        seeds = np.matmul(b[..., None, :], x.seeds)
+        if isinstance(y, ADArray):
+            seeds = seeds + np.matmul(row, x._seeds_of(y))
+        return _new(value, seeds)
+    if isinstance(y, ADArray):
+        return _new(value, np.matmul(row, y.seeds))
+    return value
 
 
 # -- elementary functions -----------------------------------------------

@@ -7,6 +7,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from .lockstep import integrate_rows
 from .newmark import NewmarkConfig, integrate
 from .system import Trajectory
 
@@ -65,12 +66,7 @@ class SweepRow:
     error: Optional[str] = None
 
 
-def _run_speed(model_factory, speed, cfg, probe_nodes, t_end, fraction, x0, v0):
-    sys = model_factory(speed)
-    n = sys.n_dof
-    x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    v0 = np.zeros(n) if v0 is None else np.asarray(v0, dtype=float)
-    traj = integrate(sys, x0, v0, 0.0, t_end, cfg)
+def _amplitudes(traj, probe_nodes, fraction):
     window = steady_window(traj, fraction)
     # Node k owns DOFs (4k, 4k+1) = (x, y) under the 4-DOF-per-node ordering.
     return np.array(
@@ -79,6 +75,10 @@ def _run_speed(model_factory, speed, cfg, probe_nodes, t_end, fraction, x0, v0):
             for node in probe_nodes
         ]
     )
+
+
+def _failed(speed, err) -> SweepRow:
+    return SweepRow(speed=speed, amplitudes=None, error=f"{type(err).__name__}: {err}")
 
 
 def sweep(
@@ -94,22 +94,68 @@ def sweep(
     """Amplitude-frequency table: integrate each speed, measure the steady orbit.
 
     Each speed starts from the same initial condition (zero by default).
-    Per-speed solver failures are recorded in the row and the sweep
+    Per-speed failures, of the factory, the solver or the measurement,
+    are recorded in the row as "<type>: <message>" and the sweep
     continues.  Rows come back ordered by the input speed sequence.
+
+    Rows whose systems share a batch_key (DynamicSystem) run together,
+    one lock-step Newton step at a time (lockstep.integrate_rows); every
+    other row runs integrate on its own.  Either way a row's amplitudes
+    and error are the ones integrate gives it, bit for bit.
     """
     speeds = list(speeds)
     if not speeds:
         raise ValueError("speed list is empty")
-
-    def run_one(speed):
+    rows: List[Optional[SweepRow]] = [None] * len(speeds)
+    systems = {}
+    for k, speed in enumerate(speeds):
         try:
-            amps = _run_speed(
-                model_factory, speed, cfg, probe_nodes, t_end, steady_fraction, x0, v0
-            )
-            return SweepRow(speed=speed, amplitudes=amps)
+            systems[k] = model_factory(speed)
         except Exception as err:  # recorded per-row, sweep continues
-            return SweepRow(
-                speed=speed, amplitudes=None, error=f"{type(err).__name__}: {err}"
-            )
+            rows[k] = _failed(speed, err)
 
-    return [run_one(s) for s in speeds]
+    def start(vec, sys):
+        return np.zeros(sys.n_dof) if vec is None else np.asarray(vec, dtype=float)
+
+    def measure(k, traj):
+        try:
+            amps = _amplitudes(traj, probe_nodes, steady_fraction)
+            rows[k] = SweepRow(speed=speeds[k], amplitudes=amps)
+        except Exception as err:
+            rows[k] = _failed(speeds[k], err)
+
+    def run_alone(k):
+        sys = systems[k]
+        try:
+            traj = integrate(sys, start(x0, sys), start(v0, sys), 0.0, t_end, cfg)
+        except Exception as err:
+            rows[k] = _failed(speeds[k], err)
+            return
+        measure(k, traj)
+
+    batches = {}
+    for k, sys in systems.items():
+        if sys.batch_key is None:
+            run_alone(k)
+        else:
+            batches.setdefault((sys.batch_key, sys.n_dof), []).append(k)
+    for ks in batches.values():
+        if len(ks) == 1:
+            run_alone(ks[0])
+            continue
+        group = [systems[k] for k in ks]
+        try:
+            results = integrate_rows(
+                group, [start(x0, s) for s in group], [start(v0, s) for s in group],
+                0.0, t_end, cfg,
+            )
+        except Exception:  # the batch as a whole failed: run its rows alone
+            for k in ks:
+                run_alone(k)
+            continue
+        for k, result in zip(ks, results):
+            if isinstance(result, Exception):
+                rows[k] = _failed(speeds[k], result)
+            else:
+                measure(k, result)
+    return rows

@@ -85,6 +85,27 @@ def _require(doc, key):
     return doc[key]
 
 
+def _as_number(value, field, integer=False):
+    """A JSON number as a float (an int if integer), or a ConfigError naming field."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integer else "a number"
+        raise ConfigError(f"\"{field}\" must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _number(doc, key, default, integer=False):
+    """doc[key] as by _as_number, or default when the key is absent."""
+    return _as_number(doc[key], key, integer) if key in doc else default
+
+
+def _numbers(value, field, integer=False):
+    """A JSON list of numbers as a list, each entry checked by _as_number."""
+    if not isinstance(value, list):
+        raise ConfigError(f"\"{field}\" must be a list of numbers")
+    return [_as_number(v, f"{field}[{i}]", integer) for i, v in enumerate(value)]
+
+
 def _system_spec(doc):
     """The config's "system" object, checked for its type and its keys."""
     spec = doc.get("system")
@@ -99,6 +120,9 @@ def _system_spec(doc):
             f"unknown key {unknown[0]!r} for system type {kind!r}; accepted: "
             + ", ".join(SYSTEM_KEYS[kind])
         )
+    for key in SYSTEM_KEYS[kind]:
+        if key in spec and key != "file":
+            _as_number(spec[key], f"system.{key}")
     return spec
 
 
@@ -138,10 +162,9 @@ def _build_system(spec, speed=None):
 
 def _dof_vector(doc, key, n):
     """doc[key] as a float vector of n entries, zeros when it is absent."""
-    try:
-        value = np.asarray(doc.get(key, np.zeros(n)), dtype=float)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"\"{key}\" must be a list of numbers: {err}") from err
+    if key not in doc:
+        return np.zeros(n)
+    value = np.array(_numbers(doc[key], key))
     if value.shape != (n,):
         raise ConfigError(
             f"\"{key}\" must list {n} value(s), one per DOF of the system; "
@@ -183,8 +206,8 @@ def cmd_solve(args):
     sys_, x0, v0 = _solve_setup(doc)
     cfg = _newmark_config(doc, args)
     n = sys_.n_dof
-    t0 = float(doc.get("t0", 0.0))
-    t_end = float(_require(doc, "t_end"))
+    t0 = _number(doc, "t0", 0.0)
+    t_end = _as_number(_require(doc, "t_end"), "t_end")
     if t_end == t0:
         from .newmark import initial_acceleration
 
@@ -213,34 +236,34 @@ def cmd_solve(args):
 def cmd_sweep(args):
     doc = _load_config(args.config, args.command)
     model_spec = _system_spec(doc)
-    t_end = float(_require(doc, "t_end"))
+    t_end = _as_number(_require(doc, "t_end"), "t_end")
     cfg = _newmark_config(doc, args)
     speeds_spec = doc.get("speeds")
     if isinstance(speeds_spec, list):
-        speeds = [float(s) for s in speeds_spec]
+        speeds = _numbers(speeds_spec, "speeds")
     elif isinstance(speeds_spec, dict):
-        try:
-            speeds = list(
-                np.linspace(
-                    float(speeds_spec["start"]),
-                    float(speeds_spec["stop"]),
-                    int(speeds_spec["count"]),
-                )
+        missing = [k for k in ("start", "stop", "count") if k not in speeds_spec]
+        if missing:
+            raise ConfigError(f"speed range needs start/stop/count: {missing[0]!r}")
+        speeds = list(
+            np.linspace(
+                _as_number(speeds_spec["start"], "speeds.start"),
+                _as_number(speeds_spec["stop"], "speeds.stop"),
+                _as_number(speeds_spec["count"], "speeds.count", integer=True),
             )
-        except KeyError as err:
-            raise ConfigError(f"speed range needs start/stop/count: {err}") from err
+        )
     else:
         raise ConfigError("\"speeds\" must be a list or a start/stop/count object")
     if not speeds:
         raise ConfigError("empty speed list")
-    probe_nodes = [int(p) for p in doc.get("probe_nodes", [0])]
+    probe_nodes = _numbers(doc.get("probe_nodes", [0]), "probe_nodes", integer=True)
     rows = sweep(
         model_factory=lambda s: _build_system(model_spec, speed=s),
         speeds=speeds,
         cfg=cfg,
         probe_nodes=probe_nodes,
         t_end=t_end,
-        steady_fraction=float(doc.get("steady_fraction", 0.3)),
+        steady_fraction=_number(doc, "steady_fraction", 0.3),
     )
     header = ["speed"] + [f"A_node{p}" for p in probe_nodes] + ["error"]
     out_rows = []
@@ -277,7 +300,7 @@ def cmd_spectrum(args):
             raise ConfigError("no \"dt\" in config and no t column in CSV")
         tcol = data[:, header.index("t")]
         dt = float(tcol[1] - tcol[0])
-    freqs, mags = spectrum(sig, float(dt))
+    freqs, mags = spectrum(sig, _as_number(dt, "dt"))
     _write_csv(
         args.out,
         ["omega_rad_s", "magnitude"],
@@ -292,12 +315,12 @@ def cmd_check_jacobian(args):
     sys_ = _build_system(_system_spec(doc))
     cfg = _newmark_config(doc, args)
     n = sys_.n_dof
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    seed = args.seed if args.seed is not None else _number(doc, "seed", 0, integer=True)
     rng = np.random.default_rng(seed)
-    n_states = int(doc.get("n_states", 20))
-    scale = float(doc.get("scale", 1.0))
-    h = float(doc.get("fd_step", 1e-6))
-    tol = float(doc.get("tol", 1e-5))
+    n_states = _number(doc, "n_states", 20, integer=True)
+    scale = _number(doc, "scale", 1.0)
+    h = _number(doc, "fd_step", 1e-6)
+    tol = _number(doc, "tol", 1e-5)
 
     worst = 0.0
     for _ in range(n_states):

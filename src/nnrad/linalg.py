@@ -16,6 +16,11 @@ raises, returns non-finite values, or that product comes within
 SCREEN_MARGIN of the bound, does a partial-pivot Gauss-Jordan elimination
 run; it applies the exact pivot rule and, if no pivot is small, supplies
 the inverse.
+
+Stacks: ``lu_factor``, ``lu_solve``, ``lu_update`` and ``norm2`` also take
+a leading row axis, a (B, n, n) stack of matrices with (B, n) right-hand
+sides, and treat each row as its own problem, the singularity screen
+included.  Each row's result has the bits of the one-row call.
 """
 
 from __future__ import annotations
@@ -40,8 +45,11 @@ SCREEN_MARGIN = 1e-3
 
 
 class SingularMatrixError(ValueError):
-    def __init__(self, pivot_index, message=None):
+    """A is singular at pivot_index; row names the matrix of a stack."""
+
+    def __init__(self, pivot_index, message=None, row=None):
         self.pivot_index = pivot_index
+        self.row = row
         super().__init__(
             message or f"matrix is numerically singular at pivot {pivot_index}"
         )
@@ -74,8 +82,10 @@ def lu_factor(A):
     1e-14 * max|A| (see the module docstring for the screen).
     """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
+    if A.ndim > 2:
+        return _lu_factor_rows(A)
     n = A.shape[0]
     scale = np.abs(A).max()
     try:
@@ -91,9 +101,39 @@ def lu_factor(A):
     return inv
 
 
+def _lu_factor_rows(A):
+    """lu_factor of each matrix of a (B, n, n) stack.
+
+    The inverses come from one stacked ``numpy.linalg.inv``; a row that
+    fails its screen, or a stack that ``inv`` rejects, is factored on its
+    own.  The first singular row raises SingularMatrixError with ``row``
+    set.
+    """
+    n = A.shape[-1]
+    scale = np.abs(A).max(axis=(-2, -1))
+    try:
+        inv = np.linalg.inv(A)
+        passed = scale * np.abs(inv).sum(axis=-1).max(axis=-1) < SCREEN_MARGIN / (
+            n * SINGULARITY_RTOL
+        )
+    except np.linalg.LinAlgError:
+        inv = np.empty_like(A)
+        passed = np.zeros(len(A), dtype=bool)
+    for i in np.flatnonzero(~passed):
+        try:
+            inv[i] = lu_factor(A[i])
+        except SingularMatrixError as err:
+            raise SingularMatrixError(err.pivot_index, row=int(i)) from err
+    return inv
+
+
 def lu_solve(f, b):
-    """Solve A x = b with f = lu_factor(A)."""
+    """Solve A x = b with f = lu_factor(A), or each row of a stack."""
     b = np.asarray(b, dtype=float)
+    if f.ndim > 2:
+        if b.shape != f.shape[:-1]:
+            raise ValueError(f"dimension mismatch: factors {f.shape}, b {b.shape}")
+        return np.matmul(f, b[..., None])[..., 0]
     if b.shape[0] != f.shape[0]:
         raise ValueError(
             f"dimension mismatch: factor is {f.shape[0]}, b is {b.shape[0]}"
@@ -107,8 +147,19 @@ def lu_update(f, u, v):
     Returns f - (f u)(v^T f) / (1 + v^T f u) in O(n^2).  By the matrix
     determinant lemma A + u v^T is singular when the denominator is zero;
     then, or when it is not finite, SingularMatrixError is raised with no
-    pivot index.
+    pivot index.  A stack of factors takes (B, n) rows u and v; the first
+    row whose denominator fails raises with ``row`` set.
     """
+    if f.ndim > 2:
+        fu = np.matmul(f, u[..., None])
+        denom = 1.0 + np.matmul(v[..., None, :], fu)
+        bad = (denom == 0.0) | ~np.isfinite(denom)
+        if bad.any():
+            raise SingularMatrixError(
+                None, "rank-1 update makes the matrix singular",
+                row=int(np.flatnonzero(bad)[0]),
+            )
+        return f - fu * np.matmul(v[..., None, :], f) / denom
     fu = f @ u
     denom = 1.0 + float(v @ fu)
     if denom == 0.0 or not np.isfinite(denom):
@@ -120,9 +171,12 @@ def norm2(v):
     """Euclidean norm of a vector, as numpy.linalg.norm computes it.
 
     That is sqrt(v.dot(v)) on a contiguous copy, bit for bit, without
-    norm's argument handling.
+    norm's argument handling.  Rows of shape (B, n) give the (B,) norms of
+    the rows, each with the bits of its own norm2.
     """
     v = np.ascontiguousarray(v, dtype=float)
+    if v.ndim > 1:
+        return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
     return math.sqrt(v.dot(v))
 
 

@@ -192,38 +192,116 @@ def _film_force(q, dq, p: SFDParams):
     """(F_x, F_y) oil-film force for journal position q and its rate dq.
 
     q and dq are 2-vectors (float arrays or ADArrays) in units of the
-    film clearance, so |q| is the dimensionless eccentricity r.
+    film clearance, so |q| is the dimensionless eccentricity r.  Arrays
+    of shape (B, 2) are B journals, each evaluated as on its own (see
+    _film_force_rows).
     """
+    if ad.value_of(q).ndim > 1:
+        return _film_force_rows(q, dq, p)
     r2 = q @ q
-    if ad.value_of(r2) < (CONCENTRIC_FLOOR / p.film_clearance) ** 2:
+    if ad.value_of(r2) < _concentric_r2(p):
         return np.zeros(2)
     r = ad.sqrt(r2)
     if ad.value_of(r) >= 1.0:
-        u, w = ad.value_of(q) * p.film_clearance
-        raise FilmRuptureError(
-            ad.value_of(r), context=f"journal at u={u:.3e}, w={w:.3e}"
-        )
+        raise _rupture(ad.value_of(r), ad.value_of(q), p)
     # r' and r psi' (psi the precession angle): q.dq / r and (q x dq) / r.
     dr = (q @ dq) / r
     rdpsi = (q @ (_QUARTER_TURN @ dq)) / r
-    if abs(ad.value_of(rdpsi)) < STATIC_FLOOR and abs(ad.value_of(dr)) < STATIC_FLOOR:
-        # No squeeze motion: forces vanish; pin theta1 to avoid atan2(0,0).
-        theta1 = 0.0
-    else:
-        theta1 = ad.atan2(-dr, rdpsi)
+    static = (abs(ad.value_of(rdpsi)) < STATIC_FLOOR
+              and abs(ad.value_of(dr)) < STATIC_FLOOR)
+    return _film_integral(q, r, dr, rdpsi, static, _n_panels(ad.value_of(r)), p)
 
+
+def _concentric_r2(p: SFDParams):
+    """r^2 under which the journal counts as concentric: zero film force."""
+    return (CONCENTRIC_FLOOR / p.film_clearance) ** 2
+
+
+def _rupture(r, q, p: SFDParams):
+    u, w = q * p.film_clearance
+    return FilmRuptureError(r, context=f"journal at u={u:.3e}, w={w:.3e}")
+
+
+def _film_integral(q, r, dr, rdpsi, static, n_panels, p: SFDParams):
+    """The film force from the eccentricity r, r' and r psi'.
+
+    Takes one journal, or rows of journals that share the branch: static
+    (no squeeze motion) and the panel count.  Per-row scalars then have
+    shape (B, 1), as ad.dot gives them.
+    """
+    # No squeeze motion: forces vanish; pin theta1 (one per row) to avoid
+    # atan2(0,0).
+    theta1 = np.zeros(np.shape(ad.value_of(r))) if static else ad.atan2(-dr, rdpsi)
     # Radial and tangential forces integrate the short-bearing pressure
     # p = (r psi' sin + r' cos) / (1 + r cos)^3 against cos and sin over
     # the positive-pressure half film: f_r = coef (I_3^11 r psi' +
     # I_3^02 r'), f_t = coef (I_3^20 r psi' + I_3^11 r').
-    rule = _HALF_FILM_RULES[_n_panels(ad.value_of(r)) - 1]
-    wq, s, c = _film_quadrature(r, theta1, rule)
+    wq, s, c = _film_quadrature(r, theta1, _HALF_FILM_RULES[n_panels - 1])
     wp = wq * (s * rdpsi + c * dr)
-    f_r = wp @ c
-    f_t = wp @ s
+    f_r = ad.dot(wp, c)
+    f_t = ad.dot(wp, s)
     # f_r along q/r, f_t along the quarter turn of q the other way, (-w, u)/r.
     coef = p.viscosity * p.journal_radius * p.land_length**3 / p.film_clearance**2
-    return (f_r * q - f_t * (_QUARTER_TURN @ q)) * (coef / r)
+    return (f_r * q - f_t * ad.matvec(_QUARTER_TURN, q)) * (coef / r)
+
+
+def _film_force_rows(q, dq, p: SFDParams):
+    """_film_force of each row of (B, 2) arrays q and dq, bit for bit.
+
+    The kinematics run on all rows at once.  The quadrature runs once per
+    branch of the one-journal force: concentric rows get zero force, and
+    the others are grouped by (static, panel count), so no row is ever
+    integrated with another row's panels.  Raises FilmRuptureError if any
+    row has ruptured.
+    """
+    n_rows = len(ad.value_of(q))
+    r2 = ad.dot(q, q)
+    moving = ~(ad.value_of(r2)[:, 0] < _concentric_r2(p))
+    if not moving.all():
+        idx = np.flatnonzero(moving)
+        if idx.size == 0:
+            return np.zeros((n_rows, 2))
+        return _merge_rows([(idx, _film_force_rows(q[idx], dq[idx], p))], n_rows)
+    r = ad.sqrt(r2)
+    rv = ad.value_of(r)[:, 0]
+    if not (rv < 1.0).all():
+        i = np.flatnonzero(~(rv < 1.0))[0]
+        if rv[i] >= 1.0:
+            raise _rupture(rv[i], ad.value_of(q)[i], p)
+        raise ValueError(f"eccentricity of row {i} is not a number")
+    dr = ad.dot(q, dq) / r
+    rdpsi = ad.dot(q, ad.matvec(_QUARTER_TURN, dq)) / r
+    static = ((abs(ad.value_of(rdpsi)) < STATIC_FLOOR)
+              & (abs(ad.value_of(dr)) < STATIC_FLOOR))
+    # _n_panels of every row, and one code per (static, panel count).
+    panels = np.where(rv < 0.25, 1.0, np.ceil(10.0 * rv))
+    branch = panels + (MAX_PANELS + 1) * static[:, 0]
+    if (branch == branch[0]).all():
+        return _film_integral(q, r, dr, rdpsi, bool(static[0, 0]), int(panels[0]), p)
+    parts = []
+    # Not np.unique: it imports numpy.ma on first use.
+    for code in set(branch.tolist()):
+        idx = np.flatnonzero(branch == code)
+        i = idx[0]
+        parts.append((idx, _film_integral(q[idx], r[idx], dr[idx], rdpsi[idx],
+                                          bool(static[i, 0]), int(panels[i]), p)))
+    return _merge_rows(parts, n_rows)
+
+
+def _merge_rows(parts, n_rows):
+    """One (n_rows, ...) array from (row indices, rows) parts; zero elsewhere.
+
+    The result is an ADArray when any part is one.
+    """
+    ad_parts = [part for _, part in parts if isinstance(part, ad.ADArray)]
+    shape = (n_rows,) + np.shape(ad.value_of(parts[0][1]))[1:]
+    value = np.zeros(shape)
+    seeds = np.zeros(shape + (ad_parts[0].width,)) if ad_parts else None
+    for idx, part in parts:
+        value[idx] = ad.value_of(part)
+        if isinstance(part, ad.ADArray):
+            seeds[idx] = part.seeds
+    return value if seeds is None else ad.ADArray(value, seeds)
 
 
 def sfd_force(x, y, theta_x, theta_y, vx, vy, vtheta_x, vtheta_y, p: SFDParams, l1):
@@ -299,8 +377,10 @@ def sfd_rotor_system(
     load = T.T * sfd.film_clearance
 
     def f_nl(x, v, a, t):
-        return load @ _film_force(T @ x, T @ v, sfd)
+        return ad.matvec(load, _film_force(ad.matvec(T, x), ad.matvec(T, v), sfd))
 
+    # f_nl depends on l1 and the damper alone, and takes rows of states.
     return DynamicSystem(
-        n_dof=4, M=M, C=C, K=K, Q=q, F_nl=f_nl, name="sfd_rotor"
+        n_dof=4, M=M, C=C, K=K, Q=q, F_nl=f_nl, name="sfd_rotor",
+        batch_key=("sfd_rotor", l1, sfd),
     )

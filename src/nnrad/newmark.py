@@ -13,6 +13,9 @@ secant update of the factor after each iteration (broyden).  What a
 step holds fixed, the offsets of the Newmark maps from x1 to v1 and a1
 and the load Q(t1), is built once per step (StepTerms), so every
 residual and Jacobian of the step shares it.
+
+The helpers the step loop shares with nnrad.lockstep, which advances
+several systems in lock-step, keep its Newton iteration the same.
 """
 
 from __future__ import annotations
@@ -143,14 +146,19 @@ class StepTerms(NamedTuple):
         return self.c_v * x1 + self.g_v
 
 
-def step_terms(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> StepTerms:
-    """The StepTerms of the step from s to t1 = s.t + dt."""
+def _map_terms(x, v, a, cfg):
+    """(c_a, g_a, c_v, g_v) of the Newmark maps from (x, v, a); rows too."""
     c_a, c_v = _newmark_coeffs(cfg)
     b, g, dt = cfg.beta, cfg.gamma, cfg.dt
-    t1 = s.t + dt
-    g_a = c_a * (-s.x) - s.v / (b * dt) - (0.5 / b - 1.0) * s.a
-    g_v = c_v * (-s.x) + (1.0 - g / b) * s.v + (1.0 - g / (2.0 * b)) * dt * s.a
-    return StepTerms(t1, c_a, g_a, c_v, g_v, sys.Q(t1))
+    g_a = c_a * (-x) - v / (b * dt) - (0.5 / b - 1.0) * a
+    g_v = c_v * (-x) + (1.0 - g / b) * v + (1.0 - g / (2.0 * b)) * dt * a
+    return c_a, g_a, c_v, g_v
+
+
+def step_terms(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> StepTerms:
+    """The StepTerms of the step from s to t1 = s.t + dt."""
+    t1 = s.t + cfg.dt
+    return StepTerms(t1, *_map_terms(s.x, s.v, s.a, cfg), sys.Q(t1))
 
 
 def residual(x1, p: StepTerms, sys: DynamicSystem):
@@ -180,13 +188,17 @@ def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, A_eff):
     displacement seed e_j carries the velocity seed c_v e_j and the
     acceleration seed c_a e_j, so one forward pass of F_nl gives
     dF/dx + c_v dF/dv + c_a dF/da for those columns.
+
+    With (B, n) rows x1, stacked StepTerms and a (B, n, n) stack A_eff,
+    sys.F_nl must take rows (DynamicSystem.batch_key); the result is the
+    (B, n, n) stack of each row's Jacobian.
     """
 
     def f_nl(x):
         return sys.F_nl(x, p.velocity(x), p.acceleration(x), p.t1)
 
     J = A_eff.copy()
-    J[:, sys.nl_dofs] += ad.jacobian(f_nl, x1, columns=sys.nl_dofs)
+    J[..., sys.nl_dofs] += ad.jacobian(f_nl, x1, columns=sys.nl_dofs)
     return J
 
 
@@ -219,6 +231,24 @@ def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
     raise NonConvergenceError(-1, 50, norm2(g(a)), float("nan"))
 
 
+def _refresh_due(cfg, have_factor, iters):
+    """Whether the factor is refreshed from a new Jacobian at iteration iters.
+
+    Full Newton refreshes every iteration, simplified once per step,
+    Broyden once more past half of max_iter.
+    """
+    return (
+        not have_factor
+        or cfg.strategy == FULL_NEWTON
+        or (cfg.strategy == BROYDEN_RANK1 and iters == cfg.max_iter // 2 + 1)
+    )
+
+
+def _small_step(dx_norm, x_norm, cfg):
+    """The step-size convergence test, |dx| < tol_dx (1 + |x|); rows too."""
+    return dx_norm < cfg.tol_dx * (1.0 + x_norm)
+
+
 def _step_core(sys, s, cfg, A_eff, step_index=0):
     """One Newmark step; returns (state, iterations, final residual norm)."""
     p = step_terms(sys, s, cfg)
@@ -245,19 +275,13 @@ def _step_core(sys, s, cfg, A_eff, step_index=0):
     while rn >= cfg.tol_res:
         if iters >= cfg.max_iter:
             raise NonConvergenceError(step_index, iters, rn, float("nan"))
-        # Full Newton refreshes every iteration, simplified once per step,
-        # Broyden once more past half of max_iter.
-        if (
-            lu is None
-            or cfg.strategy == FULL_NEWTON
-            or (cfg.strategy == BROYDEN_RANK1 and iters == cfg.max_iter // 2 + 1)
-        ):
+        if _refresh_due(cfg, lu is not None, iters):
             lu = factor(lu_factor, step_jacobian(x, p, sys, A_eff))
         dx = lu_solve(lu, R)
         x = x - dx
         iters += 1
         R, rn = evaluate(x)
-        if norm2(dx) < cfg.tol_dx * (1.0 + norm2(x)):
+        if _small_step(norm2(dx), norm2(x), cfg):
             break
         if cfg.strategy == BROYDEN_RANK1:
             # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
@@ -312,12 +336,18 @@ def integrate(
     except Exception as err:
         # state is still the last accepted State: the failed step never
         # returned one.
-        t1 = state.t + cfg.dt
-        err.step_index, err.t, err.state = i, t1, state
-        if hasattr(err, "add_note"):  # Python >= 3.11
-            err.add_note(f"in Newmark step {i}, advancing from t = "
-                         f"{state.t!r} to t = {t1!r}")
+        _locate(err, i, state, cfg)
         raise
     return Trajectory(
         t=t, x=xs, v=vs, a=accs, iterations=iters, residual_norms=res_norms
     )
+
+
+def _locate(err, i, state, cfg):
+    """Mark err as raised in step i, which advanced from the State state."""
+    t1 = state.t + cfg.dt
+    err.step_index, err.t, err.state = i, t1, state
+    if hasattr(err, "add_note"):  # Python >= 3.11
+        err.add_note(f"in Newmark step {i}, advancing from t = "
+                     f"{state.t!r} to t = {t1!r}")
+

@@ -9,7 +9,7 @@ the integrators rely on that to obtain exact Jacobians.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +59,13 @@ class DynamicSystem:
     silently drops its column of dF_nl/dx.  Declare it from the model's
     structure: a probe evaluation would miss, say, a bearing ball out of
     contact, whose derivative is exactly zero at that state.
+
+    batch_key opts the system into lock-step batches (analysis.sweep).
+    Systems with equal, hashable, non-None keys and equal n_dof promise
+    the same F_nl and nl_dofs, and that this F_nl also accepts x, v and a
+    of shape (B, n_dof), B states at once, returning (B, n_dof) forces
+    whose rows have the bits of B one-state calls.  None (the default)
+    keeps the system out of every batch.
     """
 
     n_dof: int
@@ -70,6 +77,7 @@ class DynamicSystem:
     accel_dependent: bool = False
     name: str = ""
     nl_dofs: Optional[Sequence[int]] = None
+    batch_key: Optional[Hashable] = None
 
     def __post_init__(self):
         n = self.n_dof

@@ -249,3 +249,66 @@ class TestArrayOps:
             ad.sqrt(ad.lift([1.0, -1.0]))
         with pytest.raises(ADDomainError):
             1.0 / ad.lift([1.0, 0.0])
+
+
+class TestRows:
+    """A leading row axis: each row has the bits of its own 1-D call."""
+
+    def rows(self):
+        rng = np.random.default_rng(11)
+        return rng.standard_normal((5, 4)), rng.standard_normal((5, 4))
+
+    def test_matvec_rows(self):
+        X, _ = self.rows()
+        A = np.random.default_rng(2).standard_normal((3, 4))
+        out = ad.matvec(A, X)
+        lifted = A @ ad.lift(X)
+        for i in range(len(X)):
+            assert np.array_equal(out[i], A @ X[i])
+            one = A @ ad.lift(X[i])
+            assert np.array_equal(lifted.value[i], one.value)
+            assert np.array_equal(lifted.seeds[i], one.seeds)
+
+    def test_matvec_stacked_matrices(self):
+        X, _ = self.rows()
+        As = np.random.default_rng(4).standard_normal((5, 4, 4))
+        out = ad.matvec(As, X)
+        for i in range(len(X)):
+            assert np.array_equal(out[i], As[i] @ X[i])
+
+    def test_dot_rows_keep_a_column(self):
+        X, Y = self.rows()
+        d = ad.dot(X, Y)
+        assert d.shape == (5, 1)
+        x, y = ad.lift(X), ad.lift(Y) * 2.0
+        xy = x @ y
+        assert xy.value.shape == (5, 1) and xy.seeds.shape == (5, 1, 4)
+        xc = x @ Y
+        for i in range(len(X)):
+            assert d[i, 0] == X[i] @ Y[i]
+            one = ad.lift(X[i]) @ (ad.lift(Y[i]) * 2.0)
+            assert xy.value[i, 0] == one.value
+            assert np.array_equal(xy.seeds[i, 0], one.seeds)
+            assert np.array_equal(xc.seeds[i, 0], (ad.lift(X[i]) @ Y[i]).seeds)
+
+    def test_dot_needs_matching_ranks(self):
+        X, Y = self.rows()
+        with pytest.raises(ValueError):
+            ad.dot(X, Y[0])
+
+    def test_jacobian_rows(self):
+        X, Y = self.rows()
+        M = np.random.default_rng(6).standard_normal((3, 4))
+
+        def f(x):
+            return ad.matvec(M, ad.sin(x) * x) + ad.dot(x, x)
+
+        J = ad.jacobian(f, X, columns=[0, 2, 3])
+        assert J.shape == (5, 3, 3)
+        for i in range(len(X)):
+            assert np.array_equal(J[i], ad.jacobian(f, X[i], columns=[0, 2, 3]))
+
+    def test_jacobian_rows_of_a_constant(self):
+        X, _ = self.rows()
+        J = ad.jacobian(lambda x: np.ones((5, 2)), X)
+        assert J.shape == (5, 2, 4) and not J.any()

@@ -1,0 +1,190 @@
+"""Lock-step batches: every row has the bits of its own integrate run."""
+
+import dataclasses
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import nnrad.analysis
+import nnrad.models.sfd as sfd
+from nnrad import NewmarkConfig
+from nnrad.analysis import sweep
+from nnrad.models import FilmRuptureError, sfd_rotor_system
+from nnrad.lockstep import integrate_rows
+from nnrad.newmark import STRATEGIES, integrate
+
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+SPEEDS = [650.0, 900.0, 1150.0, 1390.0]
+FIELDS = ("x", "v", "a", "iterations", "residual_norms")
+
+
+def stored_start():
+    """The sfd_sweep start: a state on the steady orbit at 1000 rad/s."""
+    start = json.loads(REFERENCE.read_text())["sfd_sweep"]["start"]
+    return np.array(start["x"]), np.array(start["v"])
+
+
+def alone(sys_):
+    """sys_ without a batch_key, so that sweep runs it through integrate."""
+    return dataclasses.replace(sys_, batch_key=None)
+
+
+def assert_same_rows(got, want):
+    for g, w in zip(got, want):
+        assert g.speed == w.speed
+        assert g.error == w.error
+        if w.amplitudes is None:
+            assert g.amplitudes is None
+        else:
+            assert np.array_equal(g.amplitudes, w.amplitudes)
+
+
+START = {"stored": (stored_start, 0.005), "rest": (lambda: (np.zeros(4), np.zeros(4)), 0.02)}
+
+
+@pytest.fixture
+def panel_calls(monkeypatch):
+    """(rows, panel count) of every quadrature the film force runs on rows."""
+    calls = []
+    integral = sfd._film_integral
+
+    def recorded(q, r, dr, rdpsi, static, n_panels, p):
+        if np.ndim(sfd.ad.value_of(q)) > 1:
+            calls.append((len(sfd.ad.value_of(q)), n_panels))
+        return integral(q, r, dr, rdpsi, static, n_panels, p)
+
+    monkeypatch.setattr(sfd, "_film_integral", recorded)
+    return calls
+
+
+class TestIntegrateRows:
+    @pytest.mark.parametrize("start", sorted(START))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rows_equal_integrate(self, strategy, start, panel_calls):
+        make_start, t_end = START[start]
+        x0, v0 = make_start()
+        cfg = NewmarkConfig(dt=1e-4, strategy=strategy)
+        systems = [sfd_rotor_system(s) for s in SPEEDS]
+        got = integrate_rows(systems, [x0] * 4, [v0] * 4, 0.0, t_end, cfg)
+        for sys_, traj in zip(systems, got):
+            want = integrate(sys_, x0, v0, 0.0, t_end, cfg)
+            for name in FIELDS:
+                assert np.array_equal(getattr(traj, name), getattr(want, name)), name
+            assert np.array_equal(traj.t, want.t)
+        if start == "rest":
+            # From rest the rows pass the concentric floor together and then
+            # reach eccentricity 0.25, where a second panel is needed, at
+            # different steps: the quadrature runs on sub-batches.
+            assert any(rows < len(SPEEDS) for rows, _ in panel_calls)
+            assert any(n > 1 for _, n in panel_calls)
+
+    @pytest.mark.parametrize("start", sorted(START))
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_sweep_amplitudes_equal_serial(self, strategy, start):
+        make_start, t_end = START[start]
+        x0, v0 = make_start()
+        cfg = NewmarkConfig(dt=1e-4, strategy=strategy)
+        got = sweep(sfd_rotor_system, SPEEDS, cfg, [0], t_end, x0=x0, v0=v0)
+        want = sweep(lambda s: alone(sfd_rotor_system(s)), SPEEDS, cfg, [0], t_end,
+                     x0=x0, v0=v0)
+        assert all(row.error is None for row in want)
+        assert_same_rows(got, want)
+
+
+class TestSweepBatches:
+    def test_batched_rows_skip_integrate(self, monkeypatch):
+        calls = []
+        serial = nnrad.analysis.integrate
+
+        def counted(*args):
+            calls.append(args[0].name)
+            return serial(*args)
+
+        monkeypatch.setattr(nnrad.analysis, "integrate", counted)
+        cfg = NewmarkConfig(dt=1e-4, strategy="simplified")
+        sweep(sfd_rotor_system, SPEEDS[:3], cfg, [0], 0.002)
+        assert calls == []
+        sweep(lambda s: alone(sfd_rotor_system(s)), SPEEDS[:3], cfg, [0], 0.002)
+        assert len(calls) == 3
+
+    def test_rupturing_row_leaves_the_batch_with_the_serial_error(self):
+        def factory(speed):
+            if speed == 1000.0:
+                return sfd_rotor_system(speed, unbalance=5e-2)
+            return sfd_rotor_system(speed)
+
+        speeds = [900.0, 1000.0, 1100.0]
+        cfg = NewmarkConfig(dt=1e-4, strategy="simplified")
+        got = sweep(factory, speeds, cfg, [0], 0.02)
+        want = sweep(lambda s: alone(factory(s)), speeds, cfg, [0], 0.02)
+        assert want[1].error.startswith("FilmRuptureError: oil film ruptured")
+        assert [row.error is None for row in want] == [True, False, True]
+        assert_same_rows(got, want)
+
+        systems = [factory(s) for s in speeds]
+        zeros = [np.zeros(4)] * 3
+        out = integrate_rows(systems, zeros, zeros, 0.0, 0.02, cfg)
+        with pytest.raises(FilmRuptureError) as serial:
+            integrate(systems[1], np.zeros(4), np.zeros(4), 0.0, 0.02, cfg)
+        err = out[1]
+        assert isinstance(err, FilmRuptureError)
+        assert str(err) == str(serial.value)
+        assert (err.step_index, err.t) == (serial.value.step_index, serial.value.t)
+        assert err.state.t == serial.value.state.t
+        for name in ("x", "v", "a"):
+            assert np.array_equal(getattr(err.state, name), getattr(serial.value.state, name))
+
+    def test_factory_failure_inside_a_batch(self):
+        def factory(speed):
+            if speed == 1000.0:
+                raise RuntimeError("synthetic model failure")
+            return sfd_rotor_system(speed)
+
+        speeds = [900.0, 1000.0, 1100.0]
+        cfg = NewmarkConfig(dt=1e-4, strategy="simplified")
+        got = sweep(factory, speeds, cfg, [0], 0.01)
+        want = sweep(lambda s: alone(factory(s)), speeds, cfg, [0], 0.01)
+        assert got[1].error == "RuntimeError: synthetic model failure"
+        assert got[1].amplitudes is None
+        assert_same_rows(got, want)
+
+
+class TestFilmForceRows:
+    """Rows of every branch of the film force, against one row at a time."""
+
+    def states(self):
+        p = sfd.default_sfd_params()
+        c = p.film_clearance
+        # (q, dq) per row: concentric, static, 1, 5 and 10 panels, and a
+        # second row of 1 panel.
+        qs = [(0.0, 0.0), (0.3, 0.1), (0.05, 0.08), (0.3, -0.35), (0.6, 0.74),
+              (-0.1, 0.02)]
+        dqs = [(1.0, 2.0), (0.0, 0.0), (3.0, -1.0), (-2.0, 5.0), (40.0, 7.0),
+               (0.5, 0.5)]
+        x = np.array([[c * a, c * b, 0.0, 0.0] for a, b in qs])
+        v = np.array([[c * a, c * b, 0.0, 0.0] for a, b in dqs])
+        return x, v
+
+    def test_float_rows(self):
+        x, v = self.states()
+        f = sfd_rotor_system(900.0).F_nl
+        rows = f(x, v, np.zeros_like(x), 0.0)
+        for i in range(len(x)):
+            assert np.array_equal(rows[i], f(x[i], v[i], np.zeros(4), 0.0))
+
+    def test_jacobian_rows(self):
+        x, v = self.states()
+        f = sfd_rotor_system(900.0).F_nl
+        a = np.zeros_like(x)
+        J = sfd.ad.jacobian(lambda z: f(z, v, a, 0.0), x)
+        for i in range(len(x)):
+            Ji = sfd.ad.jacobian(lambda z: f(z, v[i], a[i], 0.0), x[i])
+            assert np.array_equal(J[i], Ji)
+
+    def test_ruptured_row_raises(self):
+        x, v = self.states()
+        x[2, 0] = 1.5 * sfd.default_sfd_params().film_clearance
+        with pytest.raises(FilmRuptureError):
+            sfd_rotor_system(900.0).F_nl(x, v, np.zeros_like(x), 0.0)

@@ -214,6 +214,44 @@ class TestSweep:
         assert "system" in capsys.readouterr().err
 
 
+SFD_SWEEP = {
+    "schema_version": 1,
+    "system": {"type": "sfd_rotor"},
+    "newmark": {"dt": 1e-4},
+    "speeds": [900.0],
+    "t_end": 0.01,
+}
+
+
+@pytest.mark.parametrize(
+    "command, base, change, field",
+    [
+        ("solve", DUFFING_SOLVE, {"t_end": "abc"}, "t_end"),
+        ("solve", DUFFING_SOLVE, {"t0": "0"}, "t0"),
+        ("solve", DUFFING_SOLVE, {"system": {"type": "duffing", "delta": "x"}},
+         "system.delta"),
+        ("solve", DUFFING_SOLVE, {"x0": ["2"]}, "x0[0]"),
+        ("solve", DUFFING_SOLVE, {"v0": [True]}, "v0[0]"),
+        ("sweep", SFD_SWEEP, {"t_end": [0.01]}, "t_end"),
+        ("sweep", SFD_SWEEP, {"system": {"type": "sfd_rotor", "unbalance": "big"}},
+         "system.unbalance"),
+        ("sweep", SFD_SWEEP, {"speeds": [900.0, "fast"]}, "speeds[1]"),
+        ("sweep", SFD_SWEEP, {"speeds": {"start": "a", "stop": 1.0, "count": 2}},
+         "speeds.start"),
+        ("sweep", SFD_SWEEP, {"speeds": {"start": 1.0, "stop": None, "count": 2}},
+         "speeds.stop"),
+        ("sweep", SFD_SWEEP, {"speeds": {"start": 1.0, "stop": 2.0, "count": 2.5}},
+         "speeds.count"),
+        ("sweep", SFD_SWEEP, {"probe_nodes": ["0"]}, "probe_nodes[0]"),
+        ("sweep", SFD_SWEEP, {"steady_fraction": "half"}, "steady_fraction"),
+    ],
+)
+def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field):
+    cfg = write_config(tmp_path / "c.json", dict(base, **change))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+    assert f'"{field}"' in capsys.readouterr().err
+
+
 class TestSpectrum:
     def _write_sine_csv(self, path, w0=40.0, dt=1e-3, n=2000):
         t = dt * np.arange(n)

@@ -159,3 +159,49 @@ class TestScatterAdd:
             B = rng.standard_normal((3, 3))
             scatter_add(G, B + B.T, dof_map, signs=[1.0, -1.0, 1.0])
         assert np.allclose(G, G.T)
+
+
+class TestStacks:
+    """A (B, n, n) stack: each row has the bits of its own call."""
+
+    def stack(self):
+        rng = np.random.default_rng(9)
+        return rng.standard_normal((4, 3, 3)) + 3.0 * np.eye(3), rng.standard_normal((4, 3))
+
+    def test_factor_solve_update_and_norm_per_row(self):
+        A, b = self.stack()
+        u, v = 0.1 * b[::-1], 0.2 * b
+        f = lu_factor(A)
+        x = lu_solve(f, b)
+        g = lu_update(f, u, v)
+        norms = norm2(b)
+        for i in range(len(A)):
+            fi = lu_factor(A[i])
+            assert np.array_equal(f[i], fi)
+            assert np.array_equal(x[i], lu_solve(fi, b[i]))
+            assert np.array_equal(g[i], lu_update(fi, u[i], v[i]))
+            assert norms[i] == norm2(b[i])
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_one_singular_row(self, exact):
+        A, _ = self.stack()
+        # Exactly singular rows make numpy.linalg.inv reject the whole
+        # stack; nearly singular ones only fail their own screen.
+        A[2] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0 + (0.0 if exact else 1e-15)],
+                [0.0, 1.0, 1.0]]
+        with pytest.raises(SingularMatrixError) as one:
+            lu_factor(A[2])
+        with pytest.raises(SingularMatrixError) as stacked:
+            lu_factor(A)
+        assert stacked.value.row == 2
+        assert stacked.value.pivot_index == one.value.pivot_index
+
+    def test_update_singular_row(self):
+        A, b = self.stack()
+        A[1] = 2.0 * np.eye(3)
+        u, v = b.copy(), np.zeros_like(b)
+        # Row 1: f = I/2, f u = e_0 and v = -e_0, so 1 + v^T f u = 0.
+        u[1], v[1] = [2.0, 0.0, 0.0], [-1.0, 0.0, 0.0]
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_update(lu_factor(A), u, v)
+        assert exc.value.row == 1 and exc.value.pivot_index is None

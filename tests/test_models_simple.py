@@ -60,10 +60,3 @@ class TestPendulum:
         traj = integrate(pendulum(), [1e-3], [0.0], 0.0, 2.0, NewmarkConfig(dt=1e-4))
         ref = 1e-3 * np.cos(traj.t)
         assert np.max(np.abs(traj.x[:, 0] - ref)) < 1e-9
-
-    def test_energy_conservation_rk4(self):
-        traj = rk4_integrate(
-            to_first_order(pendulum()), np.array([2.0, 0.0]), 0.0, 100.0, 1e-3
-        )
-        E = 0.5 * traj.v[:, 0] ** 2 - np.cos(traj.x[:, 0])
-        assert np.max(np.abs(E - E[0])) < 1e-6
