@@ -1,7 +1,7 @@
 """nnrad: implicit Newmark/Newton-Raphson integration with AD Jacobians.
 
 Solves M xdd + C xd + K x + F(xdd, xd, x) = Q(t) for arbitrary nonlinear
-forces written over the forward-mode AD scalar type, with a fixed-step
+forces written over the forward-mode AD array type, with a fixed-step
 RK4 reference integrator, a library of benchmark rotor/oscillator
 models, and amplitude/spectrum post-processing.
 """

@@ -24,7 +24,6 @@ import numpy as np
 
 __all__ = [
     "ADArray",
-    "ADScalar",
     "ADDomainError",
     "lift",
     "stack",
@@ -217,10 +216,6 @@ class ADArray:
         return float(self.value)
 
 
-# The scalar case is the 0-d ADArray; the old name stays for callers.
-ADScalar = ADArray
-
-
 def value_of(a):
     """Value part of an ADArray; plain numbers and arrays pass through."""
     return a.value if isinstance(a, ADArray) else a
@@ -266,32 +261,51 @@ def stack(xs):
     return _new(value, seeds)
 
 
-def jacobian(f, x0, columns=None):
+def _seeded(x, seeds):
+    """x as an ADArray with the given (n, width) seeds, on every row of x."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != seeds.shape[:-1]:
+        rows = np.empty(x.shape + seeds.shape[-1:])
+        rows[...] = seeds
+        seeds = rows
+    return _new(x, seeds)
+
+
+def jacobian(f, x0, seeds=None):
     """Dense Jacobian of a vector function at x0 via one forward pass.
 
     f maps a lifted 1-D ADArray to an ADArray or to a sequence of 0-d
     ADArrays and numbers (numbers where f is locally constant).
-    Returns an (m, n) array with row i = d f_i / d x_j.  With
-    ``columns``, only those entries of x0 are seeded (the rest are held
-    constant), the seed width is len(columns), and the result holds just
-    their columns: an (m, len(columns)) array.
+    Returns an (m, n) array with row i = d f_i / d x_j.
+
+    With ``seeds``, an (n, width) matrix S, x0 carries S instead of the
+    identity and the result is the (m, width) derivative along S:
+    ``I[:, cols]`` gives the columns cols alone.  x0 and seeds may also
+    be tuples of several inputs and their seed matrices, of one width; f
+    then takes one ADArray per input and the result sums the
+    derivatives along each input's seeds.
 
     With (B, n) rows x0, f maps the lifted rows to (B, m) rows and the
-    result is the (B, m, width) stack of each row's Jacobian.
+    result is the (B, m, width) stack of each row's Jacobian; every row
+    carries the same seeds.
     """
-    xs = lift(x0)
-    if columns is not None:
-        xs = _new(xs.value, xs.seeds[..., columns])
-    width = xs.seeds.shape[-1]
-    out = stack(f(xs))
-    rows = xs.value.shape[:-1]
+    if seeds is None:
+        xs = (lift(x0),)
+    elif isinstance(x0, tuple):
+        xs = tuple(map(_seeded, x0, seeds))
+    else:
+        xs = (_seeded(x0, seeds),)
+    width = xs[0].seeds.shape[-1]
+    out = stack(f(*xs))
+    rows = xs[0].value.shape[:-1]
     if not isinstance(out, ADArray):
         if rows:
             return np.zeros(np.shape(out) + (width,))
         return np.zeros((np.size(out), width))
     if out.seeds.shape[-1] != width:
         raise ValueError("output seed width does not match input")
-    return out.seeds.reshape(rows + (-1, width))
+    # A copy: f may return (part of) an input, whose seeds are the caller's.
+    return out.seeds.reshape(rows + (-1, width)).copy()
 
 
 def matvec(A, x):

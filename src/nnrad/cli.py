@@ -180,8 +180,20 @@ def _solve_setup(doc):
     return sys_, _dof_vector(doc, "x0", n), _dof_vector(doc, "v0", n)
 
 
+NEWMARK_NUMBERS = ("dt", "beta", "gamma", "tol_dx", "tol_res", "max_iter")
+
+
 def _newmark_config(doc, args):
-    nm = dict(doc.get("newmark", {}))
+    nm = doc.get("newmark", {})
+    if not isinstance(nm, dict):
+        raise ConfigError("\"newmark\" must be an object")
+    nm = dict(nm)
+    for key in NEWMARK_NUMBERS:
+        if key in nm:
+            nm[key] = _as_number(nm[key], f"newmark.{key}", key == "max_iter")
+    if not isinstance(nm.get("strategy", ""), str):
+        raise ConfigError(
+            f"\"newmark.strategy\" must be a string, got {nm['strategy']!r}")
     if args.dt is not None:
         nm["dt"] = args.dt
     if args.strategy is not None:

@@ -17,10 +17,22 @@ SCREEN_MARGIN of the bound, does a partial-pivot Gauss-Jordan elimination
 run; it applies the exact pivot rule and, if no pivot is small, supplies
 the inverse.
 
+Rank-k base: ``lu_factor(A, base=(B, f_B, cols))`` takes a matrix B that
+equals A outside the k columns cols, and f_B = lu_factor(B).  With
+D = A[:, cols] - B[:, cols] and W = f_B D, the Woodbury identity gives
+A^-1 = f_B - W (I_k + W[cols])^-1 f_B[cols]: a k x k inverse and a few
+products instead of an n x n inverse (Hager, "Updating the inverse of a
+matrix", SIAM Review 31, 1989).  The result goes through the same
+screen; if it fails, or ``inv`` raises, A is factored directly, so the
+singular rule and the pivot reported are those of the direct path.  The
+Newton loop passes A_eff as the base of its step Jacobians when the
+model's F_nl reads k <= n/2 DOFs (newmark.SolveTerms).
+
 Stacks: ``lu_factor``, ``lu_solve``, ``lu_update`` and ``norm2`` also take
 a leading row axis, a (B, n, n) stack of matrices with (B, n) right-hand
 sides, and treat each row as its own problem, the singularity screen
-included.  Each row's result has the bits of the one-row call.
+included, with a base of stacked B and f_B.  Each row's result has the
+bits of the one-row call.
 """
 
 from __future__ import annotations
@@ -75,53 +87,71 @@ def _gauss_jordan_inverse(A, threshold):
     return W[:, n:]
 
 
-def lu_factor(A):
+def _passes(scale, inv):
+    """The screen max|A| ||A^-1||_inf < SCREEN_MARGIN / (n SINGULARITY_RTOL).
+
+    scale is max|A|, per row for a stack; a non-finite inverse fails.
+    """
+    n = inv.shape[-1]
+    return scale * np.abs(inv).sum(axis=-1).max(axis=-1) < SCREEN_MARGIN / (
+        n * SINGULARITY_RTOL
+    )
+
+
+def _rank_k_inverse(A, B, f_B, cols):
+    """A^-1 from f_B = B^-1, A and B equal outside cols (Woodbury); rows too."""
+    D = A[..., cols] - B[..., cols]
+    W = np.matmul(f_B, D)
+    small = np.linalg.inv(np.eye(len(cols)) + W[..., cols, :])
+    return f_B - np.matmul(W, np.matmul(small, f_B[..., cols, :]))
+
+
+def lu_factor(A, base=None):
     """Factor A for lu_solve; raises SingularMatrixError on a tiny pivot.
 
     A pivot counts as singular when its magnitude is at or under
-    1e-14 * max|A| (see the module docstring for the screen).
+    1e-14 * max|A| (see the module docstring for the screen).  base,
+    (B, f_B, cols) with B equal to A outside the columns cols and
+    f_B = lu_factor(B), forms the inverse as a rank-k update of f_B
+    where the screen passes it (module docstring).
     """
     A = np.asarray(A, dtype=float)
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
     if A.ndim > 2:
-        return _lu_factor_rows(A)
-    n = A.shape[0]
+        return _lu_factor_rows(A, base)
     scale = np.abs(A).max()
     try:
-        inv = np.linalg.inv(A)
-        # False for a non-finite inverse too.
-        passed = scale * np.abs(inv).sum(axis=1).max() < SCREEN_MARGIN / (
-            n * SINGULARITY_RTOL
-        )
+        inv = np.linalg.inv(A) if base is None else _rank_k_inverse(A, *base)
+        passed = _passes(scale, inv)
     except np.linalg.LinAlgError:
         passed = False
     if not passed:
+        if base is not None:
+            return lu_factor(A)
         inv = _gauss_jordan_inverse(A, SINGULARITY_RTOL * scale)
     return inv
 
 
-def _lu_factor_rows(A):
-    """lu_factor of each matrix of a (B, n, n) stack.
+def _lu_factor_rows(A, base):
+    """lu_factor of each matrix of a (B, n, n) stack, on stacked bases too.
 
-    The inverses come from one stacked ``numpy.linalg.inv``; a row that
-    fails its screen, or a stack that ``inv`` rejects, is factored on its
-    own.  The first singular row raises SingularMatrixError with ``row``
-    set.
+    The inverses come from one stacked ``numpy.linalg.inv`` or rank-k
+    update; a row that fails its screen, or a stack that ``inv`` rejects,
+    is factored on its own with its own base.  The first singular row
+    raises SingularMatrixError with ``row`` set.
     """
-    n = A.shape[-1]
     scale = np.abs(A).max(axis=(-2, -1))
     try:
-        inv = np.linalg.inv(A)
-        passed = scale * np.abs(inv).sum(axis=-1).max(axis=-1) < SCREEN_MARGIN / (
-            n * SINGULARITY_RTOL
-        )
+        inv = np.linalg.inv(A) if base is None else _rank_k_inverse(A, *base)
+        passed = _passes(scale, inv)
     except np.linalg.LinAlgError:
         inv = np.empty_like(A)
         passed = np.zeros(len(A), dtype=bool)
     for i in np.flatnonzero(~passed):
+        row_base = None if base is None else (base[0][i], base[1][i], base[2])
         try:
-            inv[i] = lu_factor(A[i])
+            inv[i] = lu_factor(A[i], row_base)
         except SingularMatrixError as err:
             raise SingularMatrixError(err.pivot_index, row=int(i)) from err
     return inv

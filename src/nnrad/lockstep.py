@@ -23,6 +23,7 @@ from .newmark import (
     NewmarkConfig,
     NonConvergenceError,
     SingularJacobianError,
+    SolveTerms,
     StepTerms,
     _locate,
     _map_terms,
@@ -43,11 +44,13 @@ def _residual_rows(x1, p: StepTerms, rows):
     return lin + ad.stack(rows["system"][0].F_nl(x1, v1, a1, p.t1)) - p.q1
 
 
-def _step_rows(rows, X, V, A, t, cfg, step_index):
+def _step_rows(rows, seeds, X, V, A, t, cfg, step_index):
     """_step_core of every row of a batch, in lock-step.
 
-    rows maps "system", "M", "C", "K" and "A_eff" to arrays over the B
-    rows; X, V, A are their (B, n) states at time t.  Each Newton
+    rows maps "system", "M", "C", "K", "A_eff" and, where the rows'
+    Jacobians are factored against A_eff, its factor "f_eff" to arrays
+    over the B rows; seeds are the rows' shared SolveTerms.seeds.  X, V,
+    A are their (B, n) states at time t.  Each Newton
     iteration makes one batched call per layer over the rows still
     iterating.  A batched call that raises is repeated row by row with
     the one-row functions, and a row that raises there leaves the step
@@ -80,6 +83,13 @@ def _step_rows(rows, X, V, A, t, cfg, step_index):
         """(x1, StepTerms, system) of live row j for the one-row functions."""
         p = StepTerms(t1, c_a, live["g_a"][j], c_v, live["g_v"][j], live["q1"][j])
         return live["x"][j], p, live["system"][j]
+
+    def jac_terms(j=slice(None)):
+        """SolveTerms of live row j, or of every live row, stacked."""
+        base = None
+        if "f_eff" in live:
+            base = (live["A_eff"][j], live["f_eff"][j], live["system"][0].nl_dofs)
+        return SolveTerms(live["A_eff"][j], seeds, base)
 
     def call(batched, one_row):
         """batched(), or one_row(j) for each live row if it raises.
@@ -146,13 +156,14 @@ def _step_rows(rows, X, V, A, t, cfg, step_index):
         if _refresh_due(cfg, "lu" in live, iters):
             live["J"] = call(
                 lambda: newmark.step_jacobian(
-                    live["x"], terms(), live["system"][0], live["A_eff"]),
-                lambda j: newmark.step_jacobian(*row_terms(j), live["A_eff"][j]),
+                    live["x"], terms(), live["system"][0], jac_terms()),
+                lambda j: newmark.step_jacobian(*row_terms(j), jac_terms(j)),
             )
             if live["J"] is None:
                 break
-            live["lu"] = call(lambda: singular(newmark.lu_factor, live["J"]),
-                              lambda j: singular(newmark.lu_factor, live["J"][j]))
+            live["lu"] = call(
+                lambda: singular(newmark.lu_factor, live["J"], jac_terms().base),
+                lambda j: singular(newmark.lu_factor, live["J"][j], jac_terms(j).base))
             del live["J"]
             if live["lu"] is None:
                 break
@@ -217,19 +228,26 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
     live = np.array(started, dtype=int)
     row_systems = np.empty(len(live), dtype=object)
     row_systems[:] = [systems[k] for k in live]
+    terms = [newmark.solve_terms(systems[k], cfg) for k in live]
     rows = {
         "system": row_systems,
         "M": np.array([systems[k].M for k in live]),
         "C": np.array([systems[k].C for k in live]),
         "K": np.array([systems[k].K for k in live]),
-        "A_eff": np.array([newmark.step_matrix(systems[k], cfg) for k in live]),
+        "A_eff": np.array([s.A_eff for s in terms]),
     }
+    if any(s.base is not None for s in terms):
+        # A row whose A_eff is singular has no base; its NaN factor fails
+        # the screen of every rank-k inverse, so it is factored directly.
+        rows["f_eff"] = np.array([np.full((n, n), np.nan) if s.base is None
+                                  else s.base[1] for s in terms])
+    seeds = terms[0].seeds if terms else None
     X, V, A = xs[live, 0], vs[live, 0], accs[live, 0]
     t = t0
     for i in range(1, n_steps + 1):
         if not len(live):
             break
-        t1, X, V, A, it, rn, errors = _step_rows(rows, X, V, A, t, cfg, i)
+        t1, X, V, A, it, rn, errors = _step_rows(rows, seeds, X, V, A, t, cfg, i)
         if errors:
             ok = np.ones(len(live), dtype=bool)
             for j, err in errors.items():

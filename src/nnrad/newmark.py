@@ -12,7 +12,10 @@ once per step and once more past half of max_iter with a Broyden rank-1
 secant update of the factor after each iteration (broyden).  What a
 step holds fixed, the offsets of the Newmark maps from x1 to v1 and a1
 and the load Q(t1), is built once per step (StepTerms), so every
-residual and Jacobian of the step shares it.
+residual and Jacobian of the step shares it.  What a solve holds fixed,
+A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
+half of the DOFs, the factor of A_eff that lu_factor updates by the
+Jacobian's k nonlinear columns, is built once per solve (SolveTerms).
 
 The helpers the step loop shares with nnrad.lockstep, which advances
 several systems in lock-step, keep its Newton iteration the same.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -41,6 +44,8 @@ __all__ = [
     "SingularJacobianError",
     "StepTerms",
     "step_terms",
+    "SolveTerms",
+    "solve_terms",
     "residual",
     "step_matrix",
     "step_jacobian",
@@ -181,24 +186,58 @@ def step_matrix(sys: DynamicSystem, cfg: NewmarkConfig):
     return c_a * sys.M + c_v * sys.C + sys.K
 
 
-def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, A_eff):
+class SolveTerms(NamedTuple):
+    """What every step Jacobian of a solve shares.
+
+    The step Jacobian is A_eff plus the AD derivative of F_nl in the k
+    columns sys.nl_dofs.  seeds are the constant seeds of x1, v1 and a1
+    on those DOFs: S = I[:, nl_dofs], c_v S and c_a S.  base is
+    (A_eff, lu_factor(A_eff), nl_dofs) when 2k <= n, so that lu_factor
+    inverts the Jacobian as a rank-k update of A_eff (linalg), and None
+    otherwise or when A_eff is singular.
+    """
+
+    A_eff: np.ndarray
+    seeds: tuple
+    base: Optional[tuple]
+
+
+def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
+    """The SolveTerms of sys under cfg."""
+    A_eff = step_matrix(sys, cfg)
+    c_a, c_v = _newmark_coeffs(cfg)
+    cols = sys.nl_dofs
+    S = np.eye(sys.n_dof)[:, cols]
+    base = None
+    if 2 * len(cols) <= sys.n_dof:
+        try:
+            base = (A_eff, lu_factor(A_eff), cols)
+        except SingularMatrixError:
+            pass
+    return SolveTerms(A_eff, (S, c_v * S, c_a * S), base)
+
+
+def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     """dR/dx1: A_eff plus the AD derivative of F_nl in the DOFs it reads.
 
     Only sys.nl_dofs are seeded.  Through the Newmark maps a
     displacement seed e_j carries the velocity seed c_v e_j and the
-    acceleration seed c_a e_j, so one forward pass of F_nl gives
-    dF/dx + c_v dF/dv + c_a dF/da for those columns.
+    acceleration seed c_a e_j, so one forward pass of F_nl, with those
+    seeds of terms (SolveTerms), gives dF/dx + c_v dF/dv + c_a dF/da
+    for those columns.
 
-    With (B, n) rows x1, stacked StepTerms and a (B, n, n) stack A_eff,
-    sys.F_nl must take rows (DynamicSystem.batch_key); the result is the
-    (B, n, n) stack of each row's Jacobian.
+    With (B, n) rows x1, stacked StepTerms and a (B, n, n) stack
+    terms.A_eff, sys.F_nl must take rows (DynamicSystem.batch_key); the
+    result is the (B, n, n) stack of each row's Jacobian.
     """
 
-    def f_nl(x):
-        return sys.F_nl(x, p.velocity(x), p.acceleration(x), p.t1)
+    def f_nl(x, v, a):
+        return sys.F_nl(x, v, a, p.t1)
 
-    J = A_eff.copy()
-    J[..., sys.nl_dofs] += ad.jacobian(f_nl, x1, columns=sys.nl_dofs)
+    J = terms.A_eff.copy()
+    J[..., sys.nl_dofs] += ad.jacobian(
+        f_nl, (x1, p.velocity(x1), p.acceleration(x1)), terms.seeds
+    )
     return J
 
 
@@ -249,7 +288,7 @@ def _small_step(dx_norm, x_norm, cfg):
     return dx_norm < cfg.tol_dx * (1.0 + x_norm)
 
 
-def _step_core(sys, s, cfg, A_eff, step_index=0):
+def _step_core(sys, s, cfg, terms, step_index=0):
     """One Newmark step; returns (state, iterations, final residual norm)."""
     p = step_terms(sys, s, cfg)
     x = s.x.copy()
@@ -276,7 +315,7 @@ def _step_core(sys, s, cfg, A_eff, step_index=0):
         if iters >= cfg.max_iter:
             raise NonConvergenceError(step_index, iters, rn, float("nan"))
         if _refresh_due(cfg, lu is not None, iters):
-            lu = factor(lu_factor, step_jacobian(x, p, sys, A_eff))
+            lu = factor(lu_factor, step_jacobian(x, p, sys, terms), terms.base)
         dx = lu_solve(lu, R)
         x = x - dx
         iters += 1
@@ -295,7 +334,7 @@ def _step_core(sys, s, cfg, A_eff, step_index=0):
 
 def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:
     """Advance one time step; raises on non-convergence or singular Jacobian."""
-    new_state, _, _ = _step_core(sys, s, cfg, step_matrix(sys, cfg))
+    new_state, _, _ = _step_core(sys, s, cfg, solve_terms(sys, cfg))
     return new_state
 
 
@@ -326,10 +365,10 @@ def integrate(
 
     state = State(t0, x0, v0, initial_acceleration(sys, x0, v0, t0))
     xs[0], vs[0], accs[0] = state.x, state.v, state.a
-    A_eff = step_matrix(sys, cfg)
+    terms = solve_terms(sys, cfg)
     try:
         for i in range(1, n_steps + 1):
-            state, it, rn = _step_core(sys, state, cfg, A_eff, step_index=i)
+            state, it, rn = _step_core(sys, state, cfg, terms, step_index=i)
             xs[i], vs[i], accs[i] = state.x, state.v, state.a
             iters[i] = it
             res_norms[i] = rn

@@ -429,7 +429,7 @@ class TestCriterion10ContactSmoothness:
             (x,) = ad.lift([float(d)])
             fx, _ = bearing_force(x, 0.0, 0.0, 0.0, 0.0, p)
             forces[i] = ad.value_of(fx)
-            derivs[i] = fx.seeds[0] if isinstance(fx, ad.ADScalar) else 0.0
+            derivs[i] = fx.seeds[0] if isinstance(fx, ad.ADArray) else 0.0
         force_jump = float(np.max(np.abs(np.diff(forces))))
         deriv_jump = float(np.max(np.abs(np.diff(derivs))))
         kink_bound = HERTZ_EXPONENT * (2 * h) ** (HERTZ_EXPONENT - 1.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,11 @@ import pytest
 
 import nnrad.analysis
 import nnrad.models.sfd as sfd
-from nnrad import NewmarkConfig
+from nnrad import DynamicSystem, NewmarkConfig, ad
 from nnrad.analysis import sweep
 from nnrad.models import FilmRuptureError, sfd_rotor_system
 from nnrad.lockstep import integrate_rows
-from nnrad.newmark import STRATEGIES, integrate
+from nnrad.newmark import STRATEGIES, integrate, solve_terms
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 SPEEDS = [650.0, 900.0, 1150.0, 1390.0]
@@ -91,6 +92,40 @@ class TestIntegrateRows:
                      x0=x0, v0=v0)
         assert all(row.error is None for row in want)
         assert_same_rows(got, want)
+
+
+def narrow_system(k0, c_lin):
+    """A batched 4-DOF system whose F_nl reads DOF 0 alone (2k <= n)."""
+    P = np.zeros((4, 4))
+    P[0, 0] = 1.0
+
+    def f_nl(x, v, a, t):
+        px = ad.matvec(P, x)
+        return c_lin * px + 1e4 * px ** 3 + 0.5 * px * ad.matvec(P, v)
+
+    return DynamicSystem(
+        n_dof=4, M=np.eye(4), C=0.02 * np.eye(4), K=np.diag([k0, 2.0, 3.0, 4.0]),
+        Q=lambda t: np.array([math.cos(7.0 * t), 0.5, math.sin(3.0 * t), 0.0]),
+        F_nl=f_nl, nl_dofs=[0], batch_key=("narrow", c_lin))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rank_k_rows_equal_integrate(strategy):
+    cfg = NewmarkConfig(dt=1e-3, strategy=strategy)
+    c_a = 1.0 / (cfg.beta * cfg.dt * cfg.dt)
+    c_v = cfg.gamma / (cfg.beta * cfg.dt)
+    # Row 1's stiffness cancels A_eff[0, 0], so it has no base and is
+    # factored directly; F_nl keeps its Jacobian regular.
+    systems = [narrow_system(k0, c_a + 10.0)
+               for k0 in (1.0, -c_a - 0.02 * c_v, 5.0)]
+    terms = [solve_terms(sys_, cfg) for sys_ in systems]
+    assert [t.base is None for t in terms] == [False, True, False]
+    x0 = [np.array([0.1, 0.0, 0.2, 0.0])] * 3
+    got = integrate_rows(systems, x0, x0, 0.0, 0.3, cfg)
+    for sys_, traj in zip(systems, got):
+        want = integrate(sys_, x0[0], x0[0], 0.0, 0.3, cfg)
+        for name in FIELDS:
+            assert np.array_equal(getattr(traj, name), getattr(want, name)), name
 
 
 class TestSweepBatches:

@@ -81,7 +81,7 @@ class TestBearingForce:
         p = params()
         xi, yi, xo, yo = ad.lift([2e-5, -1e-5, 0.0, 3e-6])
         fx, fy = bearing_force(xi, yi, xo, yo, 0.01, p)
-        assert isinstance(fx, ad.ADScalar) and isinstance(fy, ad.ADScalar)
+        assert isinstance(fx, ad.ADArray) and isinstance(fy, ad.ADArray)
         # Race-relative symmetry: d(fx)/d(x_o) = -d(fx)/d(x_i).
         assert fx.seeds[2] == pytest.approx(-fx.seeds[0], rel=1e-12)
         assert fy.seeds[3] == pytest.approx(-fy.seeds[1], rel=1e-12)
@@ -100,7 +100,7 @@ class TestBearingForce:
             (x,) = ad.lift([float(d)])
             fx, _ = bearing_force(x, 0.0, 0.0, 0.0, 0.0, p)
             forces.append(ad.value_of(fx))
-            derivs.append(fx.seeds[0] if isinstance(fx, ad.ADScalar) else 0.0)
+            derivs.append(fx.seeds[0] if isinstance(fx, ad.ADArray) else 0.0)
         forces = np.array(forces)
         derivs = np.array(derivs)
         p_exp = HERTZ_EXPONENT

@@ -244,6 +244,19 @@ SFD_SWEEP = {
          "speeds.count"),
         ("sweep", SFD_SWEEP, {"probe_nodes": ["0"]}, "probe_nodes[0]"),
         ("sweep", SFD_SWEEP, {"steady_fraction": "half"}, "steady_fraction"),
+        ("solve", DUFFING_SOLVE, {"newmark": {"dt": "x"}}, "newmark.dt"),
+        ("solve", DUFFING_SOLVE, {"newmark": {"dt": 1e-3, "beta": "0.25"}},
+         "newmark.beta"),
+        ("solve", DUFFING_SOLVE, {"newmark": {"dt": 1e-3, "gamma": None}},
+         "newmark.gamma"),
+        ("solve", DUFFING_SOLVE, {"newmark": {"dt": 1e-3, "tol_dx": [1e-10]}},
+         "newmark.tol_dx"),
+        ("solve", DUFFING_SOLVE, {"newmark": {"dt": 1e-3, "tol_res": "1e-8"}},
+         "newmark.tol_res"),
+        ("solve", DUFFING_SOLVE, {"newmark": {"dt": 1e-3, "max_iter": 2.5}},
+         "newmark.max_iter"),
+        ("sweep", SFD_SWEEP, {"newmark": {"dt": 1e-4, "strategy": 1}},
+         "newmark.strategy"),
     ],
 )
 def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nnrad import NewmarkConfig, State
 from nnrad.linalg import (
     SINGULARITY_RTOL,
     SingularMatrixError,
@@ -10,6 +11,8 @@ from nnrad.linalg import (
     norm2,
     scatter_add,
 )
+from nnrad.models import assemble_dual_rotor, default_dual_rotor_layout
+from nnrad.newmark import solve_terms, step_jacobian, step_terms
 
 
 class TestLUFactor:
@@ -205,3 +208,74 @@ class TestStacks:
         with pytest.raises(SingularMatrixError) as exc:
             lu_update(lu_factor(A), u, v)
         assert exc.value.row == 1 and exc.value.pivot_index is None
+
+
+class TestRankKBase:
+    """lu_factor(A, base): the inverse of A as a rank-k update of the factor
+    of a matrix B that differs from A in k columns only."""
+
+    @staticmethod
+    def dual_jacobians():
+        """Dual-rotor step Jacobians at random states, and their SolveTerms."""
+        cfg = NewmarkConfig(dt=1e-4)
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        terms = solve_terms(sys_, cfg)
+        rng = np.random.default_rng(31)
+        Js = []
+        for _ in range(4):
+            n = sys_.n_dof
+            s = State(0.0, 1e-5 * rng.standard_normal(n),
+                      1e-3 * rng.standard_normal(n), rng.standard_normal(n))
+            p = step_terms(sys_, s, cfg)
+            Js.append(step_jacobian(1e-5 * rng.standard_normal(n), p, sys_, terms))
+        return np.array(Js), terms
+
+    def test_dual_rotor_jacobians_agree_with_the_direct_factor(self):
+        Js, terms = self.dual_jacobians()
+        assert terms.base is not None and len(terms.base[2]) == 10
+        differ = False
+        for J in Js:
+            f, f0 = lu_factor(J, terms.base), lu_factor(J)
+            assert np.max(np.abs(f - f0)) <= 1e-12 * np.max(np.abs(f0))
+            differ |= not np.array_equal(f, f0)
+        assert differ  # the rank-k path ran
+
+    @pytest.mark.parametrize("case", ["zero column", "dependent column"])
+    def test_singular_update_reports_the_direct_pivot(self, case):
+        rng = np.random.default_rng(32)
+        A = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
+        cols = np.array([1, 4])
+        if case == "zero column":
+            # With A = 2I the k x k matrix I + W[cols] is singular too, so
+            # inv raises.
+            A = 2.0 * np.eye(6)
+            J = A.copy()
+            J[:, 1] = 0.0
+        else:
+            J = A.copy()
+            J[:, 1] += 0.5
+            J[:, 4] = J[:, 0] + J[:, 2]
+        base = (A, lu_factor(A), cols)
+        with pytest.raises(SingularMatrixError) as direct:
+            lu_factor(J)
+        with pytest.raises(SingularMatrixError) as updated:
+            lu_factor(J, base)
+        assert updated.value.pivot_index == direct.value.pivot_index
+
+    def test_stack_matches_one_row_calls(self):
+        Js, terms = self.dual_jacobians()
+        A_eff, f_eff, cols = terms.base
+        F = np.array([f_eff] * len(Js))
+        F[1] = np.nan  # a row without a base is factored directly
+        base = (np.array([A_eff] * len(Js)), F, cols)
+        f = lu_factor(Js, base)
+        for i in range(len(Js)):
+            assert np.array_equal(f[i], lu_factor(Js[i], (A_eff, F[i], cols)))
+        assert np.array_equal(f[1], lu_factor(Js[1]))
+        Js[2][:, cols[3]] = 0.0
+        with pytest.raises(SingularMatrixError) as one:
+            lu_factor(Js[2], (A_eff, f_eff, cols))
+        with pytest.raises(SingularMatrixError) as stacked:
+            lu_factor(Js, base)
+        assert stacked.value.row == 2
+        assert stacked.value.pivot_index == one.value.pivot_index

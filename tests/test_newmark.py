@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import nnrad.newmark
+from nnrad import linalg
 from nnrad import (
     BROYDEN_RANK1,
     FULL_NEWTON,
@@ -31,7 +32,14 @@ from nnrad.models import (
 )
 from nnrad.models.bearing import ball_angles
 from nnrad.models.rotor import assemble_dual_rotor
-from nnrad.newmark import step_jacobian, step_matrix, step_terms
+from nnrad.newmark import (
+    SolveTerms,
+    StepTerms,
+    _map_terms,
+    solve_terms,
+    step_jacobian,
+    step_terms,
+)
 
 
 def linear_sdof(k=1.0, c=0.0):
@@ -204,7 +212,7 @@ class TestStepJacobian:
     def _gap(self, sys_, s, x1, cfg):
         self._assert_residual_bits(sys_, s, x1, cfg)
         p = step_terms(sys_, s, cfg)
-        J = step_jacobian(x1, p, sys_, step_matrix(sys_, cfg))
+        J = step_jacobian(x1, p, sys_, solve_terms(sys_, cfg))
         J_dense = ad.jacobian(lambda z: residual(z, p, sys_), x1)
         return float(np.max(np.abs(J - J_dense)) / np.max(np.abs(J_dense)))
 
@@ -274,6 +282,60 @@ class TestStepJacobian:
                 assert np.any(delta > support.params.clearance)
                 assert np.any(delta <= support.params.clearance)
             assert self._gap(sys_, s, x1, cfg) < 1e-12
+
+    @staticmethod
+    def _maps_on_ad_arrays(x1, p, sys_, A_eff):
+        """The Jacobian with x1 seeded on nl_dofs and v1, a1 from the Newmark
+        maps run on ADArrays, the seeds a solve now builds once."""
+        S = np.eye(sys_.n_dof)[:, sys_.nl_dofs]
+        J = A_eff.copy()
+        J[..., sys_.nl_dofs] += ad.jacobian(
+            lambda x: sys_.F_nl(x, p.velocity(x), p.acceleration(x), p.t1), x1, S)
+        return J
+
+    def test_constant_seeds_match_the_newmark_maps(self):
+        rng = np.random.default_rng(24)
+
+        def f_nl(x, v, a, t):
+            return [0.1 * x[0] * a[0] + v[1] ** 3, a[1] * v[0], 0.0]
+
+        # Reads x, v and a, so every one of the three seeds counts.
+        inertial = DynamicSystem(n_dof=3, M=np.eye(3), C=np.zeros((3, 3)),
+                                 K=np.eye(3), F_nl=f_nl, accel_dependent=True,
+                                 nl_dofs=[0, 1])
+        cases = [
+            (inertial, NewmarkConfig(dt=1e-3), 1.0),
+            (duffing(), NewmarkConfig(dt=1e-3), 1.0),
+            (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5),
+            (assemble_dual_rotor(default_dual_rotor_layout()),
+             NewmarkConfig(dt=1e-4), 1e-5),
+        ]
+        for sys_, cfg, scale in cases:
+            terms = solve_terms(sys_, cfg)
+            for _ in range(3):
+                s = self._state(rng, scale * rng.standard_normal(sys_.n_dof),
+                                scale)
+                x1 = scale * rng.standard_normal(sys_.n_dof)
+                p = step_terms(sys_, s, cfg)
+                assert np.array_equal(step_jacobian(x1, p, sys_, terms),
+                                      self._maps_on_ad_arrays(x1, p, sys_,
+                                                              terms.A_eff))
+
+    def test_constant_seeds_match_the_newmark_maps_on_rows(self):
+        rng = np.random.default_rng(25)
+        cfg = NewmarkConfig(dt=1e-4)
+        systems = [sfd_rotor_system(w) for w in (700.0, 900.0, 1300.0)]
+        terms = [solve_terms(sys_, cfg) for sys_ in systems]
+        X, V, A, X1 = 1e-5 * rng.standard_normal((4, 3, 4))
+        t1 = 0.1 + cfg.dt
+        p = StepTerms(t1, *_map_terms(X, V, A, cfg),
+                      np.array([sys_.Q(t1) for sys_ in systems]))
+        A_eff = np.array([s.A_eff for s in terms])
+        J = step_jacobian(X1, p, systems[0], SolveTerms(A_eff, terms[0].seeds, None))
+        assert np.array_equal(J, self._maps_on_ad_arrays(X1, p, systems[0], A_eff))
+        for i, sys_ in enumerate(systems):
+            p_i = step_terms(sys_, State(0.1, X[i], V[i], A[i]), cfg)
+            assert np.array_equal(J[i], step_jacobian(X1[i], p_i, sys_, terms[i]))
 
     def test_replace_keeps_declared_dofs(self):
         sys_ = assemble_dual_rotor(default_dual_rotor_layout())
@@ -392,9 +454,9 @@ class TestNewtonLoop:
             calls["residual"] += 1
             return res(*args)
 
-        def counted_factor(A):
+        def counted_factor(*args):
             calls["factor_at"].append(calls["residual"])
-            return fac(A)
+            return fac(*args)
 
         monkeypatch.setattr(nnrad.newmark, "residual", counted_residual)
         monkeypatch.setattr(nnrad.newmark, "lu_factor", counted_factor)
@@ -430,6 +492,82 @@ class TestNewtonLoop:
         s = State(0.0, [0.0], [0.0], [0.0])
         with pytest.raises(SingularJacobianError):
             step(sys_, s, NewmarkConfig(dt=0.1, strategy=BROYDEN_RANK1))
+
+
+class TestRankKFactor:
+    """Step Jacobians of models whose F_nl reads at most half of the DOFs
+    are factored as rank-k updates of A_eff's factor."""
+
+    @staticmethod
+    def direct(monkeypatch):
+        """Make newmark factor every Jacobian directly, as it did before."""
+        calls = []
+
+        def lu_factor(A, base=None):
+            calls.append(base)
+            return linalg.lu_factor(A)
+
+        monkeypatch.setattr(nnrad.newmark, "lu_factor", lu_factor)
+        return calls
+
+    def test_singular_jacobian_is_located_as_by_the_direct_path(self, monkeypatch):
+        cfg = NewmarkConfig(dt=1e-3)
+        c_a = 1.0 / (cfg.beta * cfg.dt * cfg.dt)
+        K = np.diag([1.0, 2.0, 3.0, 4.0])
+
+        def f_nl(x, v, a, t):
+            # From t = 3.5 ms on, dF_0/dx_0 cancels A_eff[0, 0] exactly.
+            coef = c_a + K[0, 0] if t > 3.5e-3 else 0.0
+            return [-coef * x[0], 0.0, 0.0, 0.0]
+
+        sys_ = DynamicSystem(n_dof=4, M=np.eye(4), C=np.zeros((4, 4)), K=K,
+                             Q=lambda t: np.ones(4), F_nl=f_nl, nl_dofs=[0])
+        assert solve_terms(sys_, cfg).base is not None
+        x0 = np.full(4, 0.1)
+        errors = []
+        for patch in (False, True):
+            if patch:
+                self.direct(monkeypatch)
+            with pytest.raises(SingularJacobianError) as exc:
+                integrate(sys_, x0, np.zeros(4), 0.0, 0.01, cfg)
+            errors.append(exc.value)
+        assert errors[0].step_index == errors[1].step_index == 4
+        assert errors[0].pivot_index == errors[1].pivot_index
+        assert errors[0].t == errors[1].t
+
+    def test_singular_A_eff_integrates_as_the_direct_path(self, monkeypatch):
+        cfg = NewmarkConfig(dt=1e-3)
+        c_a = 1.0 / (cfg.beta * cfg.dt * cfg.dt)
+
+        def f_nl(x, v, a, t):
+            return [0.0, (c_a + 10.0) * x[1] + x[1] ** 3]
+
+        # A_eff = diag(c_a, 0): the negative stiffness on DOF 1 cancels c_a M.
+        sys_ = DynamicSystem(n_dof=2, M=np.eye(2), C=np.zeros((2, 2)),
+                             K=np.diag([1.0, -c_a]),
+                             Q=lambda t: np.array([math.cos(t), math.sin(5 * t)]),
+                             F_nl=f_nl, nl_dofs=[1])
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.lu_factor(solve_terms(sys_, cfg).A_eff)
+        assert solve_terms(sys_, cfg).base is None
+        got = integrate(sys_, [0.1, 0.2], [0.0, 0.0], 0.0, 0.5, cfg)
+        calls = self.direct(monkeypatch)
+        want = integrate(sys_, [0.1, 0.2], [0.0, 0.0], 0.0, 0.5, cfg)
+        assert calls and all(base is None for base in calls)
+        for name in ("x", "v", "a", "iterations", "residual_norms"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_dual_rotor_stays_within_rounding_of_the_direct_path(self, monkeypatch):
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        cfg = NewmarkConfig(dt=1e-4)
+        x0 = np.zeros(sys_.n_dof)
+        got = integrate(sys_, x0, x0, 0.0, 0.005, cfg)
+        self.direct(monkeypatch)
+        want = integrate(sys_, x0, x0, 0.0, 0.005, cfg)
+        assert np.array_equal(got.iterations, want.iterations)
+        for name in ("x", "v", "a"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert np.max(np.abs(g - w)) <= 1e-9 * np.max(np.abs(w))
 
 
 class TestIntegrate:
