@@ -94,6 +94,9 @@ def sweep(
     """Amplitude-frequency table: integrate each speed, measure the steady orbit.
 
     Each speed starts from the same initial condition (zero by default).
+    An empty speed list, a negative probe node or a steady_fraction
+    outside (0, 1) raises ValueError, naming the argument, before any
+    system is built.
     Per-speed failures, of the factory, the solver or the measurement,
     are recorded in the row as "<type>: <message>" and the sweep
     continues.  Rows come back ordered by the input speed sequence.
@@ -105,7 +108,13 @@ def sweep(
     """
     speeds = list(speeds)
     if not speeds:
-        raise ValueError("speed list is empty")
+        raise ValueError('"speeds" is empty')
+    for i, node in enumerate(probe_nodes):
+        if node < 0:
+            raise ValueError(f'"probe_nodes[{i}]" must be a node index >= 0, '
+                             f'got {node}')
+    if not 0.0 < steady_fraction < 1.0:
+        raise ValueError(f'"steady_fraction" must lie in (0, 1), got {steady_fraction}')
     rows: List[Optional[SweepRow]] = [None] * len(speeds)
     systems = {}
     for k, speed in enumerate(speeds):

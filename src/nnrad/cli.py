@@ -266,17 +266,19 @@ def cmd_sweep(args):
         )
     else:
         raise ConfigError("\"speeds\" must be a list or a start/stop/count object")
-    if not speeds:
-        raise ConfigError("empty speed list")
     probe_nodes = _numbers(doc.get("probe_nodes", [0]), "probe_nodes", integer=True)
-    rows = sweep(
-        model_factory=lambda s: _build_system(model_spec, speed=s),
-        speeds=speeds,
-        cfg=cfg,
-        probe_nodes=probe_nodes,
-        t_end=t_end,
-        steady_fraction=_number(doc, "steady_fraction", 0.3),
-    )
+    steady_fraction = _number(doc, "steady_fraction", 0.3)
+    try:
+        rows = sweep(
+            model_factory=lambda s: _build_system(model_spec, speed=s),
+            speeds=speeds,
+            cfg=cfg,
+            probe_nodes=probe_nodes,
+            t_end=t_end,
+            steady_fraction=steady_fraction,
+        )
+    except ValueError as err:  # sweep's checks of its inputs, which name the field
+        raise ConfigError(str(err)) from err
     header = ["speed"] + [f"A_node{p}" for p in probe_nodes] + ["error"]
     out_rows = []
     failures = 0

@@ -5,8 +5,15 @@ example the speeds of a sweep: each Newton iteration makes one
 residual, Jacobian, factor and solve call over the stacked rows still
 iterating, and a row leaves the step once it converges.  The strategy
 rules and the convergence tests are newmark's own, and every batched
-call reproduces the one-row bits, so each row's trajectory, and any
-error it raises, is the one integrate gives it.
+call reproduces the one-row bits, so each row's trajectory is the one
+integrate gives it.
+
+The batched step runs only the clean case.  When a row faults in step
+i (a layer raises, a residual is not finite, max_iter is reached or a
+Broyden step is zero), step i is run again for every row with
+newmark._step_core, the step integrate runs: a row that raises there
+leaves with that error, located as integrate locates it, and the other
+rows go on batched from step i + 1.
 
 The layer calls go through newmark's namespace, where integrate finds
 them too.
@@ -17,12 +24,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import ad, newmark
-from .linalg import SingularMatrixError, norm2
+from .linalg import norm2
 from .newmark import (
     BROYDEN_RANK1,
     NewmarkConfig,
-    NonConvergenceError,
-    SingularJacobianError,
     SolveTerms,
     StepTerms,
     _locate,
@@ -44,80 +49,35 @@ def _residual_rows(x1, p: StepTerms, rows):
     return lin + ad.stack(rows["system"][0].F_nl(x1, v1, a1, p.t1)) - p.q1
 
 
-def _step_rows(rows, seeds, X, V, A, t, cfg, step_index):
-    """_step_core of every row of a batch, in lock-step.
+def _batched_step(rows, seeds, X, V, A, t1, cfg):
+    """_step_core of every row of a batch, in lock-step, while no row faults.
 
     rows maps "system", "M", "C", "K", "A_eff" and, where the rows'
     Jacobians are factored against A_eff, its factor "f_eff" to arrays
     over the B rows; seeds are the rows' shared SolveTerms.seeds.  X, V,
-    A are their (B, n) states at time t.  Each Newton
-    iteration makes one batched call per layer over the rows still
-    iterating.  A batched call that raises is repeated row by row with
-    the one-row functions, and a row that raises there leaves the step
-    with that error.  Returns (t1, X1, V1, A1, iterations, residual
-    norms, errors), errors mapping a row to the exception _step_core
-    raises for it; the other outputs of such a row are meaningless.
+    A are their (B, n) states before t1.  Each Newton iteration makes one
+    batched call per layer over the rows still iterating.  Returns
+    (X1, V1, A1, iterations, residual norms), or None when a residual is
+    not finite, a row reaches max_iter or a Broyden step is zero; a
+    layer that raises leaves with its exception.
     """
     n_rows = len(X)
-    t1 = t + cfg.dt
     c_a, g_a, c_v, g_v = _map_terms(X, V, A, cfg)
     out_x, out_rn = X.copy(), np.zeros(n_rows)
     out_iters = np.zeros(n_rows, dtype=int)
-    errors = {}
     # The rows still iterating; every entry is indexed by row first.
-    live = dict(rows, row=np.arange(n_rows), g_a=g_a, g_v=g_v, x=X.copy())
+    live = dict(rows, row=np.arange(n_rows), g_a=g_a, g_v=g_v, x=X.copy(),
+                q1=np.array([sys.Q(t1) for sys in rows["system"]]))
     iters = 0
-
-    def keep(mask):
-        """Keep the live rows in mask; False when none is left."""
-        if mask.all():
-            return True
-        for name, value in live.items():
-            live[name] = value[mask]
-        return bool(mask.any())
 
     def terms():
         return StepTerms(t1, c_a, live["g_a"], c_v, live["g_v"], live["q1"])
 
-    def row_terms(j):
-        """(x1, StepTerms, system) of live row j for the one-row functions."""
-        p = StepTerms(t1, c_a, live["g_a"][j], c_v, live["g_v"][j], live["q1"][j])
-        return live["x"][j], p, live["system"][j]
-
-    def jac_terms(j=slice(None)):
-        """SolveTerms of live row j, or of every live row, stacked."""
-        base = None
-        if "f_eff" in live:
-            base = (live["A_eff"][j], live["f_eff"][j], live["system"][0].nl_dofs)
-        return SolveTerms(live["A_eff"][j], seeds, base)
-
-    def call(batched, one_row):
-        """batched(), or one_row(j) for each live row if it raises.
-
-        Rows that raise one by one are dropped with their errors.
-        Returns None when no row is left.
-        """
-        if batched is not None:
-            try:
-                return batched()
-            except Exception:
-                pass
-        out, ok = [], np.ones(len(live["row"]), dtype=bool)
-        for j in range(len(ok)):
-            try:
-                out.append(one_row(j))
-            except Exception as err:
-                errors[live["row"][j]] = err
-                ok[j] = False
-        return np.array(out) if keep(ok) else None
-
-    def fail(mask, res_norms):
-        if not mask.any():
-            return True
-        for row, rn in zip(live["row"][mask], res_norms[mask]):
-            errors[row] = NonConvergenceError(
-                step_index, iters, float(rn), float("nan"))
-        return keep(~mask)
+    def evaluate():
+        """Residuals and norms of the live rows; False if one is not finite."""
+        live["R"] = _residual_rows(live["x"], terms(), live)
+        live["rn"] = norm2(live["R"])
+        return np.isfinite(live["rn"]).all()
 
     def done(mask):
         """Accept the rows in mask at the current x; False when none is left."""
@@ -127,73 +87,40 @@ def _step_rows(rows, seeds, X, V, A, t, cfg, step_index):
         out_x[rows_done] = live["x"][mask]
         out_iters[rows_done] = iters
         out_rn[rows_done] = live["rn"][mask]
-        return keep(~mask)
-
-    def singular(fn, *args):
-        try:
-            return fn(*args)
-        except SingularMatrixError as err:
-            raise SingularJacobianError(step_index, err.pivot_index) from err
-
-    def evaluate():
-        """Residuals and norms of the live rows; a non-finite one ends its row."""
-        R = call(lambda: _residual_rows(live["x"], terms(), live),
-                 lambda j: newmark.residual(*row_terms(j)))
-        if R is None:
+        if mask.all():
             return False
-        live["R"] = R
-        live["rn"] = norm2(R)
-        return fail(~np.isfinite(live["rn"]), live["rn"])
+        for name, value in live.items():
+            live[name] = value[~mask]
+        return True
 
-    live["q1"] = call(lambda: np.array([sys.Q(t1) for sys in live["system"]]),
-                      lambda j: live["system"][j].Q(t1))
-    running = (live["q1"] is not None and evaluate()
-               and done(live["rn"] < cfg.tol_res))
+    if not evaluate():
+        return None
+    running = done(live["rn"] < cfg.tol_res)
     while running:
         if iters >= cfg.max_iter:
-            fail(np.ones(len(live["row"]), dtype=bool), live["rn"])
-            break
+            return None
         if _refresh_due(cfg, "lu" in live, iters):
-            live["J"] = call(
-                lambda: newmark.step_jacobian(
-                    live["x"], terms(), live["system"][0], jac_terms()),
-                lambda j: newmark.step_jacobian(*row_terms(j), jac_terms(j)),
-            )
-            if live["J"] is None:
-                break
-            live["lu"] = call(
-                lambda: singular(newmark.lu_factor, live["J"], jac_terms().base),
-                lambda j: singular(newmark.lu_factor, live["J"][j], jac_terms(j).base))
-            del live["J"]
-            if live["lu"] is None:
-                break
+            base = None
+            if "f_eff" in live:
+                base = (live["A_eff"], live["f_eff"], live["system"][0].nl_dofs)
+            J = newmark.step_jacobian(live["x"], terms(), live["system"][0],
+                                      SolveTerms(live["A_eff"], seeds, base))
+            live["lu"] = newmark.lu_factor(J, base)
         live["dx"] = newmark.lu_solve(live["lu"], live["R"])
         live["x"] = live["x"] - live["dx"]
         iters += 1
         if not evaluate():
-            break
+            return None
         if not done(_small_step(norm2(live["dx"]), norm2(live["x"]), cfg)):
             break
         if cfg.strategy == BROYDEN_RANK1:
-            # The good Broyden update of _step_core, skipped where dx = 0.
+            # The good Broyden update of _step_core, which skips a zero dx.
             dd = ad.dot(live["dx"], live["dx"])
-
-            def update(j):
-                if dd[j, 0] > 0.0:
-                    return singular(newmark.lu_update, live["lu"][j],
-                                    live["R"][j] / dd[j, 0], -live["dx"][j])
-                return live["lu"][j]
-
-            def update_all():
-                return singular(newmark.lu_update, live["lu"], live["R"] / dd,
-                                -live["dx"])
-
-            live["lu"] = call(update_all if (dd > 0.0).all() else None, update)
-            if live["lu"] is None:
-                break
+            if not (dd > 0.0).all():
+                return None
+            live["lu"] = newmark.lu_update(live["lu"], live["R"] / dd, -live["dx"])
         running = done(live["rn"] < cfg.tol_res)
-    return (t1, out_x, c_v * out_x + g_v, c_a * out_x + g_a, out_iters, out_rn,
-            errors)
+    return out_x, c_v * out_x + g_v, c_a * out_x + g_a, out_iters, out_rn
 
 
 def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
@@ -226,40 +153,50 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
         except Exception as err:
             out[k] = err
     live = np.array(started, dtype=int)
+    terms = {k: newmark.solve_terms(systems[k], cfg) for k in started}
     row_systems = np.empty(len(live), dtype=object)
     row_systems[:] = [systems[k] for k in live]
-    terms = [newmark.solve_terms(systems[k], cfg) for k in live]
     rows = {
         "system": row_systems,
         "M": np.array([systems[k].M for k in live]),
         "C": np.array([systems[k].C for k in live]),
         "K": np.array([systems[k].K for k in live]),
-        "A_eff": np.array([s.A_eff for s in terms]),
+        "A_eff": np.array([terms[k].A_eff for k in live]),
     }
-    if any(s.base is not None for s in terms):
+    if any(s.base is not None for s in terms.values()):
         # A row whose A_eff is singular has no base; its NaN factor fails
         # the screen of every rank-k inverse, so it is factored directly.
         rows["f_eff"] = np.array([np.full((n, n), np.nan) if s.base is None
-                                  else s.base[1] for s in terms])
-    seeds = terms[0].seeds if terms else None
+                                  else s.base[1] for s in terms.values()])
+    seeds = terms[started[0]].seeds if started else None
     X, V, A = xs[live, 0], vs[live, 0], accs[live, 0]
     t = t0
     for i in range(1, n_steps + 1):
         if not len(live):
             break
-        t1, X, V, A, it, rn, errors = _step_rows(rows, seeds, X, V, A, t, cfg, i)
-        if errors:
+        t1 = t + cfg.dt
+        try:
+            step = _batched_step(rows, seeds, X, V, A, t1, cfg)
+        except Exception:  # the step is run again row by row below
+            step = None
+        if step is None:
             ok = np.ones(len(live), dtype=bool)
-            for j, err in errors.items():
-                # The rows that raised have not moved from their start of step.
-                _locate(err, i, State(t, xs[live[j], i - 1], vs[live[j], i - 1],
-                                      accs[live[j], i - 1]), cfg)
-                out[live[j]] = err
-                ok[j] = False
-            X, V, A, it, rn, live = X[ok], V[ok], A[ok], it[ok], rn[ok], live[ok]
+            for j, k in enumerate(live):
+                start = State(t, X[j], V[j], A[j])
+                try:
+                    s, iters[k, i], res_norms[k, i] = newmark._step_core(
+                        systems[k], start, cfg, terms[k], step_index=i)
+                except Exception as err:
+                    _locate(err, i, start, cfg)
+                    out[k], ok[j] = err, False
+                else:
+                    xs[k, i], vs[k, i], accs[k, i] = s.x, s.v, s.a
+            live = live[ok]
             rows = {name: value[ok] for name, value in rows.items()}
-        xs[live, i], vs[live, i], accs[live, i] = X, V, A
-        iters[live, i], res_norms[live, i] = it, rn
+            X, V, A = xs[live, i], vs[live, i], accs[live, i]
+        else:
+            X, V, A, iters[live, i], res_norms[live, i] = step
+            xs[live, i], vs[live, i], accs[live, i] = X, V, A
         t = t1
 
     t_grid = t0 + cfg.dt * np.arange(n_steps + 1)

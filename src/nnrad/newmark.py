@@ -17,8 +17,9 @@ A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
 half of the DOFs, the factor of A_eff that lu_factor updates by the
 Jacobian's k nonlinear columns, is built once per solve (SolveTerms).
 
-The helpers the step loop shares with nnrad.lockstep, which advances
-several systems in lock-step, keep its Newton iteration the same.
+nnrad.lockstep, which advances several systems in lock-step, shares this
+loop's refresh rule and step-size test and runs any step in which a row
+faults again through _step_core, so a batched row fails as integrate does.
 """
 
 from __future__ import annotations

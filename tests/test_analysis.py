@@ -171,3 +171,17 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(lambda s: sfd_rotor_system(s), [], NewmarkConfig(dt=1e-4),
                   [0], t_end=0.01)
+
+    def test_negative_probe_node_rejected_before_any_system(self):
+        built = []
+        with pytest.raises(ValueError, match=r"probe_nodes\[1\]"):
+            sweep(built.append, [900.0], NewmarkConfig(dt=1e-4), [0, -1], t_end=0.01)
+        assert built == []
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, float("nan")])
+    def test_steady_fraction_outside_0_1_rejected_before_any_system(self, fraction):
+        built = []
+        with pytest.raises(ValueError, match="steady_fraction"):
+            sweep(built.append, [900.0], NewmarkConfig(dt=1e-4), [0], t_end=0.01,
+                  steady_fraction=fraction)
+        assert built == []

@@ -14,7 +14,13 @@ from nnrad import DynamicSystem, NewmarkConfig, ad
 from nnrad.analysis import sweep
 from nnrad.models import FilmRuptureError, sfd_rotor_system
 from nnrad.lockstep import integrate_rows
-from nnrad.newmark import STRATEGIES, integrate, solve_terms
+from nnrad.newmark import (
+    STRATEGIES,
+    NonConvergenceError,
+    SingularJacobianError,
+    integrate,
+    solve_terms,
+)
 
 REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
 SPEEDS = [650.0, 900.0, 1150.0, 1390.0]
@@ -83,11 +89,13 @@ class TestIntegrateRows:
 
     @pytest.mark.parametrize("start", sorted(START))
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_sweep_amplitudes_equal_serial(self, strategy, start):
+    def test_sweep_amplitudes_equal_serial(self, strategy, start, step_core_steps):
         make_start, t_end = START[start]
         x0, v0 = make_start()
         cfg = NewmarkConfig(dt=1e-4, strategy=strategy)
         got = sweep(sfd_rotor_system, SPEEDS, cfg, [0], t_end, x0=x0, v0=v0)
+        # A healthy batch never falls back to the one-row step.
+        assert step_core_steps == []
         want = sweep(lambda s: alone(sfd_rotor_system(s)), SPEEDS, cfg, [0], t_end,
                      x0=x0, v0=v0)
         assert all(row.error is None for row in want)
@@ -128,6 +136,138 @@ def test_rank_k_rows_equal_integrate(strategy):
             assert np.array_equal(getattr(traj, name), getattr(want, name)), name
 
 
+DT = 1e-3
+MAX_ITER = 4
+
+
+def keyed_system(k0, load, nl_dofs):
+    """A batched 4-DOF system whose F_nl reads DOF 0 and stops at t = 8.5 dt.
+
+    With nl_dofs = [0] (2k <= n) its Jacobians are factored against
+    A_eff; with [0, 1, 2] directly.
+    """
+    P = np.zeros((4, 4))
+    P[0, 0] = 1.0
+    c_lin = 1.0 / (0.25 * DT * DT) + 10.0
+
+    def f_nl(x, v, a, t):
+        px = ad.matvec(P, x)
+        on = float(t < 8.5 * DT)
+        return on * (c_lin * px + 1e4 * px ** 3 + 0.5 * px * ad.matvec(P, v))
+
+    return DynamicSystem(
+        n_dof=4, M=np.eye(4), C=0.02 * np.eye(4), K=np.diag([k0, 2.0, 3.0, 4.0]),
+        Q=load, F_nl=f_nl, nl_dofs=list(nl_dofs), batch_key=("keyed", tuple(nl_dofs)))
+
+
+def steady_load(t):
+    return np.array([math.cos(7.0 * t), 0.5, math.sin(3.0 * t), 0.0])
+
+
+def faulty_rows(nl_dofs, cfg):
+    """Systems that fault at steps 6, 7 and 9 between two healthy ones.
+
+    Row 1's Q turns NaN at step 6; row 2's load jumps at step 7 past
+    what MAX_ITER iterations can meet; row 3's A_eff[0, 0] is 0, so its
+    Jacobian turns exactly singular once F_nl stops at step 9.
+    """
+    c_a = 1.0 / (cfg.beta * cfg.dt * cfg.dt)
+    c_v = cfg.gamma / (cfg.beta * cfg.dt)
+    jump = np.array([1e8, 0.0, 0.0, 0.0])
+    loads = [
+        (1.0, steady_load),
+        (1.0, lambda t: steady_load(t) * (math.nan if t > 5.5 * DT else 1.0)),
+        (1.0, lambda t: steady_load(t) + (jump if t > 6.5 * DT else 0.0)),
+        (-c_a - 0.02 * c_v, steady_load),
+        (5.0, steady_load),
+    ]
+    return [keyed_system(k0, load, nl_dofs) for k0, load in loads]
+
+
+@pytest.fixture
+def step_core_steps(monkeypatch):
+    """The step_index of every newmark._step_core call, in call order."""
+    steps = []
+    step_core = nnrad.newmark._step_core
+
+    def recorded(*args, step_index=0):
+        steps.append(step_index)
+        return step_core(*args, step_index=step_index)
+
+    monkeypatch.setattr(nnrad.newmark, "_step_core", recorded)
+    return steps
+
+
+def serial_run(sys_, x0, v0, t_end, cfg):
+    """integrate's Trajectory for sys_, or the exception it raises."""
+    try:
+        return integrate(sys_, x0, v0, 0.0, t_end, cfg)
+    except Exception as err:
+        return err
+
+
+def assert_same_outcome(got, want):
+    """got equals integrate's outcome want: every field, or the whole error."""
+    if isinstance(want, Exception):
+        assert type(got) is type(want)
+        assert str(got) == str(want)
+        assert getattr(got, "__notes__", None) == getattr(want, "__notes__", None)
+        assert (got.step_index, got.t) == (want.step_index, want.t)
+        assert got.state.t == want.state.t
+        for name in ("x", "v", "a"):
+            assert np.array_equal(getattr(got.state, name), getattr(want.state, name))
+    else:
+        for name in FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestFaultsInABatch:
+    @pytest.mark.parametrize("nl_dofs", [(0,), (0, 1, 2)], ids=["rank_k", "direct"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_faulted_rows_leave_with_the_serial_errors(
+            self, strategy, nl_dofs, step_core_steps):
+        cfg = NewmarkConfig(dt=DT, strategy=strategy, max_iter=MAX_ITER)
+        systems = faulty_rows(nl_dofs, cfg)
+        terms = [solve_terms(sys_, cfg) for sys_ in systems]
+        assert [t.base is None for t in terms] == (
+            [False, False, False, True, False] if nl_dofs == (0,) else [True] * 5)
+        x0 = np.array([0.1, 0.0, 0.2, 0.0])
+        got = integrate_rows(systems, [x0] * 5, [x0] * 5, 0.0, 12 * DT, cfg)
+        # Only the faulted steps run again row by row, for every live row.
+        assert step_core_steps == [6] * 5 + [7] * 4 + [9] * 3
+
+        want = [serial_run(sys_, x0, x0, 12 * DT, cfg) for sys_ in systems]
+        for g, w in zip(got, want):
+            assert_same_outcome(g, w)
+        nan_row, slow_row, singular_row = want[1:4]
+        assert isinstance(nan_row, NonConvergenceError)
+        assert nan_row.step_index == 6 and math.isnan(nan_row.res_norm)
+        assert isinstance(slow_row, NonConvergenceError)
+        assert slow_row.step_index == 7 and slow_row.iterations == MAX_ITER
+        assert math.isfinite(slow_row.res_norm)
+        assert isinstance(singular_row, SingularJacobianError)
+        assert (singular_row.step_index, singular_row.pivot_index) == (9, 0)
+        assert not isinstance(want[0], Exception)
+        assert not isinstance(want[4], Exception)
+
+    @pytest.mark.parametrize("nl_dofs", [(0,), (0, 1, 2)], ids=["rank_k", "direct"])
+    def test_zero_broyden_step(self, nl_dofs, step_core_steps):
+        # With both tolerances 0 a row at rest keeps R = 0 and dx = 0, which
+        # _step_core skips in its Broyden update; no row can converge.
+        cfg = NewmarkConfig(dt=DT, strategy="broyden", tol_dx=0.0, tol_res=0.0,
+                            max_iter=MAX_ITER)
+        systems = [keyed_system(1.0, steady_load, nl_dofs),
+                   keyed_system(1.0, lambda t: np.zeros(4), nl_dofs)]
+        x0s = [np.array([0.1, 0.0, 0.2, 0.0]), np.zeros(4)]
+        got = integrate_rows(systems, x0s, x0s, 0.0, 5 * DT, cfg)
+        assert step_core_steps == [1, 1]
+        want = [serial_run(sys_, x0, x0, 5 * DT, cfg) for sys_, x0 in zip(systems, x0s)]
+        for g, w in zip(got, want):
+            assert isinstance(w, NonConvergenceError)
+            assert_same_outcome(g, w)
+        assert want[1].res_norm == 0.0
+
+
 class TestSweepBatches:
     def test_batched_rows_skip_integrate(self, monkeypatch):
         calls = []
@@ -144,7 +284,8 @@ class TestSweepBatches:
         sweep(lambda s: alone(sfd_rotor_system(s)), SPEEDS[:3], cfg, [0], 0.002)
         assert len(calls) == 3
 
-    def test_rupturing_row_leaves_the_batch_with_the_serial_error(self):
+    def test_rupturing_row_leaves_the_batch_with_the_serial_error(
+            self, step_core_steps):
         def factory(speed):
             if speed == 1000.0:
                 return sfd_rotor_system(speed, unbalance=5e-2)
@@ -153,6 +294,7 @@ class TestSweepBatches:
         speeds = [900.0, 1000.0, 1100.0]
         cfg = NewmarkConfig(dt=1e-4, strategy="simplified")
         got = sweep(factory, speeds, cfg, [0], 0.02)
+        swept_steps = list(step_core_steps)
         want = sweep(lambda s: alone(factory(s)), speeds, cfg, [0], 0.02)
         assert want[1].error.startswith("FilmRuptureError: oil film ruptured")
         assert [row.error is None for row in want] == [True, False, True]
@@ -160,7 +302,10 @@ class TestSweepBatches:
 
         systems = [factory(s) for s in speeds]
         zeros = [np.zeros(4)] * 3
+        del step_core_steps[:]
         out = integrate_rows(systems, zeros, zeros, 0.0, 0.02, cfg)
+        # Only the ruptured step runs again row by row, once per live row.
+        assert swept_steps == step_core_steps == [out[1].step_index] * 3
         with pytest.raises(FilmRuptureError) as serial:
             integrate(systems[1], np.zeros(4), np.zeros(4), 0.0, 0.02, cfg)
         err = out[1]

@@ -265,6 +265,22 @@ def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field)
     assert f'"{field}"' in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"probe_nodes": [0, -1]}, "probe_nodes[1]"),
+        ({"steady_fraction": 1.0}, "steady_fraction"),
+        ({"speeds": []}, "speeds"),
+    ],
+)
+def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, change, field):
+    cfg = write_config(tmp_path / "c.json", dict(SFD_SWEEP, **change))
+    out = tmp_path / "o.csv"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert f'"{field}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSpectrum:
     def _write_sine_csv(self, path, w0=40.0, dt=1e-3, n=2000):
         t = dt * np.arange(n)
