@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .lockstep import integrate_rows
-from .newmark import NewmarkConfig, integrate
+# bench/tracing.py patches analysis.integrate, so the name must resolve here.
+from .newmark import NewmarkConfig, integrate  # noqa: F401
 from .system import Trajectory
 
 __all__ = [
@@ -93,17 +95,18 @@ def sweep(
 ) -> List[SweepRow]:
     """Amplitude-frequency table: integrate each speed, measure the steady orbit.
 
-    Each speed starts from the same initial condition (zero by default).
-    An empty speed list, a negative probe node or a steady_fraction
-    outside (0, 1) raises ValueError, naming the argument, before any
-    system is built.
-    Per-speed failures, of the factory, the solver or the measurement,
-    are recorded in the row as "<type>: <message>" and the sweep
-    continues.  Rows come back ordered by the input speed sequence.
+    Each speed starts from the same initial condition (zero by default)
+    at t = 0.  An empty speed list, a negative probe node, a
+    steady_fraction outside (0, 1) or a t_end outside (0, inf) raises
+    ValueError, naming the argument, before any system is built; a probe
+    node past the last node of a built system does so before any row is
+    integrated.  Per-speed failures, of the factory or the solver, are
+    recorded in the row as "<type>: <message>" and the sweep continues.
+    Rows come back ordered by the input speed sequence.
 
-    Rows whose systems share a batch_key (DynamicSystem) run together,
-    one lock-step Newton step at a time (lockstep.integrate_rows); every
-    other row runs integrate on its own.  Either way a row's amplitudes
+    Rows whose systems share a batch_key and n_dof (DynamicSystem) go to
+    one lockstep.integrate_rows call, which runs them in lock-step; each
+    other row goes to a call of its own.  Either way a row's amplitudes
     and error are the ones integrate gives it, bit for bit.
     """
     speeds = list(speeds)
@@ -115,6 +118,8 @@ def sweep(
                              f'got {node}')
     if not 0.0 < steady_fraction < 1.0:
         raise ValueError(f'"steady_fraction" must lie in (0, 1), got {steady_fraction}')
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f'"t_end" must be positive and finite, got {t_end}')
     rows: List[Optional[SweepRow]] = [None] * len(speeds)
     systems = {}
     for k, speed in enumerate(speeds):
@@ -122,49 +127,30 @@ def sweep(
             systems[k] = model_factory(speed)
         except Exception as err:  # recorded per-row, sweep continues
             rows[k] = _failed(speed, err)
-
-    def start(vec, sys):
-        return np.zeros(sys.n_dof) if vec is None else np.asarray(vec, dtype=float)
-
-    def measure(k, traj):
-        try:
-            amps = _amplitudes(traj, probe_nodes, steady_fraction)
-            rows[k] = SweepRow(speed=speeds[k], amplitudes=amps)
-        except Exception as err:
-            rows[k] = _failed(speeds[k], err)
-
-    def run_alone(k):
-        sys = systems[k]
-        try:
-            traj = integrate(sys, start(x0, sys), start(v0, sys), 0.0, t_end, cfg)
-        except Exception as err:
-            rows[k] = _failed(speeds[k], err)
-            return
-        measure(k, traj)
-
-    batches = {}
     for k, sys in systems.items():
-        if sys.batch_key is None:
-            run_alone(k)
-        else:
-            batches.setdefault((sys.batch_key, sys.n_dof), []).append(k)
-    for ks in batches.values():
-        if len(ks) == 1:
-            run_alone(ks[0])
-            continue
+        for i, node in enumerate(probe_nodes):
+            # _amplitudes reads DOFs 4 node and 4 node + 1.
+            if 4 * node + 1 >= sys.n_dof:
+                raise ValueError(
+                    f'"probe_nodes[{i}]" = {node} is past the last node of the '
+                    f'{sys.n_dof}-DOF system at speed {speeds[k]}')
+
+    groups = {}
+    for k, sys in systems.items():
+        key = (None, k) if sys.batch_key is None else (sys.batch_key, sys.n_dof)
+        groups.setdefault(key, []).append(k)
+    for ks in groups.values():
         group = [systems[k] for k in ks]
-        try:
-            results = integrate_rows(
-                group, [start(x0, s) for s in group], [start(v0, s) for s in group],
-                0.0, t_end, cfg,
-            )
-        except Exception:  # the batch as a whole failed: run its rows alone
-            for k in ks:
-                run_alone(k)
-            continue
+        results = integrate_rows(
+            group,
+            [np.zeros(s.n_dof) if x0 is None else x0 for s in group],
+            [np.zeros(s.n_dof) if v0 is None else v0 for s in group],
+            0.0, t_end, cfg,
+        )
         for k, result in zip(ks, results):
             if isinstance(result, Exception):
                 rows[k] = _failed(speeds[k], result)
             else:
-                measure(k, result)
+                amps = _amplitudes(result, probe_nodes, steady_fraction)
+                rows[k] = SweepRow(speed=speeds[k], amplitudes=amps)
     return rows

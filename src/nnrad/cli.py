@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -86,10 +87,12 @@ def _require(doc, key):
 
 
 def _as_number(value, field, integer=False):
-    """A JSON number as a float (an int if integer), or a ConfigError naming field."""
+    """A finite JSON number as a float (an int if integer), or a ConfigError naming field."""
     kinds = int if integer else (int, float)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        kind = "an integer" if integer else "a number"
+    # json reads NaN, Infinity and -Infinity as floats.
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or isinstance(value, float) and not math.isfinite(value)):
+        kind = "an integer" if integer else "a finite number"
         raise ConfigError(f"\"{field}\" must be {kind}, got {value!r}")
     return int(value) if integer else float(value)
 

@@ -1,25 +1,30 @@
-"""Lock-step Newmark integration of systems that share a batch_key.
+"""The time-stepping driver of integrate and sweep: integrate_rows.
 
-integrate_rows runs newmark's step for several systems at once, for
-example the speeds of a sweep: each Newton iteration makes one
-residual, Jacobian, factor and solve call over the stacked rows still
-iterating, and a row leaves the step once it converges.  The strategy
-rules and the convergence tests are newmark's own, and every batched
-call reproduces the one-row bits, so each row's trajectory is the one
-integrate gives it.
+integrate_rows advances one or more systems of one n_dof on one time
+grid; integrate is integrate_rows on one system.  In each step every
+live row runs newmark._step_core, unless two or more rows are live and
+all share a batch_key: then the step runs them in lock-step
+(_batched_step), for example the speeds of a sweep.  Each Newton
+iteration makes one residual, Jacobian, factor and solve call over the
+stacked rows still iterating, and a row leaves the step once it
+converges.  The strategy rules and the convergence tests are newmark's
+own, and every batched call reproduces the one-row bits, so each row's
+trajectory is the one _step_core gives it.
 
 The batched step runs only the clean case.  When a row faults in step
 i (a layer raises, a residual is not finite, max_iter is reached or a
 Broyden step is zero), step i is run again for every row with
-newmark._step_core, the step integrate runs: a row that raises there
-leaves with that error, located as integrate locates it, and the other
-rows go on batched from step i + 1.
+_step_core, as in a step that is not batched: a row that raises there
+leaves with that error, located by _locate, and the other rows go on
+batched from step i + 1.
 
-The layer calls go through newmark's namespace, where integrate finds
+The layer calls go through newmark's namespace, where _step_core finds
 them too.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,7 +35,6 @@ from .newmark import (
     NewmarkConfig,
     SolveTerms,
     StepTerms,
-    _locate,
     _map_terms,
     _refresh_due,
     _small_step,
@@ -123,37 +127,9 @@ def _batched_step(rows, seeds, X, V, A, t1, cfg):
     return out_x, c_v * out_x + g_v, c_a * out_x + g_a, out_iters, out_rn
 
 
-def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
-    """integrate for each of several systems, in lock-step.
-
-    The systems share a batch_key and n_dof (DynamicSystem.batch_key);
-    x0s and v0s hold each one's initial vectors.  Returns, per system,
-    the Trajectory that integrate returns for it, bit for bit, or the
-    exception that integrate raises for it, located in the same way.
-    """
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
-    n_steps = int(round((t_end - t0) / cfg.dt))
-    n_rows, n = len(systems), systems[0].n_dof
-    xs = np.zeros((n_rows, n_steps + 1, n))
-    vs = np.zeros((n_rows, n_steps + 1, n))
-    accs = np.zeros((n_rows, n_steps + 1, n))
-    iters = np.zeros((n_rows, n_steps + 1), dtype=int)
-    res_norms = np.zeros((n_rows, n_steps + 1))
-    out = [None] * n_rows
-
-    started = []
-    for k, sys in enumerate(systems):
-        try:
-            x0 = np.asarray(x0s[k], dtype=float)
-            v0 = np.asarray(v0s[k], dtype=float)
-            state = State(t0, x0, v0, newmark.initial_acceleration(sys, x0, v0, t0))
-            xs[k, 0], vs[k, 0], accs[k, 0] = state.x, state.v, state.a
-            started.append(k)
-        except Exception as err:
-            out[k] = err
-    live = np.array(started, dtype=int)
-    terms = {k: newmark.solve_terms(systems[k], cfg) for k in started}
+def _stack(systems, terms, live):
+    """_batched_step's rows: the systems and stacked matrices of the rows live."""
+    n = systems[live[0]].n_dof
     row_systems = np.empty(len(live), dtype=object)
     row_systems[:] = [systems[k] for k in live]
     rows = {
@@ -163,40 +139,92 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
         "K": np.array([systems[k].K for k in live]),
         "A_eff": np.array([terms[k].A_eff for k in live]),
     }
-    if any(s.base is not None for s in terms.values()):
+    if any(terms[k].base is not None for k in live):
         # A row whose A_eff is singular has no base; its NaN factor fails
         # the screen of every rank-k inverse, so it is factored directly.
-        rows["f_eff"] = np.array([np.full((n, n), np.nan) if s.base is None
-                                  else s.base[1] for s in terms.values()])
-    seeds = terms[started[0]].seeds if started else None
-    X, V, A = xs[live, 0], vs[live, 0], accs[live, 0]
+        rows["f_eff"] = np.array([np.full((n, n), np.nan) if terms[k].base is None
+                                  else terms[k].base[1] for k in live])
+    return rows
+
+
+def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
+    """integrate for each of several systems of one n_dof.
+
+    x0s and v0s hold each system's initial vectors.  Returns, per system,
+    the Trajectory that integrate returns for it, bit for bit, or the
+    exception that integrate raises for it, located in the same way.  A
+    step runs the live rows in lock-step (_batched_step) while two or
+    more are live and all share one batch_key that is not None
+    (DynamicSystem.batch_key); otherwise each live row runs
+    newmark._step_core.
+    """
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValueError(f"t_end must exceed t0, both finite; got t0={t0!r}, "
+                         f"t_end={t_end!r}")
+    n_steps = int(round((t_end - t0) / cfg.dt))
+    n_rows, n = len(systems), systems[0].n_dof
+    xs = np.zeros((n_rows, n_steps + 1, n))
+    vs = np.zeros((n_rows, n_steps + 1, n))
+    accs = np.zeros((n_rows, n_steps + 1, n))
+    iters = np.zeros((n_rows, n_steps + 1), dtype=int)
+    res_norms = np.zeros((n_rows, n_steps + 1))
+    out = [None] * n_rows
+
+    # Each live row's last accepted State; empty after a batched step, whose
+    # rows' states are X, V and A.
+    states, terms = {}, {}
+    for k, sys in enumerate(systems):
+        try:
+            x0 = np.asarray(x0s[k], dtype=float)
+            v0 = np.asarray(v0s[k], dtype=float)
+            state = State(t0, x0, v0, newmark.initial_acceleration(sys, x0, v0, t0))
+            xs[k, 0], vs[k, 0], accs[k, 0] = state.x, state.v, state.a
+            terms[k] = newmark.solve_terms(sys, cfg)
+        except Exception as err:
+            out[k] = err
+        else:
+            states[k] = state
+    live = list(states)
+    keys = {systems[k].batch_key for k in live}
+    batched = len(keys) == 1 and None not in keys
+    rows = None
     t = t0
     for i in range(1, n_steps + 1):
-        if not len(live):
+        if not live:
             break
         t1 = t + cfg.dt
-        try:
-            step = _batched_step(rows, seeds, X, V, A, t1, cfg)
-        except Exception:  # the step is run again row by row below
-            step = None
-        if step is None:
-            ok = np.ones(len(live), dtype=bool)
-            for j, k in enumerate(live):
-                start = State(t, X[j], V[j], A[j])
+        step = None
+        if batched and len(live) > 1:
+            if rows is None:
+                rows, idx = _stack(systems, terms, live), np.array(live)
+            if states:  # the last step ran row by row
+                X, V, A = xs[idx, i - 1], vs[idx, i - 1], accs[idx, i - 1]
+            try:
+                step = _batched_step(rows, terms[live[0]].seeds, X, V, A, t1, cfg)
+            except Exception:  # the step is run again row by row below
+                pass
+        if step is not None:
+            X, V, A, iters[idx, i], res_norms[idx, i] = step
+            xs[idx, i], vs[idx, i], accs[idx, i] = X, V, A
+            states.clear()
+        else:
+            still = []
+            for k in live:
+                start = states.get(k)
+                if start is None:  # row k's last step ran batched
+                    start = State(t, xs[k, i - 1], vs[k, i - 1], accs[k, i - 1])
                 try:
                     s, iters[k, i], res_norms[k, i] = newmark._step_core(
                         systems[k], start, cfg, terms[k], step_index=i)
                 except Exception as err:
                     _locate(err, i, start, cfg)
-                    out[k], ok[j] = err, False
-                else:
-                    xs[k, i], vs[k, i], accs[k, i] = s.x, s.v, s.a
-            live = live[ok]
-            rows = {name: value[ok] for name, value in rows.items()}
-            X, V, A = xs[live, i], vs[live, i], accs[live, i]
-        else:
-            X, V, A, iters[live, i], res_norms[live, i] = step
-            xs[live, i], vs[live, i], accs[live, i] = X, V, A
+                    out[k] = err
+                    continue
+                states[k] = s
+                xs[k, i], vs[k, i], accs[k, i] = s.x, s.v, s.a
+                still.append(k)
+            if len(still) < len(live):
+                live, rows = still, None
         t = t1
 
     t_grid = t0 + cfg.dt * np.arange(n_steps + 1)
@@ -204,3 +232,12 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
         out[k] = Trajectory(t=t_grid, x=xs[k], v=vs[k], a=accs[k],
                             iterations=iters[k], residual_norms=res_norms[k])
     return out
+
+
+def _locate(err, i, state, cfg):
+    """Mark err as raised in step i, which advanced from the State state."""
+    t1 = state.t + cfg.dt
+    err.step_index, err.t, err.state = i, t1, state
+    if hasattr(err, "add_note"):  # Python >= 3.11
+        err.add_note(f"in Newmark step {i}, advancing from t = "
+                     f"{state.t!r} to t = {t1!r}")

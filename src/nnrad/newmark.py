@@ -17,9 +17,10 @@ A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
 half of the DOFs, the factor of A_eff that lu_factor updates by the
 Jacobian's k nonlinear columns, is built once per solve (SolveTerms).
 
-nnrad.lockstep, which advances several systems in lock-step, shares this
-loop's refresh rule and step-size test and runs any step in which a row
-faults again through _step_core, so a batched row fails as integrate does.
+integrate is nnrad.lockstep.integrate_rows on one system: that module
+holds the one time-stepping driver, which runs _step_core for each row,
+or, for rows that share a batch_key, a lock-step step that shares this
+loop's refresh rule and step-size test.
 """
 
 from __future__ import annotations
@@ -350,44 +351,9 @@ def integrate(
     State), plus, on Python >= 3.11, a note that names the step and the
     time.
     """
-    if t_end <= t0:
-        raise ValueError("t_end must exceed t0")
-    x0 = np.asarray(x0, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    n_steps = int(round((t_end - t0) / cfg.dt))
-    n = sys.n_dof
+    from .lockstep import integrate_rows  # lockstep imports this module
 
-    t = t0 + cfg.dt * np.arange(n_steps + 1)
-    xs = np.zeros((n_steps + 1, n))
-    vs = np.zeros((n_steps + 1, n))
-    accs = np.zeros((n_steps + 1, n))
-    iters = np.zeros(n_steps + 1, dtype=int)
-    res_norms = np.zeros(n_steps + 1)
-
-    state = State(t0, x0, v0, initial_acceleration(sys, x0, v0, t0))
-    xs[0], vs[0], accs[0] = state.x, state.v, state.a
-    terms = solve_terms(sys, cfg)
-    try:
-        for i in range(1, n_steps + 1):
-            state, it, rn = _step_core(sys, state, cfg, terms, step_index=i)
-            xs[i], vs[i], accs[i] = state.x, state.v, state.a
-            iters[i] = it
-            res_norms[i] = rn
-    except Exception as err:
-        # state is still the last accepted State: the failed step never
-        # returned one.
-        _locate(err, i, state, cfg)
-        raise
-    return Trajectory(
-        t=t, x=xs, v=vs, a=accs, iterations=iters, residual_norms=res_norms
-    )
-
-
-def _locate(err, i, state, cfg):
-    """Mark err as raised in step i, which advanced from the State state."""
-    t1 = state.t + cfg.dt
-    err.step_index, err.t, err.state = i, t1, state
-    if hasattr(err, "add_note"):  # Python >= 3.11
-        err.add_note(f"in Newmark step {i}, advancing from t = "
-                     f"{state.t!r} to t = {t1!r}")
-
+    out = integrate_rows([sys], [x0], [v0], t0, t_end, cfg)[0]
+    if isinstance(out, Exception):
+        raise out
+    return out

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnrad.analysis
 from nnrad import NewmarkConfig
 from nnrad.analysis import SweepRow, amplitude, spectrum, steady_window, sweep
 from nnrad.models import sfd_rotor_system
@@ -176,6 +177,24 @@ class TestSweep:
         built = []
         with pytest.raises(ValueError, match=r"probe_nodes\[1\]"):
             sweep(built.append, [900.0], NewmarkConfig(dt=1e-4), [0, -1], t_end=0.01)
+        assert built == []
+
+    def test_probe_node_past_the_last_node_rejected_before_integrating(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nnrad.analysis, "integrate_rows",
+                            lambda *args: calls.append(args))
+        # The SFD rotor has one node: DOFs 0..3.
+        with pytest.raises(ValueError, match=r"probe_nodes\[1\]"):
+            sweep(sfd_rotor_system, [900.0, 1000.0], NewmarkConfig(dt=1e-4), [0, 1],
+                  t_end=0.01)
+        assert calls == []
+
+    @pytest.mark.parametrize("t_end", [0.0, -0.01, float("nan"), float("inf")])
+    def test_t_end_outside_0_inf_rejected_before_any_system(self, t_end):
+        built = []
+        with pytest.raises(ValueError, match='"t_end"'):
+            sweep(built.append, [900.0], NewmarkConfig(dt=1e-4), [0], t_end=t_end)
         assert built == []
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, float("nan")])

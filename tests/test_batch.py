@@ -268,21 +268,44 @@ class TestFaultsInABatch:
         assert want[1].res_norm == 0.0
 
 
+def test_row_failing_at_start_leaves_with_the_serial_error(step_core_steps):
+    # Row 1's load raises at t0, inside initial_acceleration.
+    def load(t):
+        if t == 0.0:
+            raise RuntimeError("no load at t0")
+        return steady_load(t)
+
+    cfg = NewmarkConfig(dt=DT, strategy="full")
+    systems = [keyed_system(k0, q, (0,))
+               for k0, q in ((1.0, steady_load), (1.0, load), (5.0, steady_load))]
+    x0 = np.array([0.1, 0.0, 0.2, 0.0])
+    got = integrate_rows(systems, [x0] * 3, [x0] * 3, 0.0, 12 * DT, cfg)
+    # The two other rows still run batched.
+    assert step_core_steps == []
+    want = [serial_run(sys_, x0, x0, 12 * DT, cfg) for sys_ in systems]
+    assert isinstance(want[1], RuntimeError) and str(want[1]) == "no load at t0"
+    assert type(got[1]) is RuntimeError and str(got[1]) == str(want[1])
+    for g, w in zip(got[::2], want[::2]):
+        assert_same_outcome(g, w)
+
+
 class TestSweepBatches:
     def test_batched_rows_skip_integrate(self, monkeypatch):
-        calls = []
-        serial = nnrad.analysis.integrate
+        # Keyed rows go to integrate_rows as one group, keyless rows one by one.
+        sizes = []
+        driver = nnrad.analysis.integrate_rows
 
-        def counted(*args):
-            calls.append(args[0].name)
-            return serial(*args)
+        def counted(systems, *args):
+            sizes.append(len(systems))
+            return driver(systems, *args)
 
-        monkeypatch.setattr(nnrad.analysis, "integrate", counted)
+        monkeypatch.setattr(nnrad.analysis, "integrate_rows", counted)
         cfg = NewmarkConfig(dt=1e-4, strategy="simplified")
         sweep(sfd_rotor_system, SPEEDS[:3], cfg, [0], 0.002)
-        assert calls == []
+        assert sizes == [3]
+        del sizes[:]
         sweep(lambda s: alone(sfd_rotor_system(s)), SPEEDS[:3], cfg, [0], 0.002)
-        assert len(calls) == 3
+        assert sizes == [1, 1, 1]
 
     def test_rupturing_row_leaves_the_batch_with_the_serial_error(
             self, step_core_steps):

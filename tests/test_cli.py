@@ -257,6 +257,9 @@ SFD_SWEEP = {
          "newmark.max_iter"),
         ("sweep", SFD_SWEEP, {"newmark": {"dt": 1e-4, "strategy": 1}},
          "newmark.strategy"),
+        ("solve", DUFFING_SOLVE, {"t_end": float("nan")}, "t_end"),
+        ("sweep", SFD_SWEEP, {"t_end": float("inf")}, "t_end"),
+        ("solve", DUFFING_SOLVE, {"x0": [-float("inf")]}, "x0[0]"),
     ],
 )
 def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field):
@@ -271,6 +274,8 @@ def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field)
         ({"probe_nodes": [0, -1]}, "probe_nodes[1]"),
         ({"steady_fraction": 1.0}, "steady_fraction"),
         ({"speeds": []}, "speeds"),
+        ({"probe_nodes": [0, 1]}, "probe_nodes[1]"),
+        ({"t_end": 0}, "t_end"),
     ],
 )
 def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, change, field):

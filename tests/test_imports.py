@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -34,3 +35,14 @@ def test_solver_does_not_import_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_tracer_patch_points_resolve():
+    # bench/tracing.py wraps these module attributes; its own tests lie
+    # outside the tier-1 test paths.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for mod, attr, _ in tracing.PATCHES:
+        assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"

@@ -658,6 +658,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(linear_sdof(), [1.0], [0.0], 1.0, 1.0, NewmarkConfig(dt=1e-3))
 
+    @pytest.mark.parametrize("t_end", [float("nan"), float("inf")])
+    def test_t_end_not_finite(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            integrate(linear_sdof(), [1.0], [0.0], 0.0, t_end, NewmarkConfig(dt=1e-3))
+
     def test_van_der_pol_vs_rk4_short(self):
         sys_ = van_der_pol(1.0)
         cfg = NewmarkConfig(dt=1e-3)
