@@ -260,13 +260,12 @@ def cmd_sweep(args):
         missing = [k for k in ("start", "stop", "count") if k not in speeds_spec]
         if missing:
             raise ConfigError(f"speed range needs start/stop/count: {missing[0]!r}")
-        speeds = list(
-            np.linspace(
-                _as_number(speeds_spec["start"], "speeds.start"),
-                _as_number(speeds_spec["stop"], "speeds.stop"),
-                _as_number(speeds_spec["count"], "speeds.count", integer=True),
-            )
-        )
+        start = _as_number(speeds_spec["start"], "speeds.start")
+        stop = _as_number(speeds_spec["stop"], "speeds.stop")
+        count = _as_number(speeds_spec["count"], "speeds.count", integer=True)
+        if count < 1:
+            raise ConfigError(f"\"speeds.count\" must be at least 1, got {count}")
+        speeds = list(np.linspace(start, stop, count))
     else:
         raise ConfigError("\"speeds\" must be a list or a start/stop/count object")
     probe_nodes = _numbers(doc.get("probe_nodes", [0]), "probe_nodes", integer=True)
@@ -317,7 +316,10 @@ def cmd_spectrum(args):
             raise ConfigError("no \"dt\" in config and no t column in CSV")
         tcol = data[:, header.index("t")]
         dt = float(tcol[1] - tcol[0])
-    freqs, mags = spectrum(sig, _as_number(dt, "dt"))
+    dt = _as_number(dt, "dt")
+    if dt <= 0.0:
+        raise ConfigError(f"\"dt\" must be positive, got {dt!r}")
+    freqs, mags = spectrum(sig, dt)
     _write_csv(
         args.out,
         ["omega_rad_s", "magnitude"],
@@ -335,11 +337,15 @@ def cmd_check_jacobian(args):
     seed = args.seed if args.seed is not None else _number(doc, "seed", 0, integer=True)
     rng = np.random.default_rng(seed)
     n_states = _number(doc, "n_states", 20, integer=True)
+    if n_states < 1:
+        raise ConfigError(f"\"n_states\" must be at least 1, got {n_states}")
     scale = _number(doc, "scale", 1.0)
     h = _number(doc, "fd_step", 1e-6)
+    if h <= 0.0:
+        raise ConfigError(f"\"fd_step\" must be positive, got {h!r}")
     tol = _number(doc, "tol", 1e-5)
 
-    worst = 0.0
+    gaps = []
     for _ in range(n_states):
         s = State(
             t=float(rng.uniform(0.0, 1.0)),
@@ -362,10 +368,11 @@ def cmd_check_jacobian(args):
                 2.0 * h
             )
         denom = max(np.max(np.abs(J_fd)), 1e-12)
-        worst = max(worst, float(np.max(np.abs(J_ad - J_fd)) / denom))
+        gaps.append(np.max(np.abs(J_ad - J_fd)) / denom)
+    worst = float(np.max(gaps))  # NaN if any gap is NaN
     print(f"max relative AD-vs-FD discrepancy over {n_states} states: {worst:.3e}")
-    if worst > tol:
-        print(f"FAIL: exceeds tolerance {tol:.1e}", file=sys.stderr)
+    if not worst <= tol:
+        print(f"FAIL: not within tolerance {tol:.1e}", file=sys.stderr)
         return 1
     print("PASS")
     return 0

@@ -8,24 +8,26 @@ so arbitrary nonlinear forces need no hand-derived tangent.  The three
 iteration strategies run one loop and differ only in when the factor is
 refreshed from a new Jacobian and whether it is updated in between:
 every iteration (full Newton), once per step (simplified Newton), or
-once per step and once more past half of max_iter with a Broyden rank-1
-secant update of the factor after each iteration (broyden).  What a
-step holds fixed, the offsets of the Newmark maps from x1 to v1 and a1
-and the load Q(t1), is built once per step (StepTerms), so every
+once per step and once more past half of max_iter, with a Broyden rank-1
+secant update of the factor at each iteration in between (broyden).
+What a step holds fixed, the offsets of the Newmark maps from x1 to v1
+and a1 and the load Q(t1), is built once per step (StepTerms), so every
 residual and Jacobian of the step shares it.  What a solve holds fixed,
 A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
 half of the DOFs, the factor of A_eff that lu_factor updates by the
 Jacobian's k nonlinear columns, is built once per solve (SolveTerms).
 
-integrate is nnrad.lockstep.integrate_rows on one system: that module
-holds the one time-stepping driver, which runs _step_core for each row,
-or, for rows that share a batch_key, a lock-step step that shares this
-loop's refresh rule and step-size test.
+_step_core is the one Newton step.  It runs one row on 1-D arrays, or
+the rows of systems that share a batch_key in lock-step on (B, n)
+arrays, each row with the bits of its own one-row call.  integrate is
+nnrad.lockstep.integrate_rows on one system; that module holds the one
+time-stepping driver.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -104,10 +106,19 @@ class NewmarkConfig:
     strategy: str = FULL_NEWTON
 
     def __post_init__(self):
+        for name in ("dt", "beta", "gamma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.beta <= 0.0:
             raise ValueError("beta must be positive")
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        for name in ("tol_dx", "tol_res"):
+            # A NaN tolerance would stop no step and fail none.
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if self.strategy not in STRATEGIES:
@@ -152,6 +163,10 @@ class StepTerms(NamedTuple):
         """Velocity at t1 implied by the trial displacement x1."""
         return self.c_v * x1 + self.g_v
 
+    def take(self, keep):
+        """The StepTerms of the rows keep of stacked StepTerms."""
+        return self._replace(g_a=self.g_a[keep], g_v=self.g_v[keep], q1=self.q1[keep])
+
 
 def _map_terms(x, v, a, cfg):
     """(c_a, g_a, c_v, g_v) of the Newmark maps from (x, v, a); rows too."""
@@ -173,12 +188,17 @@ def residual(x1, p: StepTerms, sys: DynamicSystem):
 
     R = M a1 + C v1 + K x1 + F_nl(x1, v1, a1, t1) - Q(t1) with a1, v1
     from the Newmark maps of p.  Accepts a float vector or an ADArray;
-    the latter yields seeds for the Jacobian.
+    the latter yields seeds for the Jacobian.  With (B, n) rows x1,
+    stacked StepTerms and a stacked sys (_step_core), the result is the
+    (B, n) rows of each row's residual, with its bits.
     """
     x1 = ad.stack(x1)
     a1 = p.acceleration(x1)
     v1 = p.velocity(x1)
-    lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1
+    if sys.M.ndim > 2:
+        lin = ad.matvec(sys.M, a1) + ad.matvec(sys.C, v1) + ad.matvec(sys.K, x1)
+    else:
+        lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1
     return lin + ad.stack(sys.F_nl(x1, v1, a1, p.t1)) - p.q1
 
 
@@ -202,6 +222,12 @@ class SolveTerms(NamedTuple):
     A_eff: np.ndarray
     seeds: tuple
     base: Optional[tuple]
+
+    def take(self, keep):
+        """The SolveTerms of the rows keep of stacked SolveTerms."""
+        A_eff = self.A_eff[keep]
+        base = self.base and (A_eff, self.base[1][keep], self.base[2])
+        return self._replace(A_eff=A_eff, base=base)
 
 
 def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
@@ -285,23 +311,37 @@ def _refresh_due(cfg, have_factor, iters):
     )
 
 
-def _small_step(dx_norm, x_norm, cfg):
-    """The step-size convergence test, |dx| < tol_dx (1 + |x|); rows too."""
-    return dx_norm < cfg.tol_dx * (1.0 + x_norm)
+def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
+    """One Newmark step from x, v, a to t1: (x1, v1, a1, iterations, |R|).
 
+    One row takes 1-D x, v and a.  B rows take (B, n) arrays, with sys a
+    stacked view of B systems that share a batch_key and terms their
+    stacked SolveTerms (lockstep): every Newton iteration then makes one
+    call per layer over the rows still iterating, a row leaves the loop
+    as it converges, and the results are stacked, each row with the bits
+    of its own call.  A non-finite residual or reaching max_iter raises
+    NonConvergenceError, a singular factor SingularJacobianError.  In
+    rows a zero Broyden step, which one row skips, raises
+    NonConvergenceError too.
+    """
+    c_a, g_a, c_v, g_v = _map_terms(x, v, a, cfg)
+    p = StepTerms(t1, c_a, g_a, c_v, g_v, sys.Q(t1))
+    rows = x.ndim > 1
+    if rows:  # each row's result, written as it leaves the loop
+        out_x, live = x.copy(), np.arange(len(x))
+        out_iters, out_rn = np.zeros(len(x), dtype=int), np.zeros(len(x))
+    iters, lu, dx = 0, None, None
 
-def _step_core(sys, s, cfg, terms, step_index=0):
-    """One Newmark step; returns (state, iterations, final residual norm)."""
-    p = step_terms(sys, s, cfg)
-    x = s.x.copy()
-    iters = 0
+    def worst(rn):
+        """The largest norm: NaN if one is NaN, else inf if one is inf."""
+        return rn.max() if rows else rn
 
     def evaluate(x):
         """Residual and its norm; a non-finite one ends the step at once."""
         R = residual(x, p, sys)
         rn = norm2(R)
-        if not math.isfinite(rn):
-            raise NonConvergenceError(step_index, iters, rn, float("nan"))
+        if not math.isfinite(worst(rn)):
+            raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
         return R, rn
 
     def factor(fn, *args):
@@ -311,33 +351,50 @@ def _step_core(sys, s, cfg, terms, step_index=0):
         except SingularMatrixError as err:
             raise SingularJacobianError(step_index, err.pivot_index) from err
 
-    lu = None
     R, rn = evaluate(x)
-    while rn >= cfg.tol_res:
+    done = rn < cfg.tol_res
+    while True:
+        if not rows:
+            if done:
+                break
+        elif done.any():
+            left = live[done]
+            out_x[left], out_iters[left], out_rn[left] = x[done], iters, rn[done]
+            if done.all():
+                break
+            keep = ~done
+            x, R, rn, live = x[keep], R[keep], rn[keep], live[keep]
+            if lu is not None:
+                lu, dx = lu[keep], dx[keep]
+            p, sys, terms = p.take(keep), sys.take(keep), terms.take(keep)
         if iters >= cfg.max_iter:
-            raise NonConvergenceError(step_index, iters, rn, float("nan"))
+            raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
         if _refresh_due(cfg, lu is not None, iters):
             lu = factor(lu_factor, step_jacobian(x, p, sys, terms), terms.base)
+        elif cfg.strategy == BROYDEN_RANK1:
+            # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
+            # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.  One
+            # row skips a zero dx; rows fault on one.
+            dd = ad.dot(dx, dx) if rows else float(dx @ dx)
+            if rows and not (dd > 0.0).all():
+                raise NonConvergenceError(step_index, iters, worst(rn), 0.0)
+            if rows or dd > 0.0:
+                lu = factor(lu_update, lu, R / dd, -dx)
         dx = lu_solve(lu, R)
         x = x - dx
         iters += 1
         R, rn = evaluate(x)
-        if _small_step(norm2(dx), norm2(x), cfg):
-            break
-        if cfg.strategy == BROYDEN_RANK1:
-            # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
-            # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.
-            dd = float(dx @ dx)
-            if dd > 0.0:
-                lu = factor(lu_update, lu, R / dd, -dx)
-
-    return State(p.t1, x, p.velocity(x), p.acceleration(x)), iters, rn
+        done = (norm2(dx) < cfg.tol_dx * (1.0 + norm2(x))) | (rn < cfg.tol_res)
+    if rows:
+        x, iters, rn = out_x, out_iters, out_rn
+    return x, c_v * x + g_v, c_a * x + g_a, iters, rn
 
 
 def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:
     """Advance one time step; raises on non-convergence or singular Jacobian."""
-    new_state, _, _ = _step_core(sys, s, cfg, solve_terms(sys, cfg))
-    return new_state
+    t1 = s.t + cfg.dt
+    x, v, a, _, _ = _step_core(sys, s.x, s.v, s.a, t1, cfg, solve_terms(sys, cfg))
+    return State(t1, x, v, a)
 
 
 def integrate(

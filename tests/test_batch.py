@@ -186,13 +186,14 @@ def faulty_rows(nl_dofs, cfg):
 
 @pytest.fixture
 def step_core_steps(monkeypatch):
-    """The step_index of every newmark._step_core call, in call order."""
+    """The step_index of every one-row newmark._step_core call, in call order."""
     steps = []
     step_core = nnrad.newmark._step_core
 
-    def recorded(*args, step_index=0):
-        steps.append(step_index)
-        return step_core(*args, step_index=step_index)
+    def recorded(sys_, x, *args, step_index=0):
+        if np.ndim(x) == 1:
+            steps.append(step_index)
+        return step_core(sys_, x, *args, step_index=step_index)
 
     monkeypatch.setattr(nnrad.newmark, "_step_core", recorded)
     return steps

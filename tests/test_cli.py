@@ -276,6 +276,7 @@ def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field)
         ({"speeds": []}, "speeds"),
         ({"probe_nodes": [0, 1]}, "probe_nodes[1]"),
         ({"t_end": 0}, "t_end"),
+        ({"speeds": {"start": 800.0, "stop": 1000.0, "count": -1}}, "speeds.count"),
     ],
 )
 def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, change, field):
@@ -325,6 +326,17 @@ class TestSpectrum:
         out = str(tmp_path / "o.csv")
         assert main(["spectrum", "--config", cfg, "--out", out]) == 2
         assert f'"{field}"' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", [0, -0.001])
+    def test_non_positive_dt_exit_2(self, tmp_path, capsys, dt):
+        sig = tmp_path / "sig.csv"
+        self._write_sine_csv(sig)
+        doc = {"schema_version": 1, "input": str(sig), "column": "x_0", "dt": dt}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o.csv"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert '"dt"' in capsys.readouterr().err
+        assert not out.exists()
 
     def test_duffing_round_trip_dominant_bin(self, tmp_path):
         # solve -> spectrum: the forced Duffing response is dominated by
@@ -380,3 +392,21 @@ class TestCheckJacobian:
         assert main(["check-jacobian", "--config", cfg, "--seed", "7"]) == 0
         out2 = capsys.readouterr().out
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "field, value", [("fd_step", 0.0), ("fd_step", -1e-6), ("n_states", 0),
+                         ("n_states", -3)])
+    def test_vacuous_check_exit_2(self, tmp_path, capsys, field, value):
+        doc = self._doc({"type": "duffing"}, **{field: value})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["check-jacobian", "--config", cfg]) == 2
+        assert f'"{field}"' in capsys.readouterr().err
+
+    def test_nan_discrepancy_fails(self, tmp_path, capsys):
+        # x^3 overflows at this scale, so the differences are inf - inf.
+        doc = self._doc({"type": "duffing"}, scale=1e110, n_states=3)
+        cfg = write_config(tmp_path / "c.json", doc)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["check-jacobian", "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert "nan" in captured.out and "PASS" not in captured.out

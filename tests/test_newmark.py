@@ -70,6 +70,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             NewmarkConfig(dt=0.1, strategy="nonsense")
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.nan), ("dt", math.inf), ("beta", math.nan), ("beta", math.inf),
+        ("gamma", math.nan), ("gamma", -math.inf), ("tol_dx", math.nan),
+        ("tol_dx", -1e-10), ("tol_res", math.nan), ("tol_res", -1e-8),
+        ("max_iter", 2.5), ("max_iter", True),
+    ])
+    def test_rejects_a_bad_number_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NewmarkConfig(**dict({"dt": 0.1}, **{field: value}))
+
     def test_stability_warning(self):
         with pytest.warns(UserWarning):
             NewmarkConfig(dt=0.1, gamma=0.4)
