@@ -42,8 +42,11 @@ def amplitude(x, y) -> float:
 def spectrum(x, dt):
     """One-sided magnitude spectrum of the mean-removed signal.
 
-    Returns (frequencies in rad/s, DFT magnitudes).
+    Returns (frequencies in rad/s, DFT magnitudes).  dt must be finite
+    and positive.
     """
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt!r}")
     x = np.asarray(x, dtype=float)
     if x.size < 2:
         raise ValueError("spectrum needs at least 2 samples")

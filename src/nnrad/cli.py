@@ -298,6 +298,21 @@ def cmd_sweep(args):
     return 0 if failures == 0 else 1
 
 
+def _uniform_step(t):
+    """The step of a CSV t column, or a ConfigError naming t if it varies.
+
+    Every step must equal the first to a relative 1e-6, which the repr
+    times that ``nnrad solve`` writes meet.
+    """
+    steps = np.diff(t)
+    dt = float(steps[0])
+    if not np.all(np.abs(steps - dt) <= 1e-6 * abs(dt)):
+        i = int(np.argmax(np.abs(steps - dt)))
+        raise ConfigError(f"column \"t\" is not uniform: step {i} is "
+                          f"{float(steps[i])!r}, step 0 is {dt!r}")
+    return dt
+
+
 def cmd_spectrum(args):
     doc = _load_config(args.config, args.command)
     path = _require(doc, "input")
@@ -309,13 +324,17 @@ def cmd_spectrum(args):
         raise ConfigError(
             f"column {column!r} not in CSV; available: {', '.join(header)}"
         )
-    sig = data[:, header.index(column)]
     dt = doc.get("dt")
+    if dt is None and "t" not in header:
+        raise ConfigError("no \"dt\" in config and no t column in CSV")
+    if len(data) < 2:
+        # Two samples for a spectrum, and two times for a step.
+        source = "\"input\"" if dt is not None else "column \"t\""
+        raise ConfigError(f"{source} has {len(data)} data rows; at least 2 "
+                          "are needed")
+    sig = data[:, header.index(column)]
     if dt is None:
-        if "t" not in header:
-            raise ConfigError("no \"dt\" in config and no t column in CSV")
-        tcol = data[:, header.index("t")]
-        dt = float(tcol[1] - tcol[0])
+        dt = _uniform_step(data[:, header.index("t")])
     dt = _as_number(dt, "dt")
     if dt <= 0.0:
         raise ConfigError(f"\"dt\" must be positive, got {dt!r}")

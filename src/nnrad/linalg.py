@@ -17,6 +17,10 @@ SCREEN_MARGIN of the bound, does a partial-pivot Gauss-Jordan elimination
 run; it applies the exact pivot rule and, if no pivot is small, supplies
 the inverse.
 
+A 1x1 [[a]] with a and 1/a finite and a nonzero is inverted as
+[[1.0 / a]], the bits of ``numpy.linalg.inv``, which passes the screen by
+construction; any other 1x1 takes the general path.
+
 Rank-k base: ``lu_factor(A, base=(B, f_B, cols))`` takes a matrix B that
 equals A outside the k columns cols, and f_B = lu_factor(B).  With
 D = A[:, cols] - B[:, cols] and W = f_B D, the Woodbury identity gives
@@ -91,6 +95,7 @@ def _passes(scale, inv):
     """The screen max|A| ||A^-1||_inf < SCREEN_MARGIN / (n SINGULARITY_RTOL).
 
     scale is max|A|, per row for a stack; a non-finite inverse fails.
+    Callers fail a non-finite max|A| themselves: inf * 0 would warn.
     """
     n = inv.shape[-1]
     return scale * np.abs(inv).sum(axis=-1).max(axis=-1) < SCREEN_MARGIN / (
@@ -116,16 +121,22 @@ def lu_factor(A, base=None):
     where the screen passes it (module docstring).
     """
     A = np.asarray(A, dtype=float)
+    if A.shape == (1, 1):
+        a = float(A[0, 0])
+        if a != 0.0 and math.isfinite(a) and math.isfinite(r := 1.0 / a):
+            return np.array([[r]])
     if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
     if A.ndim > 2:
         return _lu_factor_rows(A, base)
     scale = np.abs(A).max()
-    try:
-        inv = np.linalg.inv(A) if base is None else _rank_k_inverse(A, *base)
-        passed = _passes(scale, inv)
-    except np.linalg.LinAlgError:
-        passed = False
+    passed = False
+    if math.isfinite(scale):  # else it fails unscreened: inf * 0 would warn
+        try:
+            inv = np.linalg.inv(A) if base is None else _rank_k_inverse(A, *base)
+            passed = _passes(scale, inv)
+        except np.linalg.LinAlgError:
+            pass
     if not passed:
         if base is not None:
             return lu_factor(A)
@@ -142,6 +153,9 @@ def _lu_factor_rows(A, base):
     raises SingularMatrixError with ``row`` set.
     """
     scale = np.abs(A).max(axis=(-2, -1))
+    # A row with a non-finite max|A| fails the screen as NaN, which,
+    # unlike inf * 0, multiplies without a warning.
+    scale[~np.isfinite(scale)] = np.nan
     try:
         inv = np.linalg.inv(A) if base is None else _rank_k_inverse(A, *base)
         passed = _passes(scale, inv)

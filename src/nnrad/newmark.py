@@ -252,7 +252,9 @@ def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     displacement seed e_j carries the velocity seed c_v e_j and the
     acceleration seed c_a e_j, so one forward pass of F_nl, with those
     seeds of terms (SolveTerms), gives dF/dx + c_v dF/dv + c_a dF/da
-    for those columns.
+    for those columns.  When F_nl reads every DOF (nl_dofs is sorted, so
+    the derivative then has width n), J is A_eff plus that derivative,
+    with no copy of A_eff and no column scatter.
 
     With (B, n) rows x1, stacked StepTerms and a (B, n, n) stack
     terms.A_eff, sys.F_nl must take rows (DynamicSystem.batch_key); the
@@ -262,10 +264,11 @@ def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     def f_nl(x, v, a):
         return sys.F_nl(x, v, a, p.t1)
 
+    dF = ad.jacobian(f_nl, (x1, p.velocity(x1), p.acceleration(x1)), terms.seeds)
+    if dF.shape[-1] == terms.A_eff.shape[-1]:
+        return terms.A_eff + dF
     J = terms.A_eff.copy()
-    J[..., sys.nl_dofs] += ad.jacobian(
-        f_nl, (x1, p.velocity(x1), p.acceleration(x1)), terms.seeds
-    )
+    J[..., sys.nl_dofs] += dF
     return J
 
 

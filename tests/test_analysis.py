@@ -99,6 +99,11 @@ class TestSpectrum:
         with pytest.raises(ValueError):
             spectrum([1.0], 0.1)
 
+    @pytest.mark.parametrize("dt", [-0.001, 0.0, math.inf, math.nan])
+    def test_dt_must_be_finite_and_positive(self, dt):
+        with pytest.raises(ValueError, match="dt"):
+            spectrum([0.0, 1.0, 0.0, -1.0], dt)
+
 
 def make_traj(n=1000, n_dof=2):
     t = 1e-3 * np.arange(n)

@@ -338,6 +338,35 @@ class TestSpectrum:
         assert '"dt"' in capsys.readouterr().err
         assert not out.exists()
 
+    def _run_on_rows(self, tmp_path, times, **extra):
+        sig = tmp_path / "sig.csv"
+        with open(sig, "w") as fh:
+            fh.write("t,x_0\n")
+            for i, ti in enumerate(times):
+                fh.write(f"{float(ti)!r},{float(i % 2)!r}\n")
+        doc = {"schema_version": 1, "input": str(sig), "column": "x_0", **extra}
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o.csv"
+        status = main(["spectrum", "--config", cfg, "--out", str(out)])
+        assert not out.exists() or status == 0
+        return status
+
+    def test_one_row_t_column_exit_2(self, tmp_path, capsys):
+        assert self._run_on_rows(tmp_path, [0.0]) == 2
+        assert 'column "t"' in capsys.readouterr().err
+
+    def test_non_uniform_t_column_exit_2(self, tmp_path, capsys):
+        assert self._run_on_rows(tmp_path, [0.0, 0.001, 0.003, 0.004]) == 2
+        assert 'column "t"' in capsys.readouterr().err
+
+    def test_one_row_with_dt_exit_2(self, tmp_path, capsys):
+        assert self._run_on_rows(tmp_path, [0.0], dt=0.001) == 2
+        assert '"input"' in capsys.readouterr().err
+
+    def test_uniform_t_column_within_rounding(self, tmp_path):
+        # The grid t0 + i*dt of a long solve steps unevenly in the last bits.
+        assert self._run_on_rows(tmp_path, list(10.0 + 1e-3 * np.arange(64))) == 0
+
     def test_duffing_round_trip_dominant_bin(self, tmp_path):
         # solve -> spectrum: the forced Duffing response is dominated by
         # the drive frequency omega = 1.

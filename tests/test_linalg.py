@@ -73,6 +73,36 @@ class TestLUFactor:
         f = lu_factor(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         assert np.isnan(lu_solve(f, [1.0, 1.0])[0])
 
+    def test_one_by_one_has_the_bits_of_inv(self):
+        rng = np.random.default_rng(11)
+        mags = 10.0 ** rng.uniform(-300.0, 300.0, 2000)
+        for a in np.concatenate([mags, -mags, [1.0, -1.0, 3.0, 1e-300, 1e300]]):
+            f = lu_factor(np.array([[a]]))
+            assert f.shape == (1, 1)
+            assert f.tobytes() == np.linalg.inv(np.array([[a]])).tobytes()
+
+    @pytest.mark.parametrize("a", [0.0, -0.0, np.inf, -np.inf])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_by_one_singular_reports_pivot_0(self, a):
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_factor(np.array([[a]]))
+        assert exc.value.pivot_index == 0
+
+    def test_one_by_one_nan_carries_through(self):
+        f = lu_factor(np.array([[np.nan]]))
+        assert f.shape == (1, 1) and np.isnan(f[0, 0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_infinite_entry_fails_the_screen_without_a_warning(self):
+        # inv gives 0 for an inf pivot; the screen must not form inf * 0.
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_factor(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        assert exc.value.pivot_index == 0
+        rows = np.array([np.eye(2), [[1.0, 0.0], [0.0, np.inf]]])
+        with pytest.raises(SingularMatrixError) as exc:
+            lu_factor(rows)
+        assert (exc.value.pivot_index, exc.value.row) == (0, 1)
+
 
 class TestLUSolve:
     def test_identity(self):

@@ -347,6 +347,34 @@ class TestStepJacobian:
             p_i = step_terms(sys_, State(0.1, X[i], V[i], A[i]), cfg)
             assert np.array_equal(J[i], step_jacobian(X1[i], p_i, sys_, terms[i]))
 
+    def test_equals_the_column_scatter_form(self):
+        # Every DOF declared (duffing, SFD) adds the derivative whole; the
+        # dual rotor (10 of 40) scatters its columns.  Both keep the bits
+        # of the scatter form, on one row and on a stack of rows.
+        rng = np.random.default_rng(26)
+        cases = [
+            (duffing(), NewmarkConfig(dt=1e-3), 1.0, 1),
+            (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5, 1),
+            (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5, 4),
+            (assemble_dual_rotor(default_dual_rotor_layout()),
+             NewmarkConfig(dt=1e-4), 1e-5, 1),
+        ]
+        for sys_, cfg, scale, n_rows in cases:
+            terms = solve_terms(sys_, cfg)
+            shape = (n_rows, sys_.n_dof) if n_rows > 1 else (sys_.n_dof,)
+            X, V, A, X1 = scale * rng.standard_normal((4,) + shape)
+            p = StepTerms(0.1 + cfg.dt, *_map_terms(X, V, A, cfg),
+                          np.broadcast_to(sys_.Q(0.1 + cfg.dt), shape))
+            if n_rows > 1:
+                A_eff = np.array([terms.A_eff] * n_rows)
+                terms = SolveTerms(A_eff, terms.seeds, None)
+            J = step_jacobian(X1, p, sys_, terms)
+            ref = terms.A_eff.copy()
+            ref[..., sys_.nl_dofs] += ad.jacobian(
+                lambda x, v, a: sys_.F_nl(x, v, a, p.t1),
+                (X1, p.velocity(X1), p.acceleration(X1)), terms.seeds)
+            assert J.tobytes() == ref.tobytes()
+
     def test_replace_keeps_declared_dofs(self):
         sys_ = assemble_dual_rotor(default_dual_rotor_layout())
         copy = dataclasses.replace(sys_, F_nl=sys_.F_nl)
