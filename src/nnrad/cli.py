@@ -8,36 +8,31 @@ row and full double precision (shortest round-trip formatting).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
 
 import numpy as np
 
-from . import ad
 from .analysis import spectrum, sweep
-from .models import (
-    assemble_dual_rotor,
-    default_dual_rotor_layout,
-    duffing,
-    load_rotor_layout,
-    pendulum,
-    sfd_rotor_system,
-    van_der_pol,
-)
-from .newmark import STRATEGIES, NewmarkConfig, integrate, residual, step_terms
+from .models import dual_rotor_system, duffing, pendulum, sfd_rotor_system, van_der_pol
+from .newmark import (STRATEGIES, NewmarkConfig, integrate, residual, solve_terms,
+                      step_jacobian, step_terms)
 from .system import State
 
 SCHEMA_VERSION = 1
 
-# The keys each system type accepts besides "type"; any other is an error.
-SYSTEM_KEYS = {
-    "van_der_pol": ("eps",),
-    "duffing": ("delta", "alpha", "beta", "gamma_f", "omega"),
-    "pendulum": (),
-    "sfd_rotor": ("omega", "mass", "stiffness", "j_d", "j_p", "l1", "l2",
-                  "damping", "unbalance"),
-    "dual_rotor": ("file", "omega_lp", "omega_hp"),
+# Each system type's factory, the keys it accepts besides "type", which
+# are passed to the factory as keywords, and the keyword that a sweep
+# speed sets (None: the type has no speed); any other key is an error.
+SYSTEMS = {
+    "van_der_pol": (van_der_pol, ("eps",), None),
+    "duffing": (duffing, ("delta", "alpha", "beta", "gamma_f", "omega"), "omega"),
+    "pendulum": (pendulum, (), None),
+    "sfd_rotor": (sfd_rotor_system, ("omega", "mass", "stiffness", "j_d", "j_p", "l1",
+                                     "l2", "damping", "unbalance"), "omega"),
+    "dual_rotor": (dual_rotor_system, ("file", "omega_lp", "omega_hp"), "omega_lp"),
 }
 
 # The top-level config keys each command accepts; any other is an error.
@@ -115,52 +110,34 @@ def _system_spec(doc):
     if not isinstance(spec, dict) or "type" not in spec:
         raise ConfigError("system spec must be an object with a \"type\" field")
     kind = spec["type"]
-    if not isinstance(kind, str) or kind not in SYSTEM_KEYS:
+    if not isinstance(kind, str) or kind not in SYSTEMS:
         raise ConfigError(f"unknown system type {kind!r}")
-    unknown = sorted(set(spec) - {"type"} - set(SYSTEM_KEYS[kind]))
+    _, keys, _ = SYSTEMS[kind]
+    unknown = sorted(set(spec) - {"type"} - set(keys))
     if unknown:
         raise ConfigError(
             f"unknown key {unknown[0]!r} for system type {kind!r}; accepted: "
-            + ", ".join(SYSTEM_KEYS[kind])
+            + ", ".join(keys)
         )
-    for key in SYSTEM_KEYS[kind]:
-        if key in spec and key != "file":
+    for key in keys:
+        if key == "file":  # open() would take an int as a file descriptor
+            if not isinstance(spec.get(key, ""), str):
+                raise ConfigError(f"\"system.file\" must be a path, got {spec[key]!r}")
+        elif key in spec:
             _as_number(spec[key], f"system.{key}")
     return spec
 
 
 def _build_system(spec, speed=None):
-    """Instantiate a built-in system from a spec checked by _system_spec."""
-    kind = spec["type"]
-    if kind == "van_der_pol":
-        return van_der_pol(eps=spec.get("eps", 1.0))
-    if kind == "duffing":
-        return duffing(
-            delta=spec.get("delta", 1.0),
-            alpha=spec.get("alpha", 1.0),
-            beta=spec.get("beta", 3.0),
-            gamma_f=spec.get("gamma_f", 10.0),
-            omega=spec.get("omega", 1.0),
-        )
-    if kind == "pendulum":
-        return pendulum()
-    if kind == "sfd_rotor":
-        kwargs = {key: spec[key] for key in SYSTEM_KEYS[kind] if key in spec}
-        if speed is not None:
-            kwargs["omega"] = speed
-        if kwargs.get("omega") is None:
-            raise ConfigError("sfd_rotor needs an \"omega\" field")
-        return sfd_rotor_system(**kwargs)
-    # "dual_rotor", the last type in SYSTEM_KEYS.
-    if "file" in spec:
-        layout = load_rotor_layout(spec["file"])
-    else:
-        layout = default_dual_rotor_layout()
-    omega_lp = speed if speed is not None else spec.get("omega_lp")
-    if omega_lp is not None:
-        layout.omega_lp = float(omega_lp)
-        layout.omega_hp = float(spec.get("omega_hp", 1.2 * float(omega_lp)))
-    return assemble_dual_rotor(layout)
+    """The system of a spec checked by _system_spec, at the sweep speed speed."""
+    factory, keys, speed_key = SYSTEMS[spec["type"]]
+    kwargs = {key: spec[key] for key in keys if key in spec}
+    if speed is not None:
+        kwargs[speed_key] = speed
+    for name, param in inspect.signature(factory).parameters.items():
+        if param.default is param.empty and name not in kwargs:
+            raise ConfigError(f"{spec['type']} needs an \"{name}\" field")
+    return factory(**kwargs)
 
 
 def _dof_vector(doc, key, n):
@@ -251,6 +228,8 @@ def cmd_solve(args):
 def cmd_sweep(args):
     doc = _load_config(args.config, args.command)
     model_spec = _system_spec(doc)
+    if SYSTEMS[model_spec["type"]][2] is None:  # no keyword for a sweep speed
+        raise ConfigError(f"\"system.type\" {model_spec['type']!r} has no speed to sweep")
     t_end = _as_number(_require(doc, "t_end"), "t_end")
     cfg = _newmark_config(doc, args)
     speeds_spec = doc.get("speeds")
@@ -348,7 +327,8 @@ def cmd_spectrum(args):
 
 
 def cmd_check_jacobian(args):
-    """AD vs central finite differences on randomized step residuals."""
+    """The step Jacobian the solver factors (step_jacobian, which reads only
+    nl_dofs) vs central finite differences of the step residual."""
     doc = _load_config(args.config, args.command)
     sys_ = _build_system(_system_spec(doc))
     cfg = _newmark_config(doc, args)
@@ -363,6 +343,7 @@ def cmd_check_jacobian(args):
     if h <= 0.0:
         raise ConfigError(f"\"fd_step\" must be positive, got {h!r}")
     tol = _number(doc, "tol", 1e-5)
+    terms = solve_terms(sys_, cfg)
 
     gaps = []
     for _ in range(n_states):
@@ -374,16 +355,12 @@ def cmd_check_jacobian(args):
         )
         x1 = scale * rng.standard_normal(n)
         p = step_terms(sys_, s, cfg)
-
-        def res(z):
-            return residual(z, p, sys_)
-
-        J_ad = ad.jacobian(res, x1)
+        J_ad = step_jacobian(x1, p, sys_, terms)
         J_fd = np.zeros((n, n))
         for j in range(n):
             e = np.zeros(n)
             e[j] = h
-            J_fd[:, j] = (np.asarray(res(x1 + e)) - np.asarray(res(x1 - e))) / (
+            J_fd[:, j] = (residual(x1 + e, p, sys_) - residual(x1 - e, p, sys_)) / (
                 2.0 * h
             )
         denom = max(np.max(np.abs(J_fd)), 1e-12)

@@ -8,7 +8,8 @@ than SciPy's LU factors and triangular solves, and it needs no SciPy.
 
 Singular rule: A is singular when partial-pivot LU elimination meets a
 pivot U_kk with |U_kk| <= SINGULARITY_RTOL * max|A|; SingularMatrixError
-then reports the first such k.  The inverse screens for this cheaply.
+then reports the first such k, or the k whose elimination step overflows
+(A = [[1e-310]]).  The inverse screens for this cheaply.
 With partial pivoting every |L_ij| <= 1, so U^-1 = A^-1 P^T L gives
 ||A^-1||_inf >= 1/(n |U_kk|) for every pivot, and a small pivot forces
 max|A| * ||A^-1||_inf >= 1/(n * SINGULARITY_RTOL).  Only when ``inv``
@@ -75,19 +76,24 @@ def _gauss_jordan_inverse(A, threshold):
     """Inverse of A by Gauss-Jordan elimination with partial pivoting.
 
     Pivots equal those of LU with partial pivoting; raises
-    SingularMatrixError at the first one at or under threshold.
+    SingularMatrixError at the first one at or under threshold, or at
+    the one whose elimination step overflows.
     """
     n = A.shape[0]
     W = np.hstack([A, np.eye(n)])
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(W[k:, k])))
-        if abs(W[p, k]) <= threshold:
-            raise SingularMatrixError(k)
-        W[[k, p]] = W[[p, k]]
-        W[k] /= W[k, k]
-        col = W[:, k].copy()
-        col[k] = 0.0
-        W -= np.outer(col, W[k])
+    try:
+        with np.errstate(over="raise"):
+            for k in range(n):
+                p = k + int(np.argmax(np.abs(W[k:, k])))
+                if abs(W[p, k]) <= threshold:
+                    raise SingularMatrixError(k)
+                W[[k, p]] = W[[p, k]]
+                W[k] /= W[k, k]
+                col = W[:, k].copy()
+                col[k] = 0.0
+                W -= np.outer(col, W[k])
+    except FloatingPointError:
+        raise SingularMatrixError(k, f"matrix inverse overflows at pivot {k}") from None
     return W[:, n:]
 
 
@@ -167,7 +173,7 @@ def _lu_factor_rows(A, base):
         try:
             inv[i] = lu_factor(A[i], row_base)
         except SingularMatrixError as err:
-            raise SingularMatrixError(err.pivot_index, row=int(i)) from err
+            raise SingularMatrixError(err.pivot_index, str(err), row=int(i)) from err
     return inv
 
 

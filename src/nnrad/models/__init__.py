@@ -19,6 +19,7 @@ from .rotor import (
     InterShaftBearing,
     assemble_dual_rotor,
     default_dual_rotor_layout,
+    dual_rotor_system,
     load_rotor_layout,
 )
 
@@ -47,5 +48,6 @@ __all__ = [
     "InterShaftBearing",
     "assemble_dual_rotor",
     "default_dual_rotor_layout",
+    "dual_rotor_system",
     "load_rotor_layout",
 ]

@@ -32,6 +32,7 @@ __all__ = [
     "assemble_dual_rotor",
     "load_rotor_layout",
     "default_dual_rotor_layout",
+    "dual_rotor_system",
 ]
 
 GRAVITY = 9.81
@@ -320,6 +321,17 @@ def load_rotor_layout(source) -> RotorLayout:
     )
 
 
+def _set_speeds(layout, omega_lp, omega_hp) -> RotorLayout:
+    """layout at omega_lp and omega_hp (default 1.2 omega_lp); None keeps a speed."""
+    if omega_lp is not None:
+        layout.omega_lp = float(omega_lp)
+        if omega_hp is None:
+            omega_hp = 1.2 * float(omega_lp)
+    if omega_hp is not None:
+        layout.omega_hp = float(omega_hp)
+    return layout
+
+
 def default_dual_rotor_layout(omega_lp=None, omega_hp=None) -> RotorLayout:
     """The shipped illustrative 10-node (7 LP + 3 HP) 40-DOF layout.
 
@@ -328,10 +340,14 @@ def default_dual_rotor_layout(omega_lp=None, omega_hp=None) -> RotorLayout:
     override.
     """
     ref = resources.files("nnrad.models") / "data" / "dual_rotor.json"
-    layout = load_rotor_layout(json.loads(ref.read_text()))
-    if omega_lp is not None:
-        layout.omega_lp = float(omega_lp)
-        layout.omega_hp = 1.2 * float(omega_lp) if omega_hp is None else float(omega_hp)
-    elif omega_hp is not None:
-        layout.omega_hp = float(omega_hp)
-    return layout
+    return _set_speeds(load_rotor_layout(json.loads(ref.read_text())), omega_lp, omega_hp)
+
+
+def dual_rotor_system(omega_lp=None, omega_hp=None, file=None) -> DynamicSystem:
+    """The dual rotor of the layout file (default: the shipped one).
+
+    omega_lp and omega_hp follow default_dual_rotor_layout's rule; a speed
+    not given keeps the layout's.
+    """
+    layout = default_dual_rotor_layout() if file is None else load_rotor_layout(file)
+    return assemble_dual_rotor(_set_speeds(layout, omega_lp, omega_hp))

@@ -274,7 +274,7 @@ def _film_force_rows(q, dq, p: SFDParams):
     static = ((abs(ad.value_of(rdpsi)) < STATIC_FLOOR)
               & (abs(ad.value_of(dr)) < STATIC_FLOOR))
     # _n_panels of every row, and one code per (static, panel count).
-    panels = np.where(rv < 0.25, 1.0, np.ceil(10.0 * rv))
+    panels = np.array([_n_panels(r) for r in rv.tolist()])
     branch = panels + (MAX_PANELS + 1) * static[:, 0]
     if (branch == branch[0]).all():
         return _film_integral(q, r, dr, rdpsi, bool(static[0, 0]), int(panels[0]), p)

@@ -168,19 +168,19 @@ class StepTerms(NamedTuple):
         return self._replace(g_a=self.g_a[keep], g_v=self.g_v[keep], q1=self.q1[keep])
 
 
-def _map_terms(x, v, a, cfg):
-    """(c_a, g_a, c_v, g_v) of the Newmark maps from (x, v, a); rows too."""
+def _step_terms(x, v, a, t1, q1, cfg):
+    """The StepTerms of the step from (x, v, a) to t1 with load q1; rows too."""
     c_a, c_v = _newmark_coeffs(cfg)
     b, g, dt = cfg.beta, cfg.gamma, cfg.dt
     g_a = c_a * (-x) - v / (b * dt) - (0.5 / b - 1.0) * a
     g_v = c_v * (-x) + (1.0 - g / b) * v + (1.0 - g / (2.0 * b)) * dt * a
-    return c_a, g_a, c_v, g_v
+    return StepTerms(t1, c_a, g_a, c_v, g_v, q1)
 
 
 def step_terms(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> StepTerms:
     """The StepTerms of the step from s to t1 = s.t + dt."""
     t1 = s.t + cfg.dt
-    return StepTerms(t1, *_map_terms(s.x, s.v, s.a, cfg), sys.Q(t1))
+    return _step_terms(s.x, s.v, s.a, t1, sys.Q(t1), cfg)
 
 
 def residual(x1, p: StepTerms, sys: DynamicSystem):
@@ -327,8 +327,7 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     rows a zero Broyden step, which one row skips, raises
     NonConvergenceError too.
     """
-    c_a, g_a, c_v, g_v = _map_terms(x, v, a, cfg)
-    p = StepTerms(t1, c_a, g_a, c_v, g_v, sys.Q(t1))
+    p = start = _step_terms(x, v, a, t1, sys.Q(t1), cfg)
     rows = x.ndim > 1
     if rows:  # each row's result, written as it leaves the loop
         out_x, live = x.copy(), np.arange(len(x))
@@ -390,7 +389,7 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
         done = (norm2(dx) < cfg.tol_dx * (1.0 + norm2(x))) | (rn < cfg.tol_res)
     if rows:
         x, iters, rn = out_x, out_iters, out_rn
-    return x, c_v * x + g_v, c_a * x + g_a, iters, rn
+    return x, start.velocity(x), start.acceleration(x), iters, rn
 
 
 def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:

@@ -13,6 +13,8 @@ from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
+from . import ad
+
 __all__ = ["State", "DynamicSystem", "Trajectory"]
 
 
@@ -42,7 +44,8 @@ def _zero_force(n):
 
 
 def _zero_nonlinearity(x, v, a, t):
-    return [0.0] * len(x)
+    """Zero force shaped like x: one state, or the (B, n) rows of a batch."""
+    return np.zeros(np.shape(ad.value_of(x)))
 
 
 @dataclass
@@ -133,12 +136,6 @@ class Trajectory:
     @property
     def n_dof(self):
         return self.x.shape[1]
-
-    @property
-    def dt(self):
-        if self.t.shape[0] < 2:
-            return 0.0
-        return float(self.t[1] - self.t[0])
 
     def state(self, i) -> State:
         return State(float(self.t[i]), self.x[i], self.v[i], self.a[i])

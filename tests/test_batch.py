@@ -290,6 +290,20 @@ def test_row_failing_at_start_leaves_with_the_serial_error(step_core_steps):
         assert_same_outcome(g, w)
 
 
+def test_linear_rows_run_in_lock_step(step_core_steps):
+    # The default F_nl returns zeros shaped like x, one state or rows, so
+    # a keyed linear system runs every step in lock-step.
+    cfg = NewmarkConfig(dt=DT)
+    systems = [DynamicSystem(n_dof=4, M=np.eye(4), C=0.02 * np.eye(4),
+                             K=np.diag([k0, 2.0, 3.0, 4.0]), Q=steady_load,
+                             batch_key="linear") for k0 in (1.0, 5.0)]
+    x0 = np.array([0.1, 0.0, 0.2, 0.0])
+    got = integrate_rows(systems, [x0] * 2, [x0] * 2, 0.0, 10 * DT, cfg)
+    assert step_core_steps == []
+    for sys_, traj in zip(systems, got):
+        assert_same_outcome(traj, serial_run(sys_, x0, x0, 10 * DT, cfg))
+
+
 class TestSweepBatches:
     def test_batched_rows_skip_integrate(self, monkeypatch):
         # Keyed rows go to integrate_rows as one group, keyless rows one by one.

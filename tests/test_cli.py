@@ -5,7 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nnrad.cli import _load_config, _solve_setup, _system_spec, main
+import nnrad.cli
+from nnrad import DynamicSystem
+from nnrad.cli import _build_system, _load_config, _solve_setup, _system_spec, main
+from nnrad.models import assemble_dual_rotor, default_dual_rotor_layout, load_rotor_layout
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -122,6 +125,13 @@ class TestSolve:
             if command == "solve":
                 _solve_setup(doc)
 
+    def test_sfd_rotor_without_omega_exit_2(self, tmp_path, capsys):
+        doc = dict(DUFFING_SOLVE, system={"type": "sfd_rotor"}, x0=[0.0] * 4,
+                   v0=[0.0] * 4)
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert '"omega"' in capsys.readouterr().err
+
     def test_missing_t_end_exit_2(self, tmp_path, capsys):
         doc = dict(DUFFING_SOLVE)
         del doc["t_end"]
@@ -130,7 +140,46 @@ class TestSolve:
         assert '"t_end"' in capsys.readouterr().err
 
 
+class TestDualRotorSpeeds:
+    LAYOUT = (Path(__file__).resolve().parent.parent / "src" / "nnrad" / "models"
+              / "data" / "dual_rotor.json")
+
+    @pytest.mark.parametrize("speeds", [
+        {"omega_lp": 800.0}, {"omega_hp": 900.0},
+        {"omega_lp": 800.0, "omega_hp": 900.0}, {}])
+    def test_speeds_follow_the_layout_rule(self, speeds):
+        # omega_hp defaults to 1.2 omega_lp; omega_hp alone sets HP alone.
+        got = _build_system({"type": "dual_rotor", **speeds})
+        want = assemble_dual_rotor(default_dual_rotor_layout(**speeds))
+        assert np.array_equal(got.C, want.C)
+
+    @pytest.mark.parametrize("speeds, lp, hp", [
+        ({"omega_lp": 800.0}, 800.0, 960.0), ({"omega_hp": 900.0}, None, 900.0),
+        ({"omega_lp": 800.0, "omega_hp": 900.0}, 800.0, 900.0), ({}, None, None)])
+    def test_file_with_speeds(self, tmp_path, speeds, lp, hp):
+        doc = json.loads(self.LAYOUT.read_text())
+        doc["speeds"] = {"omega_lp": 500.0, "omega_hp": 700.0}
+        path = tmp_path / "layout.json"
+        path.write_text(json.dumps(doc))
+        got = _build_system({"type": "dual_rotor", "file": str(path), **speeds})
+        layout = load_rotor_layout(str(path))
+        layout.omega_lp = 500.0 if lp is None else lp
+        layout.omega_hp = 700.0 if hp is None else hp
+        assert np.array_equal(got.C, assemble_dual_rotor(layout).C)
+
+    def test_sweep_speed_sets_omega_lp(self):
+        got = _build_system({"type": "dual_rotor", "omega_hp": 900.0}, speed=800.0)
+        want = assemble_dual_rotor(default_dual_rotor_layout(800.0, 900.0))
+        assert np.array_equal(got.C, want.C)
+
+
 class TestSweep:
+    def test_type_without_a_speed_exit_2(self, tmp_path, capsys):
+        doc = dict(SFD_SWEEP, system={"type": "pendulum"})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert '"system.type"' in capsys.readouterr().err
+
     def test_single_speed_sfd(self, tmp_path):
         doc = {
             "schema_version": 1,
@@ -260,6 +309,8 @@ SFD_SWEEP = {
         ("solve", DUFFING_SOLVE, {"t_end": float("nan")}, "t_end"),
         ("sweep", SFD_SWEEP, {"t_end": float("inf")}, "t_end"),
         ("solve", DUFFING_SOLVE, {"x0": [-float("inf")]}, "x0[0]"),
+        ("solve", DUFFING_SOLVE, {"system": {"type": "dual_rotor", "file": 0}},
+         "system.file"),
     ],
 )
 def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field):
@@ -430,6 +481,20 @@ class TestCheckJacobian:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["check-jacobian", "--config", cfg]) == 2
         assert f'"{field}"' in capsys.readouterr().err
+
+    def test_checks_the_jacobian_the_solver_factors(self, tmp_path, monkeypatch,
+                                                     capsys):
+        # F_nl reads x[1], but nl_dofs declares DOF 0 alone, so the step
+        # Jacobian misses its column 1 while the residual does not.
+        def f_nl(x, v, a, t):
+            return [1e6 * x[1] * x[1] * x[1], 0.0]
+
+        system = DynamicSystem(n_dof=2, M=np.eye(2), C=np.zeros((2, 2)),
+                               K=np.eye(2), F_nl=f_nl, nl_dofs=[0])
+        monkeypatch.setattr(nnrad.cli, "_build_system", lambda spec: system)
+        cfg = write_config(tmp_path / "c.json", self._doc({"type": "duffing"}))
+        assert main(["check-jacobian", "--config", cfg]) == 1
+        assert "FAIL" in capsys.readouterr().err
 
     def test_nan_discrepancy_fails(self, tmp_path, capsys):
         # x^3 overflows at this scale, so the differences are inf - inf.

@@ -103,6 +103,18 @@ class TestLUFactor:
             lu_factor(rows)
         assert (exc.value.pivot_index, exc.value.row) == (0, 1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_inverse_is_singular(self):
+        # Each pivot passes the relative rule, but 1 / 1e-310 overflows.
+        for A in ([[1e-310]], np.diag([1e-310, 1e-310])):
+            with pytest.raises(SingularMatrixError, match="overflows") as exc:
+                lu_factor(np.array(A))
+            assert exc.value.pivot_index == 0 and exc.value.row is None
+        rows = np.array([np.eye(2), np.diag([1e-310, 1e-310])])
+        with pytest.raises(SingularMatrixError, match="overflows") as exc:
+            lu_factor(rows)
+        assert (exc.value.pivot_index, exc.value.row) == (0, 1)
+
 
 class TestLUSolve:
     def test_identity(self):

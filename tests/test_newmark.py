@@ -34,8 +34,7 @@ from nnrad.models.bearing import ball_angles
 from nnrad.models.rotor import assemble_dual_rotor
 from nnrad.newmark import (
     SolveTerms,
-    StepTerms,
-    _map_terms,
+    _step_terms,
     solve_terms,
     step_jacobian,
     step_terms,
@@ -338,8 +337,7 @@ class TestStepJacobian:
         terms = [solve_terms(sys_, cfg) for sys_ in systems]
         X, V, A, X1 = 1e-5 * rng.standard_normal((4, 3, 4))
         t1 = 0.1 + cfg.dt
-        p = StepTerms(t1, *_map_terms(X, V, A, cfg),
-                      np.array([sys_.Q(t1) for sys_ in systems]))
+        p = _step_terms(X, V, A, t1, np.array([sys_.Q(t1) for sys_ in systems]), cfg)
         A_eff = np.array([s.A_eff for s in terms])
         J = step_jacobian(X1, p, systems[0], SolveTerms(A_eff, terms[0].seeds, None))
         assert np.array_equal(J, self._maps_on_ad_arrays(X1, p, systems[0], A_eff))
@@ -363,8 +361,8 @@ class TestStepJacobian:
             terms = solve_terms(sys_, cfg)
             shape = (n_rows, sys_.n_dof) if n_rows > 1 else (sys_.n_dof,)
             X, V, A, X1 = scale * rng.standard_normal((4,) + shape)
-            p = StepTerms(0.1 + cfg.dt, *_map_terms(X, V, A, cfg),
-                          np.broadcast_to(sys_.Q(0.1 + cfg.dt), shape))
+            p = _step_terms(X, V, A, 0.1 + cfg.dt,
+                            np.broadcast_to(sys_.Q(0.1 + cfg.dt), shape), cfg)
             if n_rows > 1:
                 A_eff = np.array([terms.A_eff] * n_rows)
                 terms = SolveTerms(A_eff, terms.seeds, None)
