@@ -1,8 +1,9 @@
 """The time-stepping driver of integrate and sweep: integrate_rows.
 
 integrate_rows advances one or more systems of one n_dof on one time
-grid; integrate is integrate_rows on one system.  Each step runs
-newmark._step_core, the one Newton step: on each live row alone, or,
+grid, t0 + i*dt, whose times every step, Trajectory.t and a located
+error take alike; integrate is integrate_rows on one system.  Each step
+runs newmark._step_core, the one Newton step: on each live row alone, or,
 while two or more rows are live and all share a batch_key, on all of
 them at once in lock-step, for example the speeds of a sweep.  Then
 _step_core takes the rows' stacked states, a stacked view of their
@@ -113,11 +114,10 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
     keys = {systems[k].batch_key for k in live}
     batched = len(keys) == 1 and None not in keys
     stacked = None
-    t = t0
     for i in range(1, n_steps + 1):
         if not live:
             break
-        t1 = t + cfg.dt
+        t1 = t0 + i * cfg.dt  # t_grid[i] as a float, whose repr the error note shows
         step = None
         if batched and len(live) > 1:
             if stacked is None:
@@ -140,15 +140,14 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
                         systems[k], xs[k, i - 1], vs[k, i - 1], accs[k, i - 1],
                         t1, cfg, terms[k], step_index=i)
                 except Exception as err:
-                    start = State(t, xs[k, i - 1].copy(), vs[k, i - 1].copy(),
-                                  accs[k, i - 1].copy())
-                    _locate(err, i, start, cfg)
+                    start = State(t0 + (i - 1) * cfg.dt, xs[k, i - 1].copy(),
+                                  vs[k, i - 1].copy(), accs[k, i - 1].copy())
+                    _locate(err, i, start, t1)
                     out[k] = err
                 else:
                     still.append(k)
             if len(still) < len(live):
                 live, stacked = still, None
-        t = t1
 
     t_grid = t0 + cfg.dt * np.arange(n_steps + 1)
     for k in live:
@@ -157,9 +156,8 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
     return out
 
 
-def _locate(err, i, state, cfg):
-    """Mark err as raised in step i, which advanced from the State state."""
-    t1 = state.t + cfg.dt
+def _locate(err, i, state, t1):
+    """Mark err as raised in step i, which advanced from the State state to t1."""
     err.step_index, err.t, err.state = i, t1, state
     if hasattr(err, "add_note"):  # Python >= 3.11
         err.add_note(f"in Newmark step {i}, advancing from t = "

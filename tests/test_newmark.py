@@ -609,25 +609,29 @@ class TestRankKFactor:
 class TestIntegrate:
     def test_load_is_evaluated_once_per_step(self):
         sys_ = duffing()
-        times = []
+        for t0 in (0.0, 0.2):
+            times = []
 
-        def q(t):
-            times.append(t)
-            return sys_.Q(t)
+            def q(t):
+                times.append(t)
+                return sys_.Q(t)
 
-        traj = integrate(dataclasses.replace(sys_, Q=q), [2.0], [0.0], 0.0, 1.0,
-                         NewmarkConfig(dt=1e-3))
-        steps = traj.n_samples - 1
-        assert steps == 1000 and traj.iterations.sum() > steps
-        # Once per step, plus once for initial_acceleration.
-        assert len(times) == steps + 1
+            traj = integrate(dataclasses.replace(sys_, Q=q), [2.0], [0.0], t0,
+                             t0 + 1.0, NewmarkConfig(dt=1e-3))
+            steps = traj.n_samples - 1
+            assert steps == 1000 and traj.iterations.sum() > steps
+            # Once per step, plus once for initial_acceleration.
+            assert len(times) == steps + 1
+            # Each step evaluates Q at the grid time it reports.
+            assert times[1:] == traj.t[1:].tolist()
 
     def _located(self, exc_info, sys_, x0, cfg):
         """Check the step, time and state a model error carries."""
         err = exc_info.value
         i = err.step_index
         assert i > 1
-        assert err.t == err.state.t + cfg.dt
+        assert err.t == 0.0 + i * cfg.dt
+        assert err.state.t == 0.0 + (i - 1) * cfg.dt
         if hasattr(err, "add_note"):  # Python >= 3.11
             note = err.__notes__[-1]
             assert f"step {i}" in note and repr(err.t) in note
@@ -636,7 +640,6 @@ class TestIntegrate:
         assert np.array_equal(err.state.x, before.x[-1])
         assert np.array_equal(err.state.v, before.v[-1])
         assert np.array_equal(err.state.a, before.a[-1])
-        assert err.state.t == pytest.approx((i - 1) * cfg.dt)
 
     def test_film_rupture_names_step_time_and_state(self):
         from nnrad.models.sfd import FilmRuptureError
@@ -677,7 +680,8 @@ class TestIntegrate:
             integrate(sys_, [1.0], [0.0], 0.0, 1.0, cfg)
         err = exc.value
         assert not hasattr(err, "__notes__")
-        assert err.step_index == 6 and err.t == err.state.t + cfg.dt
+        assert err.step_index == 6
+        assert err.t == 0.0 + 6 * cfg.dt and err.state.t == 0.0 + 5 * cfg.dt
 
     def test_constant_velocity_exact(self):
         sys_ = DynamicSystem(
