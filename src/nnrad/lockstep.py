@@ -8,8 +8,8 @@ while two or more rows are live and all share a batch_key, on all of
 them at once in lock-step, for example the speeds of a sweep.  Then
 _step_core takes the rows' stacked states, a stacked view of their
 systems (Rows) and their stacked SolveTerms, makes one call per layer
-over the rows still iterating, and gives each row the bits of its own
-one-row step.
+over all of them until every row has converged, a converged row taking
+zero steps, and gives each row the bits of its own one-row step.
 
 A lock-step step raises on any fault of any row (a layer raises, a
 residual is not finite, max_iter is reached or a Broyden step is zero).
@@ -52,11 +52,6 @@ class Rows(NamedTuple):
     def Q(self, t):
         """The (B, n) loads of the rows at t."""
         return np.array([sys.Q(t) for sys in self.systems])
-
-    def take(self, keep):
-        """The Rows of the rows keep."""
-        return self._replace(systems=self.systems[keep], M=self.M[keep],
-                             C=self.C[keep], K=self.K[keep])
 
 
 def _stack(systems, terms, live):

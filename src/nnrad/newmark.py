@@ -163,10 +163,6 @@ class StepTerms(NamedTuple):
         """Velocity at t1 implied by the trial displacement x1."""
         return self.c_v * x1 + self.g_v
 
-    def take(self, keep):
-        """The StepTerms of the rows keep of stacked StepTerms."""
-        return self._replace(g_a=self.g_a[keep], g_v=self.g_v[keep], q1=self.q1[keep])
-
 
 def _step_terms(x, v, a, t1, q1, cfg):
     """The StepTerms of the step from (x, v, a) to t1 with load q1; rows too."""
@@ -222,12 +218,6 @@ class SolveTerms(NamedTuple):
     A_eff: np.ndarray
     seeds: tuple
     base: Optional[tuple]
-
-    def take(self, keep):
-        """The SolveTerms of the rows keep of stacked SolveTerms."""
-        A_eff = self.A_eff[keep]
-        base = self.base and (A_eff, self.base[1][keep], self.base[2])
-        return self._replace(A_eff=A_eff, base=base)
 
 
 def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
@@ -320,19 +310,17 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     One row takes 1-D x, v and a.  B rows take (B, n) arrays, with sys a
     stacked view of B systems that share a batch_key and terms their
     stacked SolveTerms (lockstep): every Newton iteration then makes one
-    call per layer over the rows still iterating, a row leaves the loop
-    as it converges, and the results are stacked, each row with the bits
-    of its own call.  A non-finite residual or reaching max_iter raises
-    NonConvergenceError, a singular factor SingularJacobianError.  In
-    rows a zero Broyden step, which one row skips, raises
-    NonConvergenceError too.
+    call per layer over all B rows until every row has converged.  A
+    converged row takes zero steps, so its iterate and residual keep the
+    bits they had when it converged, and its iterations count only those
+    it was live; each row has the bits of its own one-row call.  A
+    non-finite residual, a zero Broyden step or reaching max_iter raises
+    NonConvergenceError, a singular factor SingularJacobianError.
     """
-    p = start = _step_terms(x, v, a, t1, sys.Q(t1), cfg)
+    p = _step_terms(x, v, a, t1, sys.Q(t1), cfg)
     rows = x.ndim > 1
-    if rows:  # each row's result, written as it leaves the loop
-        out_x, live = x.copy(), np.arange(len(x))
-        out_iters, out_rn = np.zeros(len(x), dtype=int), np.zeros(len(x))
     iters, lu, dx = 0, None, None
+    counts = np.zeros(len(x), dtype=int) if rows else None
 
     def worst(rn):
         """The largest norm: NaN if one is NaN, else inf if one is inf."""
@@ -355,41 +343,32 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
 
     R, rn = evaluate(x)
     done = rn < cfg.tol_res
-    while True:
-        if not rows:
-            if done:
-                break
-        elif done.any():
-            left = live[done]
-            out_x[left], out_iters[left], out_rn[left] = x[done], iters, rn[done]
-            if done.all():
-                break
-            keep = ~done
-            x, R, rn, live = x[keep], R[keep], rn[keep], live[keep]
-            if lu is not None:
-                lu, dx = lu[keep], dx[keep]
-            p, sys, terms = p.take(keep), sys.take(keep), terms.take(keep)
+    # A converged row stays converged: its zero step passes the dx test
+    # when tol_dx > 0, and with tol_dx = 0 it converged on rn < tol_res.
+    while not (done.all() if rows else done):
         if iters >= cfg.max_iter:
             raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
         if _refresh_due(cfg, lu is not None, iters):
             lu = factor(lu_factor, step_jacobian(x, p, sys, terms), terms.base)
         elif cfg.strategy == BROYDEN_RANK1:
             # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
-            # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.  One
-            # row skips a zero dx; rows fault on one.
-            dd = ad.dot(dx, dx) if rows else float(dx @ dx)
-            if rows and not (dd > 0.0).all():
+            # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.  A
+            # zero step (tol_dx = 0) cannot update J.
+            dd = ad.dot(dx, dx)
+            if rows:
+                dd[done] = 1.0  # a converged row's factor is no longer used
+            if not np.all(dd > 0.0):
                 raise NonConvergenceError(step_index, iters, worst(rn), 0.0)
-            if rows or dd > 0.0:
-                lu = factor(lu_update, lu, R / dd, -dx)
+            lu = factor(lu_update, lu, R / dd, -dx)
         dx = lu_solve(lu, R)
+        if rows:
+            dx[done] = 0.0
+            counts += ~done
         x = x - dx
         iters += 1
         R, rn = evaluate(x)
         done = (norm2(dx) < cfg.tol_dx * (1.0 + norm2(x))) | (rn < cfg.tol_res)
-    if rows:
-        x, iters, rn = out_x, out_iters, out_rn
-    return x, start.velocity(x), start.acceleration(x), iters, rn
+    return x, p.velocity(x), p.acceleration(x), counts if rows else iters, rn
 
 
 def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:

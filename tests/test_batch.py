@@ -87,6 +87,21 @@ class TestIntegrateRows:
             assert any(rows < len(SPEEDS) for rows, _ in panel_calls)
             assert any(n > 1 for _, n in panel_calls)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_converged_rows_take_zero_steps(self, strategy, step_core_steps):
+        # From rest the rows need different numbers of iterations in some
+        # steps.  A converged row stays in the batch, taking zero steps,
+        # until the last row converges, and keeps the bits of its own run.
+        cfg = NewmarkConfig(dt=1e-4, strategy=strategy)
+        systems = [sfd_rotor_system(s) for s in (700.0, 900.0, 1100.0, 1300.0)]
+        zeros = [np.zeros(4)] * 4
+        got = integrate_rows(systems, zeros, zeros, 0.0, 0.005, cfg)
+        assert step_core_steps == []
+        iterations = np.array([traj.iterations for traj in got])
+        assert (iterations.min(axis=0) < iterations.max(axis=0)).any()
+        for sys_, traj in zip(systems, got):
+            assert_same_outcome(traj, serial_run(sys_, zeros[0], zeros[0], 0.005, cfg))
+
     @pytest.mark.parametrize("start", sorted(START))
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_sweep_amplitudes_equal_serial(self, strategy, start, step_core_steps):
@@ -253,8 +268,8 @@ class TestFaultsInABatch:
 
     @pytest.mark.parametrize("nl_dofs", [(0,), (0, 1, 2)], ids=["rank_k", "direct"])
     def test_zero_broyden_step(self, nl_dofs, step_core_steps):
-        # With both tolerances 0 a row at rest keeps R = 0 and dx = 0, which
-        # _step_core skips in its Broyden update; no row can converge.
+        # With both tolerances 0 a row at rest keeps R = 0 and dx = 0, and a
+        # zero Broyden step raises at once; no row can converge.
         cfg = NewmarkConfig(dt=DT, strategy="broyden", tol_dx=0.0, tol_res=0.0,
                             max_iter=MAX_ITER)
         systems = [keyed_system(1.0, steady_load, nl_dofs),

@@ -338,6 +338,20 @@ def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, change, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("spectrum", ["--dt", "0.5"]), ("spectrum", ["--strategy", "broyden"]),
+    ("spectrum", ["--seed", "9"]), ("solve", ["--seed", "9"]), ("sweep", ["--seed", "9"]),
+])
+def test_flag_the_command_does_not_read_exit_2(tmp_path, capsys, command, flag):
+    # Each command registers only the flags it reads; argparse rejects the
+    # others before the config is read.
+    cfg = write_config(tmp_path / "c.json", DUFFING_SOLVE)
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--config", cfg, "--out", str(tmp_path / "o.csv"), *flag])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
 class TestSpectrum:
     def _write_sine_csv(self, path, w0=40.0, dt=1e-3, n=2000):
         t = dt * np.arange(n)
@@ -485,9 +499,10 @@ class TestCheckJacobian:
     def test_checks_the_jacobian_the_solver_factors(self, tmp_path, monkeypatch,
                                                      capsys):
         # F_nl reads x[1], but nl_dofs declares DOF 0 alone, so the step
-        # Jacobian misses its column 1 while the residual does not.
+        # Jacobian misses its column 1 while the differences of F_nl do not.
+        # The missing term is tiny beside c_a M, which the check leaves out.
         def f_nl(x, v, a, t):
-            return [1e6 * x[1] * x[1] * x[1], 0.0]
+            return [x[1] * x[1] * x[1], 0.0]
 
         system = DynamicSystem(n_dof=2, M=np.eye(2), C=np.zeros((2, 2)),
                                K=np.eye(2), F_nl=f_nl, nl_dofs=[0])

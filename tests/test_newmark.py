@@ -518,6 +518,18 @@ class TestNewtonLoop:
         # Residuals before iterations 0 and 3: the factor is built there.
         assert calls["factor_at"] == [1, 4]
 
+    def test_zero_broyden_step_raises_at_once(self):
+        # At rest with no load R = 0, so the first step is zero.  With both
+        # tolerances 0 the step cannot converge, and a zero step cannot
+        # update the factor: it fails at once instead of at max_iter.
+        s = State(0.0, [0.0], [0.0], [0.0])
+        cfg = NewmarkConfig(dt=1e-3, tol_dx=0.0, tol_res=0.0, max_iter=20,
+                            strategy=BROYDEN_RANK1)
+        with pytest.raises(NonConvergenceError) as exc:
+            step(duffing(gamma_f=0.0), s, cfg)
+        assert exc.value.iterations == 1
+        assert exc.value.res_norm == 0.0 and exc.value.dx_norm == 0.0
+
     def test_singular_secant_update(self):
         # R(x) = x^2 - 2x + 4 from x = 0: dx = -2 lands on R(2) = R(0), so
         # the secant slope, and with it the updated Jacobian, is exactly 0.
