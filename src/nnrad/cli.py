@@ -25,10 +25,11 @@ SCHEMA_VERSION = 1
 
 # Each system type's factory, the keys it accepts besides "type", which
 # are passed to the factory as keywords, and the keyword that a sweep
-# speed sets (None: the type has no speed); any other key is an error.
+# speed sets (None: the type cannot be swept, having no rotor whose
+# (x, y) orbit a sweep reads); any other key is an error.
 SYSTEMS = {
     "van_der_pol": (van_der_pol, ("eps",), None),
-    "duffing": (duffing, ("delta", "alpha", "beta", "gamma_f", "omega"), "omega"),
+    "duffing": (duffing, ("delta", "alpha", "beta", "gamma_f", "omega"), None),
     "pendulum": (pendulum, (), None),
     "sfd_rotor": (sfd_rotor_system, ("omega", "mass", "stiffness", "j_d", "j_p", "l1",
                                      "l2", "damping", "unbalance"), "omega"),
@@ -200,6 +201,8 @@ def cmd_solve(args):
     n = sys_.n_dof
     t0 = _number(doc, "t0", 0.0)
     t_end = _as_number(_require(doc, "t_end"), "t_end")
+    if t_end < t0:
+        raise ConfigError(f"\"t_end\" must be at least \"t0\" = {t0!r}, got {t_end!r}")
     if t_end == t0:
         from .newmark import initial_acceleration
 
@@ -229,7 +232,7 @@ def cmd_sweep(args):
     doc = _load_config(args.config, args.command)
     model_spec = _system_spec(doc)
     if SYSTEMS[model_spec["type"]][2] is None:  # no keyword for a sweep speed
-        raise ConfigError(f"\"system.type\" {model_spec['type']!r} has no speed to sweep")
+        raise ConfigError(f"\"system.type\" {model_spec['type']!r} cannot be swept")
     t_end = _as_number(_require(doc, "t_end"), "t_end")
     cfg = _newmark_config(doc, args)
     speeds_spec = doc.get("speeds")

@@ -100,36 +100,36 @@ class RotorLayout:
         raise ValueError(f"unknown rotor tag {rotor!r}")
 
     def validate(self):
-        n = self.n_nodes
-        for el in self.elements:
-            if not (0 <= el.node_i < n and 0 <= el.node_j < n):
-                raise ValueError(f"element references missing node: {el}")
-        for d in self.disks:
-            if not 0 <= d.node < n:
-                raise ValueError(f"disk on missing node {d.node}")
-        for b in self.support_bearings:
-            if not 0 <= b.node < n:
-                raise ValueError(f"support bearing on missing node {b.node}")
-        for b in self.intershaft_bearings:
-            if not (0 <= b.inner_node < n and 0 <= b.outer_node < n):
-                raise ValueError("inter-shaft bearing references missing node")
+        refs = [("element", n) for el in self.elements for n in (el.node_i, el.node_j)]
+        refs += [("disk", d.node) for d in self.disks]
+        refs += [("support bearing", b.node) for b in self.support_bearings]
+        refs += [("inter-shaft bearing", n) for b in self.intershaft_bearings
+                 for n in (b.inner_node, b.outer_node)]
+        for kind, node in refs:
+            if not 0 <= node < self.n_nodes:
+                raise ValueError(f"{kind} references missing node {node}")
 
 
-def _plane_maps(node_i, node_j):
-    """(dof_map, signs) per bending plane for an element's two nodes."""
-    p1 = (
-        np.array([4 * node_i, 4 * node_i + 3, 4 * node_j, 4 * node_j + 3]),
-        np.array([1.0, -1.0, 1.0, -1.0]),
-    )
-    p2 = (
-        np.array([4 * node_i + 1, 4 * node_i + 2, 4 * node_j + 1, 4 * node_j + 2]),
-        np.array([1.0, 1.0, 1.0, 1.0]),
-    )
-    return p1, p2
+def _plane_maps(*nodes):
+    """(dof_map, signs) per bending plane, (x, -theta_y) and (y, theta_x), of nodes."""
+    map1 = [dof for n in nodes for dof in (4 * n, 4 * n + 3)]
+    map2 = [dof for n in nodes for dof in (4 * n + 1, 4 * n + 2)]
+    return (map1, [1.0, -1.0] * len(nodes)), (map2, [1.0] * len(map2))
 
 
-def _cross_scatter(G, block, rows, row_signs, cols, col_signs):
-    G[np.ix_(rows, cols)] += block * np.outer(row_signs, col_signs)
+def _add_block(M, K, G, maps, omega, M_b, J_b, K_b=None):
+    """Add one shaft element's or disk's per-plane blocks, in place.
+
+    M_b and K_b enter both bending planes; J_b, scaled by the spin speed
+    omega, couples plane 1 to plane 2 antisymmetrically in G.
+    """
+    for dof_map, signs in maps:
+        scatter_add(M, M_b, dof_map, signs)
+        if K_b is not None:
+            scatter_add(K, K_b, dof_map, signs)
+    (map1, s1), (map2, s2) = maps
+    G[np.ix_(map1, map2)] += -omega * J_b * np.outer(s1, s2)
+    G[np.ix_(map2, map1)] += omega * J_b * np.outer(s2, s1)
 
 
 def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
@@ -150,29 +150,15 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
 
     for el in layout.elements:
         M_s, J_s, K_s = shaft_element_matrices(el.props)
-        omega = layout.speed_of(el.rotor)
-        (map1, s1), (map2, s2) = _plane_maps(el.node_i, el.node_j)
-        scatter_add(M, M_s, map1, s1)
-        scatter_add(M, M_s, map2, s2)
-        scatter_add(K, K_s, map1, s1)
-        scatter_add(K, K_s, map2, s2)
-        _cross_scatter(G, -omega * J_s, map1, s1, map2, s2)
-        _cross_scatter(G, omega * J_s, map2, s2, map1, s1)
+        _add_block(M, K, G, _plane_maps(el.node_i, el.node_j),
+                   layout.speed_of(el.rotor), M_s, J_s, K_s)
 
     unbalance_terms = []
     for d in layout.disks:
         omega = layout.speed_of(d.rotor)
         M_d, J_d, q_d = disk_matrices(d.props, omega)
-        base = 4 * d.node
-        map1 = np.array([base, base + 3])
-        s1 = np.array([1.0, -1.0])
-        map2 = np.array([base + 1, base + 2])
-        s2 = np.array([1.0, 1.0])
-        scatter_add(M, M_d, map1, s1)
-        scatter_add(M, M_d, map2, s2)
-        _cross_scatter(G, -omega * J_d, map1, s1, map2, s2)
-        _cross_scatter(G, omega * J_d, map2, s2, map1, s1)
-        unbalance_terms.append((base, q_d))
+        _add_block(M, K, G, _plane_maps(d.node), omega, M_d, J_d)
+        unbalance_terms.append((4 * d.node, q_d))
 
     C = layout.rayleigh_alpha * M + layout.rayleigh_beta * K + G
 

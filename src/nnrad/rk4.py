@@ -7,6 +7,8 @@ acceleration admit the reduction y = [x; v], y' = [v; M^-1 (Q - Cv - Kx - F)].
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .linalg import lu_factor, lu_solve
@@ -54,6 +56,9 @@ def rk4_integrate(field, y0, t0, t_end, dt) -> Trajectory:
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValueError(f"t_end must exceed t0, both finite; got t0={t0!r}, "
+                         f"t_end={t_end!r}")
     y0 = np.asarray(y0, dtype=float)
     n = y0.size // 2
     n_steps = int(round((t_end - t0) / dt))

@@ -71,6 +71,36 @@ class TestSolve:
         _, rows = read_csv(out)
         assert len(rows) == 11
 
+    def test_strategy_override_flag(self, tmp_path):
+        # At this dt the strategies write different trajectories.
+        base = dict(DUFFING_SOLVE, newmark={"dt": 0.01}, t_end=1.0)
+        outs = {}
+        for name, doc, flags in (
+            ("default", base, []),
+            ("flag", base, ["--strategy", "simplified"]),
+            ("config", dict(base, newmark={"dt": 0.01, "strategy": "simplified"}), []),
+        ):
+            cfg = write_config(tmp_path / f"{name}.json", doc)
+            out = tmp_path / f"{name}.csv"
+            assert main(["solve", "--config", cfg, "--out", str(out)] + flags) == 0
+            outs[name] = out.read_bytes()
+        assert outs["flag"] == outs["config"]
+        assert outs["flag"] != outs["default"]
+
+    def test_non_convergence_exit_1(self, tmp_path, capsys):
+        doc = dict(DUFFING_SOLVE, newmark={"dt": 1e-3, "max_iter": 1, "tol_dx": 0.0,
+                                           "tol_res": 0.0})
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Newton iteration did not converge at step 1 ")
+
+    def test_t_end_before_t0_exit_2(self, tmp_path, capsys):
+        doc = dict(DUFFING_SOLVE, t0=1.0, t_end=0.5)
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert '"t_end"' in capsys.readouterr().err
+
     def test_malformed_config_exit_2(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -175,10 +205,26 @@ class TestDualRotorSpeeds:
 
 class TestSweep:
     def test_type_without_a_speed_exit_2(self, tmp_path, capsys):
-        doc = dict(SFD_SWEEP, system={"type": "pendulum"})
+        # duffing has an "omega", but no (x, y) orbit for a sweep to read.
+        for kind in ("pendulum", "duffing"):
+            doc = dict(SFD_SWEEP, system={"type": kind})
+            cfg = write_config(tmp_path / "c.json", doc)
+            assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+            assert '"system.type"' in capsys.readouterr().err
+
+    def test_failed_rows_exit_1(self, tmp_path):
+        # The film ruptures within 1 ms at both speeds (ROADMAP).
+        doc = dict(SFD_SWEEP, system={"type": "sfd_rotor", "unbalance": 0.05},
+                   speeds=[900.0, 1000.0], t_end=0.002)
         cfg = write_config(tmp_path / "c.json", doc)
-        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-        assert '"system.type"' in capsys.readouterr().err
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        header, rows = read_csv(out)
+        assert header == ["speed", "A_node0", "error"]
+        assert [float(row[0]) for row in rows] == [900.0, 1000.0]
+        for row in rows:
+            assert row[1] == "nan"
+            assert row[2].startswith("FilmRuptureError: ")
 
     def test_single_speed_sfd(self, tmp_path):
         doc = {

@@ -68,6 +68,11 @@ class TestRK4:
         with pytest.raises(ValueError):
             rk4_integrate(lambda t, y: y, np.zeros(2), 0.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("t_end", [-0.5, math.nan, math.inf])
+    def test_span_must_run_forward_and_be_finite(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            rk4_integrate(lambda t, y: y, np.zeros(2), 0.0, t_end, 0.1)
+
     def test_divergence_error(self):
         field = lambda t, y: y * y * 1e3  # finite-time blowup
         # The blowup overflows on purpose.

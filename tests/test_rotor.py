@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from nnrad.models.bearing import BearingParams
+from nnrad.models.disk import DiskProps
 from nnrad.models.rotor import (
+    DiskPlacement,
     InterShaftBearing,
     RotorLayout,
     ShaftElement,
@@ -47,6 +49,30 @@ class TestAssembly:
         # Nothing couples the two planes at zero speed.
         assert np.allclose(sys_.K[np.ix_(map1, map2)], 0.0)
         assert np.allclose(sys_.C, 0.0)
+
+    def test_disk_blocks(self):
+        # A disk on a node that no element touches, so its blocks stand alone.
+        omega = 300.0
+        layout = bare_two_node_layout(omega)
+        layout.node_z = np.array([0.0, 0.2, 0.4])
+        disk = DiskPlacement(node=2, props=DiskProps(mass=2.0, j_d=0.01, j_p=0.03),
+                             rotor="lp")
+        layout.disks.append(disk)
+        sys_ = assemble_dual_rotor(layout)
+        bare = assemble_dual_rotor(bare_two_node_layout(omega))
+        # DOFs 8..11 are (x, y, theta_x, theta_y) of node 2.  The mass
+        # diag(m, J_d) enters plane 1 (x, -theta_y) and plane 2 (y,
+        # theta_x); plane 1's sign flip leaves a diagonal block as it is.
+        assert np.array_equal(sys_.M[8:, 8:], np.diag([2.0, 2.0, 0.01, 0.01]))
+        # The gyroscopic pair couples the rotations only, antisymmetrically:
+        # omega J_p at (theta_y, theta_x), its negative at (theta_x, theta_y).
+        G = np.zeros((4, 4))
+        G[3, 2], G[2, 3] = omega * 0.03, -omega * 0.03
+        assert np.array_equal(sys_.C[8:, 8:], G)
+        assert np.array_equal(sys_.K[8:, 8:], np.zeros((4, 4)))
+        for mat, ref in ((sys_.M, bare.M), (sys_.C, bare.C), (sys_.K, bare.K)):
+            assert np.array_equal(mat[:8, :8], ref)
+            assert not mat[:8, 8:].any() and not mat[8:, :8].any()
 
     def test_default_layout_is_40_dof(self):
         sys_ = assemble_dual_rotor(default_dual_rotor_layout())
@@ -133,6 +159,13 @@ class TestValidation:
             )
         )
         with pytest.raises(ValueError):
+            assemble_dual_rotor(layout)
+
+    def test_missing_node_names_kind_and_node(self):
+        layout = bare_two_node_layout()
+        layout.disks.append(DiskPlacement(
+            node=-1, props=DiskProps(mass=1.0, j_d=0.01, j_p=0.02), rotor="lp"))
+        with pytest.raises(ValueError, match="disk references missing node -1"):
             assemble_dual_rotor(layout)
 
     def test_unknown_rotor_tag(self):
