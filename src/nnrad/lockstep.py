@@ -24,13 +24,13 @@ a test or the benchmark's tracer may wrap them.
 from __future__ import annotations
 
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from . import newmark
 from .newmark import NewmarkConfig, SolveTerms
-from .system import State, Trajectory
+from .system import Sites, State, Trajectory
 
 __all__ = ["integrate_rows"]
 
@@ -39,7 +39,7 @@ class Rows(NamedTuple):
     """What _step_core reads of the systems of a lock-step batch, stacked.
 
     systems is an object array of the B systems; M, C and K are their
-    (B, n, n) stacks; F_nl and nl_dofs are the ones they share.
+    (B, n, n) stacks; F_nl, nl_dofs and sites are the ones they share.
     """
 
     systems: np.ndarray
@@ -48,6 +48,7 @@ class Rows(NamedTuple):
     K: np.ndarray
     F_nl: Callable
     nl_dofs: np.ndarray
+    sites: Optional[Sites]
 
     def Q(self, t):
         """The (B, n) loads of the rows at t."""
@@ -60,7 +61,8 @@ def _stack(systems, terms, live):
     row_systems = np.empty(len(live), dtype=object)
     row_systems[:] = [systems[k] for k in live]
     rows = Rows(row_systems, *(np.array([getattr(systems[k], name) for k in live])
-                               for name in "MCK"), first.F_nl, first.nl_dofs)
+                               for name in "MCK"), first.F_nl, first.nl_dofs,
+                first.sites)
     A_eff = np.array([terms[k].A_eff for k in live])
     base = None
     if any(terms[k].base is not None for k in live):

@@ -20,6 +20,7 @@ __all__ = [
     "ball_angles",
     "ball_forces",
     "bearing_force",
+    "hertz_load",
 ]
 
 HERTZ_EXPONENT = 10.0 / 9.0
@@ -63,14 +64,19 @@ def ball_angles(p: BearingParams, t):
 def ball_forces(dx, dy, theta, clearance, k_hertz):
     """(x, y) Hertz contact force of each ball, vectorised over balls.
 
-    A ball at angle theta carries k_hertz * relu_pow(delta, 10/9), where
-    its interference delta is the race-relative displacement (dx, dy)
-    projected on the ball direction minus the radial clearance.  Any
-    argument may be an array over balls; dx and dy may be ADArrays.
+    A ball at angle theta carries hertz_load of the race-relative
+    displacement (dx, dy) projected on the ball direction.  Any argument
+    may be an array over balls; dx and dy may be ADArrays.
     """
     c, s = np.cos(theta), np.sin(theta)
-    load = k_hertz * ad.relu_pow(dx * c + dy * s - clearance, HERTZ_EXPONENT)
+    load = hertz_load(dx * c + dy * s, clearance, k_hertz)
     return load * c, load * s
+
+
+def hertz_load(delta, clearance, k_hertz):
+    """k_hertz * relu_pow(delta - clearance, 10/9): the load of each ball
+    whose race-relative displacement on its direction is delta."""
+    return k_hertz * ad.relu_pow(delta - clearance, HERTZ_EXPONENT)
 
 
 def bearing_force(x_i, y_i, x_o, y_o, t, p: BearingParams):

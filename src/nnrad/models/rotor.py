@@ -18,8 +18,8 @@ from typing import List
 import numpy as np
 
 from ..linalg import scatter_add
-from ..system import DynamicSystem
-from .bearing import BearingParams, ball_angles, ball_forces, cage_speed
+from ..system import DynamicSystem, Sites
+from .bearing import BearingParams, ball_angles, cage_speed, hertz_load
 from .disk import DiskProps, disk_matrices
 from .shaft import ShaftElementProps, shaft_element_matrices
 
@@ -138,9 +138,10 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
     M and K collect shaft and disk contributions; C is Rayleigh damping
     alpha*M + beta*K plus the antisymmetric gyroscopic matrix scaled by
     each rotor's spin speed.  The nonlinear force sums Hertz bearing
-    forces; the inter-shaft bearing loads its node pair with equal and
-    opposite forces.  It reads only the x and y DOFs of the bearing nodes,
-    which the system declares as its nl_dofs.
+    forces, declared as one site per ball (DynamicSystem.sites); the
+    inter-shaft bearing loads its node pair with equal and opposite
+    forces.  It reads only the x and y DOFs of the bearing nodes, which
+    the system declares as its nl_dofs.
     """
     layout.validate()
     n_dof = layout.n_dof
@@ -162,10 +163,11 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
 
     C = layout.rayleigh_alpha * M + layout.rayleigh_beta * K + G
 
-    # Every ball of every bearing in one flat list.  Support bearings have
-    # a fixed outer race; the inter-shaft bearing's races follow the two
-    # rotors.  Row b of Gx/Gy picks the race-relative x/y displacement of
-    # ball b's bearing, and their transposes load the races back.
+    # Every ball of every bearing in one flat list, each ball a site.
+    # Support bearings have a fixed outer race; the inter-shaft bearing's
+    # races follow the two rotors.  Row b of R picks the race-relative x
+    # and y displacements of ball b's bearing (+1 inner, -1 outer race),
+    # and row b of the gather weighs them by cos and sin of ball b's angle.
     placements = [
         (4 * b.node, None, replace(b.params, omega_inner=layout.speed_of(b.rotor),
                                    omega_outer=0.0))
@@ -177,17 +179,15 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
     ]
     params = [p for _, _, p in placements]
     n_balls = [p.n_balls for p in params]
-    Gx = np.zeros((sum(n_balls), n_dof))
-    Gy = np.zeros((sum(n_balls), n_dof))
+    R = np.zeros((sum(n_balls), n_dof))
     first = 0
     for inner, outer, p in placements:
         balls = slice(first, first + p.n_balls)
-        Gx[balls, inner] = 1.0
-        Gy[balls, inner + 1] = 1.0
+        R[balls, inner:inner + 2] = 1.0
         if outer is not None:
-            Gx[balls, outer] = -1.0
-            Gy[balls, outer + 1] = -1.0
+            R[balls, outer:outer + 2] = -1.0
         first += p.n_balls
+    is_x = np.arange(n_dof) % 4 == 0
     theta0 = np.concatenate([ball_angles(p, 0.0) for p in params] + [np.zeros(0)])
     omega_c, clearance, k_hertz = (
         np.repeat(np.array(values, dtype=float), n_balls)
@@ -198,9 +198,12 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
         )
     )
 
-    def f_nl(x, v, a, t):
-        fx, fy = ball_forces(Gx @ x, Gy @ x, theta0 + omega_c * t, clearance, k_hertz)
-        return Gx.T @ fx + Gy.T @ fy
+    def gather(t):
+        theta = (theta0 + omega_c * t)[:, None]
+        return np.where(is_x, np.cos(theta), np.sin(theta)) * R
+
+    def law(u, t):
+        return hertz_load(u, clearance, k_hertz)
 
     grav = np.zeros(n_dof)
     if layout.gravity:
@@ -217,8 +220,8 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
         return force
 
     return DynamicSystem(
-        n_dof=n_dof, M=M, C=C, K=K, Q=q, F_nl=f_nl, name="dual_rotor",
-        nl_dofs=np.flatnonzero(np.any(Gx != 0.0, axis=0) | np.any(Gy != 0.0, axis=0)),
+        n_dof=n_dof, M=M, C=C, K=K, Q=q, name="dual_rotor", sites=Sites(gather, law),
+        nl_dofs=np.flatnonzero(R.any(axis=0)),
     )
 
 

@@ -246,10 +246,27 @@ def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     the derivative then has width n), J is A_eff plus that derivative,
     with no copy of A_eff and no column scatter.
 
+    With sites (DynamicSystem.sites), F_nl = G^T law(G x1) at G = G(t1):
+    one seed column of ones at u = G x1 gives every independent site's
+    law'(u), and G^T diag(law') G is added in the (nl_dofs, nl_dofs)
+    block, with no AD pass of F_nl.  With no nl_dofs, J is A_eff.
+
     With (B, n) rows x1, stacked StepTerms and a (B, n, n) stack
-    terms.A_eff, sys.F_nl must take rows (DynamicSystem.batch_key); the
-    result is the (B, n, n) stack of each row's Jacobian.
+    terms.A_eff, sys.F_nl (or the law) must take rows
+    (DynamicSystem.batch_key); the result is the (B, n, n) stack of each
+    row's Jacobian.
     """
+    cols = sys.nl_dofs
+    if not len(cols):
+        return terms.A_eff
+    if sys.sites is not None:
+        G = sys.sites.matrix(p.t1)
+        dlaw = ad.jacobian(lambda u: sys.sites.law(u, p.t1), ad.matvec(G, x1),
+                           np.ones((len(G), 1)))
+        G_n = G[:, cols]
+        J = terms.A_eff.copy()
+        J[..., cols[:, None], cols] += np.matmul(G_n.T, dlaw * G_n)
+        return J
 
     def f_nl(x, v, a):
         return sys.F_nl(x, v, a, p.t1)
@@ -258,7 +275,7 @@ def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     if dF.shape[-1] == terms.A_eff.shape[-1]:
         return terms.A_eff + dF
     J = terms.A_eff.copy()
-    J[..., sys.nl_dofs] += dF
+    J[..., cols] += dF
     return J
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import ad
 
-__all__ = ["State", "DynamicSystem", "Trajectory"]
+__all__ = ["State", "Sites", "DynamicSystem", "Trajectory"]
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,32 @@ class State:
         n = self.x.shape[0]
         if self.v.shape[0] != n or self.a.shape[0] != n:
             raise ValueError("x, v, a must share one dimension")
+
+
+class Sites:
+    """The force G(t)^T law(G(t) x, t) of s independent scalar sites.
+
+    gather(t) gives the (s, n) matrix G(t), row i site i's projection of
+    x; law(u, t), written with nnrad.ad, gives the (s,) site forces, site
+    i's from u_i alone.  G is kept for the last t, which every residual
+    and Jacobian of a step shares.
+    """
+
+    def __init__(self, gather, law):
+        self.gather = gather
+        self.law = law
+        self._last = (None, None)
+
+    def matrix(self, t):
+        """G(t), from the cache when t is the time of the last call."""
+        if t != self._last[0]:
+            self._last = (t, np.asarray(self.gather(t), dtype=float))
+        return self._last[1]
+
+    def force(self, x, v, a, t):
+        """G(t)^T law(G(t) x, t): the F_nl of the sites; rows of x too."""
+        G = self.matrix(t)
+        return ad.matvec(G.T, self.law(ad.matvec(G, x), t))
 
 
 def _zero_force(n):
@@ -63,12 +89,17 @@ class DynamicSystem:
     structure: a probe evaluation would miss, say, a bearing ball out of
     contact, whose derivative is exactly zero at that state.
 
+    sites (Sites) declares F_nl as independent sites that read x only,
+    so the step Jacobian differentiates their law alone.  F_nl, when not
+    given, is derived from them; a given one (a wrapper, say) is kept and
+    must equal it.  nl_dofs must still list every DOF that G(t) reads.
+
     batch_key opts the system into lock-step batches (analysis.sweep).
     Systems with equal, hashable, non-None keys and equal n_dof promise
-    the same F_nl and nl_dofs, and that this F_nl also accepts x, v and a
-    of shape (B, n_dof), B states at once, returning (B, n_dof) forces
-    whose rows have the bits of B one-state calls.  None (the default)
-    keeps the system out of every batch.
+    the same F_nl, nl_dofs and sites, and that this F_nl also accepts x,
+    v and a of shape (B, n_dof), B states at once, returning (B, n_dof)
+    forces whose rows have the bits of B one-state calls.  None (the
+    default) keeps the system out of every batch.
     """
 
     n_dof: int
@@ -81,6 +112,7 @@ class DynamicSystem:
     name: str = ""
     nl_dofs: Optional[Sequence[int]] = None
     batch_key: Optional[Hashable] = None
+    sites: Optional[Sites] = None
 
     def __post_init__(self):
         n = self.n_dof
@@ -92,7 +124,7 @@ class DynamicSystem:
         if self.Q is None:
             self.Q = _zero_force(n)
         if self.F_nl is None:
-            self.F_nl = _zero_nonlinearity
+            self.F_nl = _zero_nonlinearity if self.sites is None else self.sites.force
         if self.nl_dofs is None:
             self.nl_dofs = np.arange(n)
         else:

@@ -421,3 +421,17 @@ class TestFilmForceRows:
         x[2, 0] = 1.5 * sfd.default_sfd_params().film_clearance
         with pytest.raises(FilmRuptureError):
             sfd_rotor_system(900.0).F_nl(x, v, np.zeros_like(x), 0.0)
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_rows_whose_force_reads_no_dof(strategy, step_core_steps):
+    # nl_dofs = []: every step Jacobian is A_eff, with no AD pass.
+    cfg = NewmarkConfig(dt=DT, strategy=strategy)
+    systems = [DynamicSystem(n_dof=4, M=np.eye(4), C=0.02 * np.eye(4),
+                             K=np.diag([k0, 2.0, 3.0, 4.0]), Q=steady_load,
+                             nl_dofs=[], batch_key="linear") for k0 in (1.0, 5.0)]
+    x0 = np.array([0.1, 0.0, 0.2, 0.0])
+    got = integrate_rows(systems, [x0] * 2, [x0] * 2, 0.0, 10 * DT, cfg)
+    assert step_core_steps == []
+    for sys_, traj in zip(systems, got):
+        assert_same_outcome(traj, serial_run(sys_, x0, x0, 10 * DT, cfg))

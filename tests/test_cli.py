@@ -525,6 +525,17 @@ class TestCheckJacobian:
         )
         assert main(["check-jacobian", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize("system", [{"type": "dual_rotor"},
+                                        {"type": "sfd_rotor", "omega": 900.0}])
+    def test_rotors_pass(self, tmp_path, capsys, system):
+        # The dual rotor's Jacobian comes from its bearing-ball sites, the
+        # SFD rotor's from AD of the whole film force.
+        doc = self._doc(system, newmark={"dt": 1e-4}, scale=1e-5, fd_step=1e-10,
+                        tol=1e-6)
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["check-jacobian", "--config", cfg]) == 0
+        assert "PASS" in capsys.readouterr().out
+
     def test_seed_flag_overrides(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", self._doc({"type": "duffing"}))
         assert main(["check-jacobian", "--config", cfg, "--seed", "7"]) == 0

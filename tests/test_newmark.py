@@ -23,6 +23,7 @@ from nnrad import (
     to_first_order,
 )
 from nnrad import ad
+from nnrad.lockstep import integrate_rows
 from nnrad.models import (
     default_dual_rotor_layout,
     duffing,
@@ -33,6 +34,7 @@ from nnrad.models import (
 from nnrad.models.bearing import ball_angles
 from nnrad.models.rotor import assemble_dual_rotor
 from nnrad.newmark import (
+    STRATEGIES,
     SolveTerms,
     _step_terms,
     solve_terms,
@@ -45,6 +47,12 @@ def linear_sdof(k=1.0, c=0.0):
     return DynamicSystem(
         n_dof=1, M=np.array([[1.0]]), C=np.array([[c]]), K=np.array([[k]])
     )
+
+
+def dense_dual_rotor():
+    """The dual rotor without its sites: step_jacobian differentiates F_nl."""
+    return dataclasses.replace(assemble_dual_rotor(default_dual_rotor_layout()),
+                               sites=None)
 
 
 def terms(s, cfg):
@@ -316,8 +324,7 @@ class TestStepJacobian:
             (inertial, NewmarkConfig(dt=1e-3), 1.0),
             (duffing(), NewmarkConfig(dt=1e-3), 1.0),
             (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5),
-            (assemble_dual_rotor(default_dual_rotor_layout()),
-             NewmarkConfig(dt=1e-4), 1e-5),
+            (dense_dual_rotor(), NewmarkConfig(dt=1e-4), 1e-5),
         ]
         for sys_, cfg, scale in cases:
             terms = solve_terms(sys_, cfg)
@@ -347,15 +354,15 @@ class TestStepJacobian:
 
     def test_equals_the_column_scatter_form(self):
         # Every DOF declared (duffing, SFD) adds the derivative whole; the
-        # dual rotor (10 of 40) scatters its columns.  Both keep the bits
-        # of the scatter form, on one row and on a stack of rows.
+        # dual rotor's F_nl without its sites (10 of 40) scatters its
+        # columns.  Both keep the bits of the scatter form, on one row and
+        # on a stack of rows.
         rng = np.random.default_rng(26)
         cases = [
             (duffing(), NewmarkConfig(dt=1e-3), 1.0, 1),
             (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5, 1),
             (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5, 4),
-            (assemble_dual_rotor(default_dual_rotor_layout()),
-             NewmarkConfig(dt=1e-4), 1e-5, 1),
+            (dense_dual_rotor(), NewmarkConfig(dt=1e-4), 1e-5, 1),
         ]
         for sys_, cfg, scale, n_rows in cases:
             terms = solve_terms(sys_, cfg)
@@ -377,6 +384,78 @@ class TestStepJacobian:
         sys_ = assemble_dual_rotor(default_dual_rotor_layout())
         copy = dataclasses.replace(sys_, F_nl=sys_.F_nl)
         assert np.array_equal(copy.nl_dofs, sys_.nl_dofs)
+
+
+class TestSites:
+    """The dual rotor declares its bearing balls as sites: its step
+    Jacobian differentiates the Hertz law alone, never F_nl."""
+
+    FIELDS = ("x", "v", "a", "iterations", "residual_norms")
+
+    @staticmethod
+    def start(sys_):
+        rng = np.random.default_rng(27)
+        n = sys_.n_dof
+        return 1e-5 * rng.standard_normal(n), 1e-3 * rng.standard_normal(n)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_law_jacobian_per_refresh_and_no_ad_force(self, strategy,
+                                                           monkeypatch):
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        f_nl, ad_inputs, refreshes, jacobians = sys_.F_nl, [], [], []
+
+        def force(x, v, a, t):
+            ad_inputs.append(any(isinstance(z, ad.ADArray) for z in (x, v, a)))
+            return f_nl(x, v, a, t)
+
+        def counted(calls, fn):
+            def call(*args):
+                calls.append(1)
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(ad, "jacobian", counted(jacobians, ad.jacobian))
+        monkeypatch.setattr(nnrad.newmark, "step_jacobian",
+                            counted(refreshes, nnrad.newmark.step_jacobian))
+        x0, v0 = self.start(sys_)
+        integrate(dataclasses.replace(sys_, F_nl=force), x0, v0, 0.0, 0.002,
+                  NewmarkConfig(dt=1e-4, strategy=strategy))
+        assert len(jacobians) == len(refreshes) >= 20
+        assert ad_inputs and not any(ad_inputs)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_wrapped_force_integrates_bit_for_bit(self, strategy):
+        # As the benchmark's tracer wraps F_nl: the sites stay declared.
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        wrapped = dataclasses.replace(sys_, F_nl=lambda *args: sys_.F_nl(*args))
+        assert wrapped.sites is sys_.sites and wrapped.F_nl is not sys_.F_nl
+        x0, v0 = self.start(sys_)
+        cfg = NewmarkConfig(dt=1e-4, strategy=strategy)
+        got = integrate(wrapped, x0, v0, 0.0, 0.003, cfg)
+        want = integrate(sys_, x0, v0, 0.0, 0.003, cfg)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_rows_in_lock_step_equal_integrate(self, monkeypatch):
+        # One set of sites shared by rows whose damping differs.
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        systems = [dataclasses.replace(sys_, C=f * sys_.C, batch_key="dual")
+                   for f in (0.5, 1.0, 2.0)]
+        x0, v0 = self.start(sys_)
+        cfg = NewmarkConfig(dt=1e-4)
+        ndims, step_core = [], nnrad.newmark._step_core
+
+        def recorded(sys_, x, *args, **kwargs):
+            ndims.append(np.ndim(x))
+            return step_core(sys_, x, *args, **kwargs)
+
+        monkeypatch.setattr(nnrad.newmark, "_step_core", recorded)
+        got = integrate_rows(systems, [x0] * 3, [v0] * 3, 0.0, 0.002, cfg)
+        assert ndims == [2] * 20
+        for row, traj in zip(systems, got):
+            want = integrate(row, x0, v0, 0.0, 0.002, cfg)
+            for name in self.FIELDS:
+                assert np.array_equal(getattr(traj, name), getattr(want, name)), name
 
 
 class TestInitialAcceleration:
