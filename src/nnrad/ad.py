@@ -27,6 +27,7 @@ __all__ = [
     "ADDomainError",
     "lift",
     "stack",
+    "seeded",
     "jacobian",
     "matvec",
     "dot",
@@ -161,22 +162,23 @@ class ADArray:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        # The value a / b has the bits of the float quotient.
         if isinstance(other, ADArray):
             seeds = self._seeds_of(other)
             if _has_zero(other.value):
                 raise ADDomainError(f"division by zero (numerator {self.value})")
             inv = 1.0 / other.value
-            q = self.value * inv
+            q = self.value / other.value
             return _new(q, (self.seeds - seeds * _col(q)) * _col(inv))
         if _has_zero(other):
             raise ADDomainError(f"division by zero (numerator {self.value})")
-        return self * (1.0 / other)
+        return _new(self.value / other, self.seeds * _col(np.asarray(1.0 / other)))
 
     def __rtruediv__(self, other):
         if _has_zero(self.value):
             raise ADDomainError(f"division by zero (numerator {other})")
         inv = 1.0 / self.value
-        q = other * inv
+        q = other / self.value
         return _new(q, self._spread(q) * _col(-q * inv))
 
     def __neg__(self):
@@ -250,6 +252,8 @@ def stack(xs):
         return xs
     if isinstance(xs, np.ndarray):
         return xs.astype(float, copy=False)
+    if len(xs) == 1 and isinstance(xs[0], ADArray):  # the [f] of a 1-DOF model
+        return _new(xs[0].value[None], xs[0].seeds[None])
     width = next((x.width for x in xs if isinstance(x, ADArray)), None)
     if width is None:
         return np.asarray(xs, dtype=float)
@@ -261,9 +265,11 @@ def stack(xs):
     return _new(value, seeds)
 
 
-def _seeded(x, seeds):
-    """x as an ADArray with the given (n, width) seeds, on every row of x."""
-    x = np.asarray(x, dtype=float)
+def seeded(x, seeds):
+    """The float array x as an ADArray with the (n, width) seeds on each row.
+
+    No checks: x must be a float ndarray whose last axis has length n.
+    """
     if x.shape != seeds.shape[:-1]:
         rows = np.empty(x.shape + seeds.shape[-1:])
         rows[...] = seeds
@@ -292,9 +298,9 @@ def jacobian(f, x0, seeds=None):
     if seeds is None:
         xs = (lift(x0),)
     elif isinstance(x0, tuple):
-        xs = tuple(map(_seeded, x0, seeds))
+        xs = tuple(seeded(np.asarray(x, dtype=float), s) for x, s in zip(x0, seeds))
     else:
-        xs = (_seeded(x0, seeds),)
+        xs = (seeded(np.asarray(x0, dtype=float), seeds),)
     width = xs[0].seeds.shape[-1]
     out = stack(f(*xs))
     rows = xs[0].value.shape[:-1]

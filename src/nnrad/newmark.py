@@ -10,7 +10,10 @@ refreshed from a new Jacobian and whether it is updated in between:
 every iteration (full Newton), once per step (simplified Newton), or
 once per step and once more past half of max_iter, with a Broyden rank-1
 secant update of the factor at each iteration in between (broyden).
-What a step holds fixed, the offsets of the Newmark maps from x1 to v1
+An iterate whose Jacobian the next iteration factors is evaluated by
+linearize, R and J from one AD pass, and any other by the float
+residual.  When F_nl reads no DOF, J is A_eff, whose factor every step
+reuses.  What a step holds fixed, the offsets of the Newmark maps from x1 to v1
 and a1 and the load Q(t1), is built once per step (StepTerms), so every
 residual and Jacobian of the step shares it.  What a solve holds fixed,
 A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
@@ -52,6 +55,7 @@ __all__ = [
     "solve_terms",
     "residual",
     "step_matrix",
+    "linearize",
     "step_jacobian",
     "initial_acceleration",
     "step",
@@ -168,8 +172,9 @@ def _step_terms(x, v, a, t1, q1, cfg):
     """The StepTerms of the step from (x, v, a) to t1 with load q1; rows too."""
     c_a, c_v = _newmark_coeffs(cfg)
     b, g, dt = cfg.beta, cfg.gamma, cfg.dt
-    g_a = c_a * (-x) - v / (b * dt) - (0.5 / b - 1.0) * a
-    g_v = c_v * (-x) + (1.0 - g / b) * v + (1.0 - g / (2.0 * b)) * dt * a
+    nx = -x
+    g_a = c_a * nx - v / (b * dt) - (0.5 / b - 1.0) * a
+    g_v = c_v * nx + (1.0 - g / b) * v + (1.0 - g / (2.0 * b)) * dt * a
     return StepTerms(t1, c_a, g_a, c_v, g_v, q1)
 
 
@@ -177,6 +182,17 @@ def step_terms(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> StepTerms:
     """The StepTerms of the step from s to t1 = s.t + dt."""
     t1 = s.t + cfg.dt
     return _step_terms(s.x, s.v, s.a, t1, sys.Q(t1), cfg)
+
+
+def _linear_part(x1, p: StepTerms, sys: DynamicSystem):
+    """(M a1 + C v1 + K x1, v1, a1) at x1, with a1, v1 from p's maps."""
+    a1 = p.acceleration(x1)
+    v1 = p.velocity(x1)
+    if sys.M.ndim > 2 or ad.value_of(x1).ndim > 1:
+        lin = ad.matvec(sys.M, a1) + ad.matvec(sys.C, v1) + ad.matvec(sys.K, x1)
+    else:
+        lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1
+    return lin, v1, a1
 
 
 def residual(x1, p: StepTerms, sys: DynamicSystem):
@@ -189,12 +205,7 @@ def residual(x1, p: StepTerms, sys: DynamicSystem):
     (B, n) rows of each row's residual, with its bits.
     """
     x1 = ad.stack(x1)
-    a1 = p.acceleration(x1)
-    v1 = p.velocity(x1)
-    if sys.M.ndim > 2:
-        lin = ad.matvec(sys.M, a1) + ad.matvec(sys.C, v1) + ad.matvec(sys.K, x1)
-    else:
-        lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1
+    lin, v1, a1 = _linear_part(x1, p, sys)
     return lin + ad.stack(sys.F_nl(x1, v1, a1, p.t1)) - p.q1
 
 
@@ -235,48 +246,51 @@ def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
     return SolveTerms(A_eff, (S, c_v * S, c_a * S), base)
 
 
-def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
-    """dR/dx1: A_eff plus the AD derivative of F_nl in the DOFs it reads.
+def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
+    """(R, J) at x1 from one forward pass, R with the bits of residual and
+    J = dR/dx1, A_eff plus the AD derivative of F_nl in sys.nl_dofs.
 
-    Only sys.nl_dofs are seeded.  Through the Newmark maps a
-    displacement seed e_j carries the velocity seed c_v e_j and the
-    acceleration seed c_a e_j, so one forward pass of F_nl, with those
-    seeds of terms (SolveTerms), gives dF/dx + c_v dF/dv + c_a dF/da
-    for those columns.  When F_nl reads every DOF (nl_dofs is sorted, so
-    the derivative then has width n), J is A_eff plus that derivative,
-    with no copy of A_eff and no column scatter.
-
+    F_nl runs once, with the constant seeds of terms (SolveTerms) on x1,
+    v1 and a1: through the Newmark maps a displacement seed e_j carries
+    the velocity seed c_v e_j and the acceleration seed c_a e_j, so its
+    seeds are dF/dx + c_v dF/dv + c_a dF/da and its value the float F_nl
+    (nnrad.ad).  When F_nl reads every DOF (nl_dofs is sorted), J is
+    A_eff plus that derivative, with no copy and no column scatter.
     With sites (DynamicSystem.sites), F_nl = G^T law(G x1) at G = G(t1):
-    one seed column of ones at u = G x1 gives every independent site's
-    law'(u), and G^T diag(law') G is added in the (nl_dofs, nl_dofs)
-    block, with no AD pass of F_nl.  With no nl_dofs, J is A_eff.
-
-    With (B, n) rows x1, stacked StepTerms and a (B, n, n) stack
-    terms.A_eff, sys.F_nl (or the law) must take rows
-    (DynamicSystem.batch_key); the result is the (B, n, n) stack of each
-    row's Jacobian.
+    the law runs once, at u = G x1 with one seed column of ones (its
+    sites are independent), and G^T diag(law') G is added in the
+    (nl_dofs, nl_dofs) block.  With no nl_dofs, or a force without
+    seeds, J is terms.A_eff itself.  With (B, n) rows x1, stacked
+    StepTerms and a (B, n, n) stack terms.A_eff, F_nl (or the law) must
+    take rows (DynamicSystem.batch_key); R and J hold each row's.
     """
-    cols = sys.nl_dofs
+    lin, v1, a1 = _linear_part(x1, p, sys)
+    cols, J = sys.nl_dofs, terms.A_eff
     if not len(cols):
-        return terms.A_eff
-    if sys.sites is not None:
+        F = sys.F_nl(x1, v1, a1, p.t1)
+    elif sys.sites is not None:
         G = sys.sites.matrix(p.t1)
-        dlaw = ad.jacobian(lambda u: sys.sites.law(u, p.t1), ad.matvec(G, x1),
-                           np.ones((len(G), 1)))
-        G_n = G[:, cols]
-        J = terms.A_eff.copy()
-        J[..., cols[:, None], cols] += np.matmul(G_n.T, dlaw * G_n)
-        return J
+        law = sys.sites.law(ad.seeded(ad.matvec(G, x1), np.ones((len(G), 1))), p.t1)
+        F = ad.matvec(G.T, ad.value_of(law))
+        if isinstance(law, ad.ADArray):
+            G_n = G[:, cols]
+            J = J.copy()
+            J[..., cols[:, None], cols] += np.matmul(G_n.T, law.seeds * G_n)
+    else:
+        S, S_v, S_a = terms.seeds
+        F = ad.stack(sys.F_nl(ad.seeded(x1, S), ad.seeded(v1, S_v),
+                              ad.seeded(a1, S_a), p.t1))
+        if isinstance(F, ad.ADArray) and F.seeds.shape[-1] == J.shape[-1]:
+            J = J + F.seeds
+        elif isinstance(F, ad.ADArray):
+            J = J.copy()
+            J[..., cols] += F.seeds
+    return lin + ad.value_of(ad.stack(F)) - p.q1, J
 
-    def f_nl(x, v, a):
-        return sys.F_nl(x, v, a, p.t1)
 
-    dF = ad.jacobian(f_nl, (x1, p.velocity(x1), p.acceleration(x1)), terms.seeds)
-    if dF.shape[-1] == terms.A_eff.shape[-1]:
-        return terms.A_eff + dF
-    J = terms.A_eff.copy()
-    J[..., cols] += dF
-    return J
+def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
+    """dR/dx1 at x1: the J of linearize."""
+    return linearize(x1, p, sys, terms)[1]
 
 
 def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
@@ -308,19 +322,6 @@ def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
     raise NonConvergenceError(-1, 50, norm2(g(a)), float("nan"))
 
 
-def _refresh_due(cfg, have_factor, iters):
-    """Whether the factor is refreshed from a new Jacobian at iteration iters.
-
-    Full Newton refreshes every iteration, simplified once per step,
-    Broyden once more past half of max_iter.
-    """
-    return (
-        not have_factor
-        or cfg.strategy == FULL_NEWTON
-        or (cfg.strategy == BROYDEN_RANK1 and iters == cfg.max_iter // 2 + 1)
-    )
-
-
 def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     """One Newmark step from x, v, a to t1: (x1, v1, a1, iterations, |R|).
 
@@ -333,6 +334,9 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     it was live; each row has the bits of its own one-row call.  A
     non-finite residual, a zero Broyden step or reaching max_iter raises
     NonConvergenceError, a singular factor SingularJacobianError.
+
+    x0 is linearized; a later iterate is, unless it passes the dx test
+    (which ends the step) or the next iteration makes no refresh.
     """
     p = _step_terms(x, v, a, t1, sys.Q(t1), cfg)
     rows = x.ndim > 1
@@ -343,13 +347,12 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
         """The largest norm: NaN if one is NaN, else inf if one is inf."""
         return rn.max() if rows else rn
 
-    def evaluate(x):
-        """Residual and its norm; a non-finite one ends the step at once."""
-        R = residual(x, p, sys)
+    def norm(R):
+        """|R|; a non-finite one ends the step at once."""
         rn = norm2(R)
         if not math.isfinite(worst(rn)):
             raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
-        return R, rn
+        return rn
 
     def factor(fn, *args):
         """lu_factor or lu_update, a singular result as SingularJacobianError."""
@@ -358,15 +361,18 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
         except SingularMatrixError as err:
             raise SingularJacobianError(step_index, err.pivot_index) from err
 
-    R, rn = evaluate(x)
+    R, J = linearize(x, p, sys, terms)
+    rn = norm(R)
     done = rn < cfg.tol_res
     # A converged row stays converged: its zero step passes the dx test
     # when tol_dx > 0, and with tol_dx = 0 it converged on rn < tol_res.
     while not (done.all() if rows else done):
         if iters >= cfg.max_iter:
             raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
-        if _refresh_due(cfg, lu is not None, iters):
-            lu = factor(lu_factor, step_jacobian(x, p, sys, terms), terms.base)
+        if J is terms.A_eff and terms.base is not None:
+            lu = terms.base[1]  # made once per solve
+        elif J is not None:
+            lu = factor(lu_factor, J, terms.base)
         elif cfg.strategy == BROYDEN_RANK1:
             # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
             # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.  A
@@ -383,8 +389,17 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
             counts += ~done
         x = x - dx
         iters += 1
-        R, rn = evaluate(x)
-        done = (norm2(dx) < cfg.tol_dx * (1.0 + norm2(x))) | (rn < cfg.tol_res)
+        small = norm2(dx) < cfg.tol_dx * (1.0 + norm2(x))
+        # Full Newton refreshes J every iteration, simplified only at x0,
+        # Broyden once more past half of max_iter.
+        refresh = cfg.strategy == FULL_NEWTON or (
+            cfg.strategy == BROYDEN_RANK1 and iters == cfg.max_iter // 2 + 1)
+        if (small.all() if rows else small) or not refresh:
+            R, J = residual(x, p, sys), None
+        else:
+            R, J = linearize(x, p, sys, terms)
+        rn = norm(R)
+        done = small | (rn < cfg.tol_res)
     return x, p.velocity(x), p.acceleration(x), counts if rows else iters, rn
 
 

@@ -83,7 +83,8 @@ class DynamicSystem:
     first-order reduction and the direct initial-acceleration solve.
 
     nl_dofs lists the DOFs whose displacement, velocity or acceleration
-    F_nl reads (default: all).  The Newton Jacobian differentiates F_nl
+    F_nl reads (default: all, or none when neither F_nl nor sites is
+    given).  The Newton Jacobian differentiates F_nl
     with respect to these DOFs only, so a DOF missing from the list
     silently drops its column of dF_nl/dx.  Declare it from the model's
     structure: a probe evaluation would miss, say, a bearing ball out of
@@ -123,15 +124,16 @@ class DynamicSystem:
             setattr(self, label, mat)
         if self.Q is None:
             self.Q = _zero_force(n)
-        if self.F_nl is None:
-            self.F_nl = _zero_nonlinearity if self.sites is None else self.sites.force
         if self.nl_dofs is None:
-            self.nl_dofs = np.arange(n)
+            linear = self.F_nl is None and self.sites is None
+            self.nl_dofs = np.arange(0 if linear else n)
         else:
             dofs = sorted({int(i) for i in self.nl_dofs})
             if dofs and (dofs[0] < 0 or dofs[-1] >= n):
                 raise ValueError(f"nl_dofs must lie in 0..{n - 1}, got {dofs}")
             self.nl_dofs = np.array(dofs, dtype=int)
+        if self.F_nl is None:
+            self.F_nl = _zero_nonlinearity if self.sites is None else self.sites.force
 
 
 @dataclass

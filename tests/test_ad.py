@@ -328,3 +328,108 @@ class TestRows:
         X, _ = self.rows()
         J = ad.jacobian(lambda x: np.ones((5, 2)), X)
         assert J.shape == (5, 2, 4) and not J.any()
+
+
+class TestValuesEqualFloats:
+    """An AD pass gives the bits of the float pass as its value, so one
+    forward pass yields a residual as well as its Jacobian."""
+
+    OPS = {
+        "add": lambda x, y, c: x + y,
+        "sub": lambda x, y, c: x - y,
+        "mul": lambda x, y, c: x * y,
+        "div": lambda x, y, c: x / y,
+        "div_constant": lambda x, y, c: x / c,
+        "constant_div": lambda x, y, c: c / x,
+        "add_constant": lambda x, y, c: c + x,
+        "constant_sub": lambda x, y, c: c - x,
+        "mul_constant": lambda x, y, c: x * c,
+        "neg": lambda x, y, c: -x,
+        "pow_int": lambda x, y, c: x ** 3,
+        "pow_real": lambda x, y, c: ad.pow_real(x, 2.5),
+        "relu_pow": lambda x, y, c: ad.relu_pow(x - 1.0, 10.0 / 9.0),
+        "sin": lambda x, y, c: ad.sin(x),
+        "cos": lambda x, y, c: ad.cos(x),
+        "exp": lambda x, y, c: ad.exp(x),
+        "sqrt": lambda x, y, c: ad.sqrt(x),
+        "atan": lambda x, y, c: ad.atan(x),
+        "atan2": lambda x, y, c: ad.atan2(y, x),
+        "sum": lambda x, y, c: (x * y).sum(),
+    }
+
+    @staticmethod
+    def seeded(value, rng, width=3):
+        """value with random seeds; a 0-d entry of a vector, as models index."""
+        if not np.ndim(value):
+            return ADArray([value], rng.standard_normal((1, width)))[0]
+        return ADArray(value, rng.standard_normal(np.shape(value) + (width,)))
+
+    @staticmethod
+    def draw(rng, shape):
+        """Positive values of spread-out magnitude; 0-d ones as np.float64."""
+        values = np.exp(rng.uniform(-3.0, 3.0, shape or (1,)))
+        return values if shape else values[0]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        got, want = ad.value_of(got), np.asarray(want, dtype=float)
+        assert np.shape(got) == want.shape
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape", [(), (7,), (4, 7)], ids=["0-d", "vector", "rows"])
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_elementary_op(self, name, shape):
+        # Positive operands keep every op in its domain; constants are a
+        # number and a value of the operands' shape.
+        op = self.OPS[name]
+        rng = np.random.default_rng([sorted(self.OPS).index(name), len(shape)])
+        for _ in range(20):
+            x, y = self.draw(rng, shape), self.draw(rng, shape)
+            for c in (float(self.draw(rng, ())), self.draw(rng, shape)):
+                want = op(x, y, c)
+                self.assert_same_bits(op(self.seeded(x, rng), self.seeded(y, rng), c),
+                                      want)
+                self.assert_same_bits(op(self.seeded(x, rng), y, c), want)
+                self.assert_same_bits(op(x, self.seeded(y, rng), c), want)
+
+    def test_products(self):
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((3, 7))
+        for shape in ((7,), (4, 7)):
+            x, y = rng.standard_normal(shape), rng.standard_normal(shape)
+            self.assert_same_bits(ad.matvec(A, self.seeded(x, rng)), ad.matvec(A, x))
+            self.assert_same_bits(ad.dot(self.seeded(x, rng), self.seeded(y, rng)),
+                                  ad.dot(x, y))
+            self.assert_same_bits(ad.stack([self.seeded(x, rng)[0]]), [x[0]])
+
+    def test_model_forces(self):
+        from nnrad.models import (default_dual_rotor_layout, duffing, pendulum,
+                                  sfd_rotor_system, van_der_pol)
+        from nnrad.models.rotor import assemble_dual_rotor
+
+        rng = np.random.default_rng(42)
+        for sys_ in (duffing(), van_der_pol(1.5), pendulum()):
+            for _ in range(20):
+                x, v, a = 2.0 * rng.standard_normal((3, 1))
+                want = ad.stack(sys_.F_nl(x, v, a, 0.3))
+                got = sys_.F_nl(*(self.seeded(z, rng) for z in (x, v, a)), 0.3)
+                self.assert_same_bits(ad.stack(got), want)
+        sfd = sfd_rotor_system(900.0)
+        for rows in ((), (4,)):
+            for _ in range(10):
+                ecc = rng.uniform(0.05, 0.6, rows) * 2.5e-4
+                ang = rng.uniform(0.0, 2.0 * np.pi, rows)
+                x = np.stack([ecc * np.cos(ang), ecc * np.sin(ang),
+                              *(1e-6 * rng.standard_normal((2,) + rows))], axis=-1)
+                v = 0.01 * rng.standard_normal(rows + (4,))
+                a = np.zeros(rows + (4,))
+                want = sfd.F_nl(x, v, a, 0.1)
+                got = sfd.F_nl(*(self.seeded(z, rng) for z in (x, v, a)), 0.1)
+                self.assert_same_bits(got, want)
+        dual = assemble_dual_rotor(default_dual_rotor_layout())
+        for t in rng.uniform(0.0, 0.5, 10):
+            x = 1e-5 * rng.standard_normal(dual.n_dof)
+            u = ad.matvec(dual.sites.matrix(t), x)
+            assert np.any(dual.sites.law(u, t) > 0.0)
+            self.assert_same_bits(dual.sites.law(self.seeded(u, rng, 1), t),
+                                  dual.sites.law(u, t))

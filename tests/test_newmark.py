@@ -23,7 +23,7 @@ from nnrad import (
     to_first_order,
 )
 from nnrad import ad
-from nnrad.lockstep import integrate_rows
+from nnrad.lockstep import _stack, integrate_rows
 from nnrad.models import (
     default_dual_rotor_layout,
     duffing,
@@ -37,6 +37,7 @@ from nnrad.newmark import (
     STRATEGIES,
     SolveTerms,
     _step_terms,
+    linearize,
     solve_terms,
     step_jacobian,
     step_terms,
@@ -402,11 +403,17 @@ class TestSites:
     def test_one_law_jacobian_per_refresh_and_no_ad_force(self, strategy,
                                                            monkeypatch):
         sys_ = assemble_dual_rotor(default_dual_rotor_layout())
-        f_nl, ad_inputs, refreshes, jacobians = sys_.F_nl, [], [], []
+        f_nl, law = sys_.F_nl, sys_.sites.law
+        ad_inputs, refreshes, jacobians = [], [], []
 
         def force(x, v, a, t):
             ad_inputs.append(any(isinstance(z, ad.ADArray) for z in (x, v, a)))
             return f_nl(x, v, a, t)
+
+        def ad_law(u, t):
+            if isinstance(u, ad.ADArray):
+                jacobians.append(1)
+            return law(u, t)
 
         def counted(calls, fn):
             def call(*args):
@@ -414,9 +421,9 @@ class TestSites:
                 return fn(*args)
             return call
 
-        monkeypatch.setattr(ad, "jacobian", counted(jacobians, ad.jacobian))
-        monkeypatch.setattr(nnrad.newmark, "step_jacobian",
-                            counted(refreshes, nnrad.newmark.step_jacobian))
+        monkeypatch.setattr(sys_.sites, "law", ad_law)
+        monkeypatch.setattr(nnrad.newmark, "linearize",
+                            counted(refreshes, nnrad.newmark.linearize))
         x0, v0 = self.start(sys_)
         integrate(dataclasses.replace(sys_, F_nl=force), x0, v0, 0.0, 0.002,
                   NewmarkConfig(dt=1e-4, strategy=strategy))
@@ -456,6 +463,139 @@ class TestSites:
             want = integrate(row, x0, v0, 0.0, 0.002, cfg)
             for name in self.FIELDS:
                 assert np.array_equal(getattr(traj, name), getattr(want, name)), name
+
+
+class TestLinearize:
+    """linearize gives R, with the bits of residual, and J from one pass."""
+
+    @staticmethod
+    def inertial():
+        def f_nl(x, v, a, t):
+            return [0.1 * x[0] * a[0] + v[1] ** 3, a[1] * v[0] / (2.0 + x[0]), 0.0]
+
+        return DynamicSystem(n_dof=3, M=np.eye(3), C=np.zeros((3, 3)), K=np.eye(3),
+                             F_nl=f_nl, accel_dependent=True, nl_dofs=[0, 1])
+
+    @staticmethod
+    def bearing_free():
+        """The dual rotor without bearings: no site, and nl_dofs is empty."""
+        layout = dataclasses.replace(default_dual_rotor_layout(), support_bearings=[],
+                                     intershaft_bearings=[])
+        return assemble_dual_rotor(layout)
+
+    def cases(self):
+        """(system, cfg, scale of x) for every model and declaration."""
+        return [
+            (duffing(), NewmarkConfig(dt=1e-3), 1.0),
+            (van_der_pol(1.0), NewmarkConfig(dt=1e-3), 1.0),
+            (pendulum(), NewmarkConfig(dt=1e-3), 1.0),
+            (self.inertial(), NewmarkConfig(dt=1e-3), 1.0),
+            (linear_sdof(), NewmarkConfig(dt=1e-3), 1.0),
+            (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5),
+            (assemble_dual_rotor(default_dual_rotor_layout()), NewmarkConfig(dt=1e-4), 1e-5),
+            (dense_dual_rotor(), NewmarkConfig(dt=1e-4), 1e-5),
+            (self.bearing_free(), NewmarkConfig(dt=1e-4), 1e-5),
+        ]
+
+    def test_residual_bits_on_one_row(self):
+        rng = np.random.default_rng(31)
+        for sys_, cfg, scale in self.cases():
+            terms = solve_terms(sys_, cfg)
+            for _ in range(4):
+                n = sys_.n_dof
+                s = State(0.2, scale * rng.standard_normal(n),
+                          scale * rng.standard_normal(n), scale * rng.standard_normal(n))
+                x1 = scale * rng.standard_normal(n)
+                p = step_terms(sys_, s, cfg)
+                R, J = linearize(x1, p, sys_, terms)
+                assert R.tobytes() == residual(x1, p, sys_).tobytes(), sys_.name
+                assert J.tobytes() == step_jacobian(x1, p, sys_, terms).tobytes()
+            if not len(sys_.nl_dofs):
+                assert J is terms.A_eff
+
+    def test_residual_bits_on_lock_step_rows(self):
+        # Rows of a stacked view (lockstep), as _step_core runs them: the
+        # SFD rotor at four speeds, and the dual rotor's shared sites.
+        rng = np.random.default_rng(32)
+        dual = assemble_dual_rotor(default_dual_rotor_layout())
+        batches = [
+            [sfd_rotor_system(w) for w in (700.0, 900.0, 1100.0, 1300.0)],
+            [dataclasses.replace(dual, C=f * dual.C, batch_key="dual")
+             for f in (0.5, 1.0, 2.0)],
+            [dataclasses.replace(self.bearing_free(), batch_key="bare")] * 2,
+        ]
+        cfg = NewmarkConfig(dt=1e-4)
+        for systems in batches:
+            terms = [solve_terms(sys_, cfg) for sys_ in systems]
+            rows, row_terms = _stack(systems, terms, list(range(len(systems))))
+            X, V, A, X1 = 1e-5 * rng.standard_normal((4, len(systems), systems[0].n_dof))
+            t1 = 0.2 + cfg.dt
+            p = _step_terms(X, V, A, t1, rows.Q(t1), cfg)
+            R, J = linearize(X1, p, rows, row_terms)
+            assert R.tobytes() == residual(X1, p, rows).tobytes()
+            for i, sys_ in enumerate(systems):
+                p_i = step_terms(sys_, State(0.2, X[i], V[i], A[i]), cfg)
+                R_i, J_i = linearize(X1[i], p_i, sys_, terms[i])
+                assert R[i].tobytes() == R_i.tobytes()
+                assert J[i].tobytes() == J_i.tobytes()
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_one_force_call_per_iterate(self, strategy):
+        # Each iterate evaluates F_nl once: on ADArrays when it is
+        # linearized, else on floats.  Full Newton linearizes every iterate
+        # but the accepted one, so it makes at most one float call a step.
+        sys_ = duffing()
+        f_nl, calls = sys_.F_nl, {"float": 0, "ad": 0}
+
+        def force(x, v, a, t):
+            calls["ad" if isinstance(x, ad.ADArray) else "float"] += 1
+            return f_nl(x, v, a, t)
+
+        cfg = NewmarkConfig(dt=1e-3, strategy=strategy)
+        traj = integrate(dataclasses.replace(sys_, F_nl=force), [2.0], [0.0], 0.0,
+                         1.0, cfg)
+        steps = traj.n_samples - 1
+        calls["float"] -= 1  # initial_acceleration's
+        assert calls["float"] + calls["ad"] == traj.iterations.sum() + steps
+        if strategy == FULL_NEWTON:
+            assert calls["float"] <= steps
+        if strategy == SIMPLIFIED_NEWTON:
+            assert calls["ad"] == steps
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_force_that_reads_no_dof_reuses_the_factor_of_A_eff(self, strategy,
+                                                                   monkeypatch):
+        # A_eff is factored once per solve (solve_terms), M once for the
+        # initial acceleration; no step factors, one row or rows.
+        calls = []
+        fac = nnrad.newmark.lu_factor
+
+        def counted(*args):
+            calls.append(1)
+            return fac(*args)
+
+        monkeypatch.setattr(nnrad.newmark, "lu_factor", counted)
+        cfg = NewmarkConfig(dt=1e-3, strategy=strategy)
+        sys_ = DynamicSystem(n_dof=2, M=np.eye(2), C=0.1 * np.eye(2),
+                             K=np.array([[2.0, -1.0], [-1.0, 2.0]]),
+                             Q=lambda t: np.array([math.cos(t), 0.0]))
+        assert sys_.nl_dofs.size == 0
+        traj = integrate(sys_, [0.1, 0.0], [0.0, 0.0], 0.0, 0.05, cfg)
+        assert np.all(traj.iterations[1:] == 1)
+        assert len(calls) == 2
+        del calls[:]
+        keyed = [dataclasses.replace(sys_, K=f * sys_.K, batch_key="linear")
+                 for f in (1.0, 2.0)]
+        integrate_rows(keyed, [[0.1, 0.0]] * 2, [[0.0, 0.0]] * 2, 0.0, 0.05, cfg)
+        assert len(calls) == 4
+
+    def test_nl_dofs_default_to_none_without_a_force(self):
+        assert linear_sdof().nl_dofs.size == 0
+        assert np.array_equal(duffing().nl_dofs, [0])
+        assert np.array_equal(self.inertial().nl_dofs, [0, 1])
+        with_force = DynamicSystem(2, np.eye(2), np.eye(2), np.eye(2),
+                                   F_nl=lambda x, v, a, t: x)
+        assert np.array_equal(with_force.nl_dofs, [0, 1])
 
 
 class TestInitialAcceleration:
@@ -561,19 +701,24 @@ class TestNewtonLoop:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        # "factor_at" holds the residual count at each lu_factor call.
+        # "residual" counts residual and linearize calls, each one residual;
+        # "factor_at" holds that count at each lu_factor call.
         calls = {"residual": 0, "factor_at": []}
-        res, fac = nnrad.newmark.residual, nnrad.newmark.lu_factor
+        res, lin = nnrad.newmark.residual, nnrad.newmark.linearize
+        fac = nnrad.newmark.lu_factor
 
-        def counted_residual(*args):
-            calls["residual"] += 1
-            return res(*args)
+        def counted(fn):
+            def call(*args):
+                calls["residual"] += 1
+                return fn(*args)
+            return call
 
         def counted_factor(*args):
             calls["factor_at"].append(calls["residual"])
             return fac(*args)
 
-        monkeypatch.setattr(nnrad.newmark, "residual", counted_residual)
+        monkeypatch.setattr(nnrad.newmark, "residual", counted(res))
+        monkeypatch.setattr(nnrad.newmark, "linearize", counted(lin))
         monkeypatch.setattr(nnrad.newmark, "lu_factor", counted_factor)
         return calls
 
