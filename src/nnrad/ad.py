@@ -27,7 +27,6 @@ __all__ = [
     "ADDomainError",
     "lift",
     "stack",
-    "seeded",
     "jacobian",
     "matvec",
     "dot",
@@ -162,14 +161,16 @@ class ADArray:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        # The value a / b has the bits of the float quotient.
+        # The value a / b has the bits of the float quotient; the seeds
+        # keep the product a * (1 / b).
         if isinstance(other, ADArray):
             seeds = self._seeds_of(other)
             if _has_zero(other.value):
                 raise ADDomainError(f"division by zero (numerator {self.value})")
             inv = 1.0 / other.value
-            q = self.value / other.value
-            return _new(q, (self.seeds - seeds * _col(q)) * _col(inv))
+            qs = self.value * inv
+            return _new(self.value / other.value,
+                        (self.seeds - seeds * _col(qs)) * _col(inv))
         if _has_zero(other):
             raise ADDomainError(f"division by zero (numerator {self.value})")
         return _new(self.value / other, self.seeds * _col(np.asarray(1.0 / other)))
@@ -179,7 +180,8 @@ class ADArray:
             raise ADDomainError(f"division by zero (numerator {other})")
         inv = 1.0 / self.value
         q = other / self.value
-        return _new(q, self._spread(q) * _col(-q * inv))
+        qs = other * inv
+        return _new(q, self._spread(qs) * _col(-qs * inv))
 
     def __neg__(self):
         return _new(-self.value, -self.seeds)
@@ -265,7 +267,7 @@ def stack(xs):
     return _new(value, seeds)
 
 
-def seeded(x, seeds):
+def _seeded(x, seeds):
     """The float array x as an ADArray with the (n, width) seeds on each row.
 
     No checks: x must be a float ndarray whose last axis has length n.
@@ -298,9 +300,9 @@ def jacobian(f, x0, seeds=None):
     if seeds is None:
         xs = (lift(x0),)
     elif isinstance(x0, tuple):
-        xs = tuple(seeded(np.asarray(x, dtype=float), s) for x, s in zip(x0, seeds))
+        xs = tuple(_seeded(np.asarray(x, dtype=float), s) for x, s in zip(x0, seeds))
     else:
-        xs = (seeded(np.asarray(x0, dtype=float), seeds),)
+        xs = (_seeded(np.asarray(x0, dtype=float), seeds),)
     width = xs[0].seeds.shape[-1]
     out = stack(f(*xs))
     rows = xs[0].value.shape[:-1]

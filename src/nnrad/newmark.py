@@ -12,8 +12,7 @@ once per step and once more past half of max_iter, with a Broyden rank-1
 secant update of the factor at each iteration in between (broyden).
 An iterate whose Jacobian the next iteration factors is evaluated by
 linearize, R and J from one AD pass, and any other by the float
-residual.  When F_nl reads no DOF, J is A_eff, whose factor every step
-reuses.  What a step holds fixed, the offsets of the Newmark maps from x1 to v1
+residual.  What a step holds fixed, the offsets of the Newmark maps from x1 to v1
 and a1 and the load Q(t1), is built once per step (StepTerms), so every
 residual and Jacobian of the step shares it.  What a solve holds fixed,
 A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
@@ -270,7 +269,7 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
         F = sys.F_nl(x1, v1, a1, p.t1)
     elif sys.sites is not None:
         G = sys.sites.matrix(p.t1)
-        law = sys.sites.law(ad.seeded(ad.matvec(G, x1), np.ones((len(G), 1))), p.t1)
+        law = sys.sites.law(ad._seeded(ad.matvec(G, x1), np.ones((len(G), 1))), p.t1)
         F = ad.matvec(G.T, ad.value_of(law))
         if isinstance(law, ad.ADArray):
             G_n = G[:, cols]
@@ -278,8 +277,8 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
             J[..., cols[:, None], cols] += np.matmul(G_n.T, law.seeds * G_n)
     else:
         S, S_v, S_a = terms.seeds
-        F = ad.stack(sys.F_nl(ad.seeded(x1, S), ad.seeded(v1, S_v),
-                              ad.seeded(a1, S_a), p.t1))
+        F = ad.stack(sys.F_nl(ad._seeded(x1, S), ad._seeded(v1, S_v),
+                              ad._seeded(a1, S_a), p.t1))
         if isinstance(F, ad.ADArray) and F.seeds.shape[-1] == J.shape[-1]:
             J = J + F.seeds
         elif isinstance(F, ad.ADArray):
@@ -369,9 +368,7 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     while not (done.all() if rows else done):
         if iters >= cfg.max_iter:
             raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
-        if J is terms.A_eff and terms.base is not None:
-            lu = terms.base[1]  # made once per solve
-        elif J is not None:
+        if J is not None:
             lu = factor(lu_factor, J, terms.base)
         elif cfg.strategy == BROYDEN_RANK1:
             # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with

@@ -563,31 +563,28 @@ class TestLinearize:
             assert calls["ad"] == steps
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_a_force_that_reads_no_dof_reuses_the_factor_of_A_eff(self, strategy,
-                                                                   monkeypatch):
-        # A_eff is factored once per solve (solve_terms), M once for the
-        # initial acceleration; no step factors, one row or rows.
-        calls = []
-        fac = nnrad.newmark.lu_factor
-
-        def counted(*args):
-            calls.append(1)
-            return fac(*args)
-
-        monkeypatch.setattr(nnrad.newmark, "lu_factor", counted)
+    def test_a_force_that_reads_no_dof_is_solved_on_A_eff(self, strategy):
+        # J is A_eff itself, so every step converges in one iteration, and
+        # keyed rows keep the bits of their one-row solves.
         cfg = NewmarkConfig(dt=1e-3, strategy=strategy)
         sys_ = DynamicSystem(n_dof=2, M=np.eye(2), C=0.1 * np.eye(2),
                              K=np.array([[2.0, -1.0], [-1.0, 2.0]]),
                              Q=lambda t: np.array([math.cos(t), 0.0]))
         assert sys_.nl_dofs.size == 0
+        st = solve_terms(sys_, cfg)
+        p = step_terms(sys_, State(0.0, np.array([0.1, 0.0]), np.zeros(2),
+                                   np.zeros(2)), cfg)
+        assert linearize(np.array([0.1, 0.0]), p, sys_, st)[1] is st.A_eff
         traj = integrate(sys_, [0.1, 0.0], [0.0, 0.0], 0.0, 0.05, cfg)
         assert np.all(traj.iterations[1:] == 1)
-        assert len(calls) == 2
-        del calls[:]
         keyed = [dataclasses.replace(sys_, K=f * sys_.K, batch_key="linear")
                  for f in (1.0, 2.0)]
-        integrate_rows(keyed, [[0.1, 0.0]] * 2, [[0.0, 0.0]] * 2, 0.0, 0.05, cfg)
-        assert len(calls) == 4
+        rows = integrate_rows(keyed, [[0.1, 0.0]] * 2, [[0.0, 0.0]] * 2, 0.0,
+                              0.05, cfg)
+        for got, s in zip(rows, keyed):
+            want = integrate(s, [0.1, 0.0], [0.0, 0.0], 0.0, 0.05, cfg)
+            for field in ("x", "v", "a", "iterations", "residual_norms"):
+                assert np.array_equal(getattr(got, field), getattr(want, field))
 
     def test_nl_dofs_default_to_none_without_a_force(self):
         assert linear_sdof().nl_dofs.size == 0
