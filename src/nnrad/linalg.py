@@ -22,36 +22,43 @@ A 1x1 [[a]] with a and 1/a finite and a nonzero is inverted as
 [[1.0 / a]], the bits of ``numpy.linalg.inv``, which passes the screen by
 construction; any other 1x1 takes the general path.
 
-Rank-k base: ``lu_factor(A, base=(B, f_B, cols))`` takes a matrix B that
-equals A outside the k columns cols, and f_B = lu_factor(B).  With
-D = A[:, cols] - B[:, cols] and W = f_B D, the Woodbury identity gives
+Rank-k base: ``lu_factor(D, base)`` factors A = B + P D Q^T, that is B
+with the block D added on its rows base.rows and its k columns
+base.cols (P = I[:, rows], Q = I[:, cols]), where
+base = rank_k_base(B, f_B, rows, cols) and f_B = lu_factor(B).  With
+W = f_B[:, rows] D, the Woodbury identity gives
 A^-1 = f_B - W (I_k + W[cols])^-1 f_B[cols]: a k x k inverse and a few
 products instead of an n x n inverse (Hager, "Updating the inverse of a
-matrix", SIAM Review 31, 1989).  The result goes through the same
-screen; if it fails, or ``inv`` raises, A is factored directly, so the
-singular rule and the pivot reported are those of the direct path.  The
-Newton loop passes A_eff as the base of its step Jacobians when the
-model's F_nl reads k <= n/2 DOFs (newmark.SolveTerms).
+matrix", SIAM Review 31, 1989).  A is not formed: the screen's max|A| is
+the larger of max|B| outside the block, which the base keeps, and
+max|B[rows, cols] + D|, whose entries have the bits of A's.  If the
+screen fails, or ``inv`` raises, A = base.matrix(D) is formed and
+factored directly, so the singular rule and the pivot reported are those
+of the direct path.  The Newton loop factors its step Jacobians this way
+when F_nl reads 1 <= k <= n/2 DOFs (newmark.SolveTerms).
 
 Stacks: ``lu_factor``, ``lu_solve``, ``lu_update`` and ``norm2`` also take
 a leading row axis, a (B, n, n) stack of matrices with (B, n) right-hand
 sides, and treat each row as its own problem, the singularity screen
-included, with a base of stacked B and f_B.  Each row's result has the
-bits of the one-row call.
+included; with a base, a stack of blocks D and a base built from a
+stacked B and f_B.  Each row's result has the bits of the one-row call.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
+    "RankKBase",
     "SingularMatrixError",
     "lu_factor",
     "lu_solve",
     "lu_update",
     "norm2",
+    "rank_k_base",
     "scatter_add",
 ]
 
@@ -109,69 +116,121 @@ def _passes(scale, inv):
     )
 
 
-def _rank_k_inverse(A, B, f_B, cols):
-    """A^-1 from f_B = B^-1, A and B equal outside cols (Woodbury); rows too."""
-    D = A[..., cols] - B[..., cols]
-    W = np.matmul(f_B, D)
-    small = np.linalg.inv(np.eye(len(cols)) + W[..., cols, :])
-    return f_B - np.matmul(W, np.matmul(small, f_B[..., cols, :]))
+class RankKBase(NamedTuple):
+    """B, its factor f_B and what every factor of B + P D Q^T shares.
+
+    Built by rank_k_base.  B, f_B and the fields derived from them may
+    carry a leading row axis (a stack); rows, cols and eye are shared.
+    """
+
+    B: np.ndarray
+    f_B: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    eye: np.ndarray  # I_k
+    f_rows: np.ndarray  # f_B[:, rows]
+    f_cols: np.ndarray  # f_B[cols, :]
+    block: np.ndarray  # B[rows, cols]
+    off_max: np.ndarray  # max|B| outside the block
+
+    def matrix(self, D):
+        """B with the block D added on (rows, cols): what lu_factor(D, self)
+        factors, formed; a stack of blocks gives a stack of matrices."""
+        A = self.B.copy()
+        A[..., self.rows[:, None], self.cols] += D
+        return A
+
+    def row(self, i):
+        """The base of row i of a stacked base."""
+        return self._replace(B=self.B[i], f_B=self.f_B[i], f_rows=self.f_rows[i],
+                             f_cols=self.f_cols[i], block=self.block[i],
+                             off_max=self.off_max[i])
+
+
+def rank_k_base(B, f_B, rows, cols):
+    """The RankKBase of B with f_B = lu_factor(B) for blocks on (rows, cols);
+    B and f_B may be (S, n, n) stacks."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    outside = np.abs(B)
+    outside[..., rows[:, None], cols] = 0.0
+    return RankKBase(B, f_B, rows, cols, np.eye(len(cols)), f_B[..., :, rows],
+                     f_B[..., cols, :], B[..., rows[:, None], cols],
+                     outside.max(axis=(-2, -1)))
+
+
+def _scale(A, base):
+    """max|A|, or with a base max|base.matrix(A)| from its parts; per row."""
+    if base is None:
+        return np.abs(A).max(axis=(-2, -1))
+    return np.maximum(base.off_max, np.abs(base.block + A).max(axis=(-2, -1)))
+
+
+def _inverse(A, base):
+    """numpy.linalg.inv of A, or with a base of base.matrix(A) (Woodbury)."""
+    if base is None:
+        return np.linalg.inv(A)
+    W = np.matmul(base.f_rows, A)
+    small = np.linalg.inv(base.eye + W[..., base.cols, :])
+    return base.f_B - np.matmul(W, np.matmul(small, base.f_cols))
 
 
 def lu_factor(A, base=None):
     """Factor A for lu_solve; raises SingularMatrixError on a tiny pivot.
 
     A pivot counts as singular when its magnitude is at or under
-    1e-14 * max|A| (see the module docstring for the screen).  base,
-    (B, f_B, cols) with B equal to A outside the columns cols and
-    f_B = lu_factor(B), forms the inverse as a rank-k update of f_B
-    where the screen passes it (module docstring).
+    1e-14 * max|A| (see the module docstring for the screen).  With base,
+    a RankKBase of B, A is a block D and the factor is that of
+    base.matrix(D), B with D added on (base.rows, base.cols), formed as
+    a rank-k update of B's factor where the screen passes it (module
+    docstring).
     """
     A = np.asarray(A, dtype=float)
-    if A.shape == (1, 1):
-        a = float(A[0, 0])
-        if a != 0.0 and math.isfinite(a) and math.isfinite(r := 1.0 / a):
-            return np.array([[r]])
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
+    if base is None:
+        if A.shape == (1, 1):
+            a = float(A[0, 0])
+            if a != 0.0 and math.isfinite(a) and math.isfinite(r := 1.0 / a):
+                return np.array([[r]])
+        if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+            raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
     if A.ndim > 2:
         return _lu_factor_rows(A, base)
-    scale = np.abs(A).max()
+    scale = _scale(A, base)
     passed = False
     if math.isfinite(scale):  # else it fails unscreened: inf * 0 would warn
         try:
-            inv = np.linalg.inv(A) if base is None else _rank_k_inverse(A, *base)
+            inv = _inverse(A, base)
             passed = _passes(scale, inv)
         except np.linalg.LinAlgError:
             pass
     if not passed:
         if base is not None:
-            return lu_factor(A)
+            return lu_factor(base.matrix(A))
         inv = _gauss_jordan_inverse(A, SINGULARITY_RTOL * scale)
     return inv
 
 
 def _lu_factor_rows(A, base):
-    """lu_factor of each matrix of a (B, n, n) stack, on stacked bases too.
+    """lu_factor of each matrix of a (B, n, n) stack, or of each block of a
+    (B, ...) stack on a stacked base.
 
     The inverses come from one stacked ``numpy.linalg.inv`` or rank-k
     update; a row that fails its screen, or a stack that ``inv`` rejects,
     is factored on its own with its own base.  The first singular row
     raises SingularMatrixError with ``row`` set.
     """
-    scale = np.abs(A).max(axis=(-2, -1))
+    scale = _scale(A, base)
     # A row with a non-finite max|A| fails the screen as NaN, which,
     # unlike inf * 0, multiplies without a warning.
     scale[~np.isfinite(scale)] = np.nan
     try:
-        inv = np.linalg.inv(A) if base is None else _rank_k_inverse(A, *base)
+        inv = _inverse(A, base)
         passed = _passes(scale, inv)
     except np.linalg.LinAlgError:
-        inv = np.empty_like(A)
+        inv = np.empty(A.shape if base is None else base.f_B.shape)
         passed = np.zeros(len(A), dtype=bool)
     for i in np.flatnonzero(~passed):
-        row_base = None if base is None else (base[0][i], base[1][i], base[2])
         try:
-            inv[i] = lu_factor(A[i], row_base)
+            inv[i] = lu_factor(A[i], None if base is None else base.row(i))
         except SingularMatrixError as err:
             raise SingularMatrixError(err.pivot_index, str(err), row=int(i)) from err
     return inv

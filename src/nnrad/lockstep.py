@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import newmark
+from .linalg import rank_k_base
 from .newmark import NewmarkConfig, SolveTerms
 from .system import Sites, State, Trajectory
 
@@ -64,14 +65,15 @@ def _stack(systems, terms, live):
                                for name in "MCK"), first.F_nl, first.nl_dofs,
                 first.sites)
     A_eff = np.array([terms[k].A_eff for k in live])
+    bases = [terms[k].base for k in live]
     base = None
-    if any(terms[k].base is not None for k in live):
+    if any(b is not None for b in bases):
         # A row whose A_eff is singular has no base; its NaN factor fails
         # the screen of every rank-k inverse, so it is factored directly.
-        n = first.n_dof
-        f_eff = np.array([np.full((n, n), np.nan) if terms[k].base is None
-                          else terms[k].base[1] for k in live])
-        base = (A_eff, f_eff, first.nl_dofs)
+        ref = next(b for b in bases if b is not None)
+        nan = np.full_like(ref.f_B, np.nan)
+        f_eff = np.array([nan if b is None else b.f_B for b in bases])
+        base = rank_k_base(A_eff, f_eff, ref.rows, ref.cols)
     return rows, SolveTerms(A_eff, terms[live[0]].seeds, base)
 
 

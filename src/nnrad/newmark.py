@@ -37,7 +37,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import ad
-from .linalg import SingularMatrixError, lu_factor, lu_solve, lu_update, norm2
+from .linalg import (RankKBase, SingularMatrixError, lu_factor, lu_solve, lu_update,
+                     norm2, rank_k_base)
 from .system import DynamicSystem, State, Trajectory
 
 __all__ = [
@@ -219,15 +220,16 @@ class SolveTerms(NamedTuple):
 
     The step Jacobian is A_eff plus the AD derivative of F_nl in the k
     columns sys.nl_dofs.  seeds are the constant seeds of x1, v1 and a1
-    on those DOFs: S = I[:, nl_dofs], c_v S and c_a S.  base is
-    (A_eff, lu_factor(A_eff), nl_dofs) when 2k <= n, so that lu_factor
-    inverts the Jacobian as a rank-k update of A_eff (linalg), and None
-    otherwise or when A_eff is singular.
+    on those DOFs: S = I[:, nl_dofs], c_v S and c_a S.  base is A_eff's
+    linalg.RankKBase when 1 <= k and 2k <= n, on the rows nl_dofs for
+    sites and on every row otherwise, so that linearize gives the
+    Jacobian as its block and lu_factor inverts it as a rank-k update of
+    A_eff's factor (linalg); None otherwise or when A_eff is singular.
     """
 
     A_eff: np.ndarray
     seeds: tuple
-    base: Optional[tuple]
+    base: Optional[RankKBase]
 
 
 def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
@@ -237,9 +239,10 @@ def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
     cols = sys.nl_dofs
     S = np.eye(sys.n_dof)[:, cols]
     base = None
-    if 2 * len(cols) <= sys.n_dof:
+    if 1 <= len(cols) and 2 * len(cols) <= sys.n_dof:
+        rows = cols if sys.sites is not None else np.arange(sys.n_dof)
         try:
-            base = (A_eff, lu_factor(A_eff), cols)
+            base = rank_k_base(A_eff, lu_factor(A_eff), rows, cols)
         except SingularMatrixError:
             pass
     return SolveTerms(A_eff, (S, c_v * S, c_a * S), base)
@@ -247,49 +250,62 @@ def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
 
 def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     """(R, J) at x1 from one forward pass, R with the bits of residual and
-    J = dR/dx1, A_eff plus the AD derivative of F_nl in sys.nl_dofs.
+    J = dR/dx1, A_eff plus the AD derivative dF of F_nl in sys.nl_dofs;
+    with terms.base, J is that derivative's block D alone, which
+    lu_factor(D, terms.base) factors as base.matrix(D) = J.
 
     F_nl runs once, with the constant seeds of terms (SolveTerms) on x1,
     v1 and a1: through the Newmark maps a displacement seed e_j carries
     the velocity seed c_v e_j and the acceleration seed c_a e_j, so its
     seeds are dF/dx + c_v dF/dv + c_a dF/da and its value the float F_nl
-    (nnrad.ad).  When F_nl reads every DOF (nl_dofs is sorted), J is
-    A_eff plus that derivative, with no copy and no column scatter.
-    With sites (DynamicSystem.sites), F_nl = G^T law(G x1) at G = G(t1):
-    the law runs once, at u = G x1 with one seed column of ones (its
-    sites are independent), and G^T diag(law') G is added in the
-    (nl_dofs, nl_dofs) block.  With no nl_dofs, or a force without
-    seeds, J is terms.A_eff itself.  With (B, n) rows x1, stacked
-    StepTerms and a (B, n, n) stack terms.A_eff, F_nl (or the law) must
-    take rows (DynamicSystem.batch_key); R and J hold each row's.
+    (nnrad.ad).  D is these seeds on every row; without a base, when
+    F_nl reads every DOF (nl_dofs is sorted), J is A_eff + D, with no
+    copy and no column scatter, else A_eff with D added in the nl_dofs
+    columns.  With sites (DynamicSystem.sites), F_nl = G^T law(G x1) at
+    G = G(t1): the law runs once, at u = G x1 with one seed column of
+    ones (its sites are independent), and D = G_n^T diag(law') G_n with
+    G_n = G[:, nl_dofs] is the (nl_dofs, nl_dofs) block.  With no
+    nl_dofs, or a force without seeds, J is terms.A_eff itself, or a
+    zero block with a base.  With (B, n) rows x1, stacked StepTerms and
+    stacked SolveTerms (a (B, n, n) A_eff), F_nl (or the law) must take
+    rows (DynamicSystem.batch_key); R and J hold each row's.
     """
     lin, v1, a1 = _linear_part(x1, p, sys)
-    cols, J = sys.nl_dofs, terms.A_eff
+    cols, base = sys.nl_dofs, terms.base
+    D = None
     if not len(cols):
         F = sys.F_nl(x1, v1, a1, p.t1)
     elif sys.sites is not None:
-        G = sys.sites.matrix(p.t1)
-        law = sys.sites.law(ad._seeded(ad.matvec(G, x1), np.ones((len(G), 1))), p.t1)
-        F = ad.matvec(G.T, ad.value_of(law))
+        st = sys.sites.terms(p.t1, cols)
+        law = sys.sites.law(ad._seeded(ad.matvec(st.G, x1), st.ones), p.t1)
+        F = ad.matvec(st.G.T, ad.value_of(law))
         if isinstance(law, ad.ADArray):
-            G_n = G[:, cols]
-            J = J.copy()
-            J[..., cols[:, None], cols] += np.matmul(G_n.T, law.seeds * G_n)
+            D = np.matmul(st.G_n.T, law.seeds * st.G_n)
     else:
         S, S_v, S_a = terms.seeds
         F = ad.stack(sys.F_nl(ad._seeded(x1, S), ad._seeded(v1, S_v),
                               ad._seeded(a1, S_a), p.t1))
-        if isinstance(F, ad.ADArray) and F.seeds.shape[-1] == J.shape[-1]:
-            J = J + F.seeds
-        elif isinstance(F, ad.ADArray):
-            J = J.copy()
-            J[..., cols] += F.seeds
-    return lin + ad.value_of(ad.stack(F)) - p.q1, J
+        if isinstance(F, ad.ADArray):
+            D = F.seeds
+    R = lin + ad.value_of(ad.stack(F)) - p.q1
+    if base is not None:
+        return R, np.zeros_like(base.block) if D is None else D
+    J = terms.A_eff
+    if D is not None and D.shape[-2:] == J.shape[-2:]:
+        J = J + D
+    elif D is not None:
+        J = J.copy()
+        if sys.sites is not None:
+            J[..., cols[:, None], cols] += D
+        else:
+            J[..., cols] += D
+    return R, J
 
 
 def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
-    """dR/dx1 at x1: the J of linearize."""
-    return linearize(x1, p, sys, terms)[1]
+    """dR/dx1 at x1, formed: the J of linearize, or base.matrix of its block."""
+    J = linearize(x1, p, sys, terms)[1]
+    return J if terms.base is None else terms.base.matrix(J)
 
 
 def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):

@@ -9,13 +9,13 @@ the integrators rely on that to obtain exact Jacobians.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import ad
 
-__all__ = ["State", "Sites", "DynamicSystem", "Trajectory"]
+__all__ = ["State", "Sites", "SiteTerms", "DynamicSystem", "Trajectory"]
 
 
 @dataclass(frozen=True)
@@ -36,25 +36,43 @@ class State:
             raise ValueError("x, v, a must share one dimension")
 
 
+class SiteTerms(NamedTuple):
+    """What every residual and Jacobian of the sites at one t shares."""
+
+    G: np.ndarray  # G(t)
+    G_n: np.ndarray  # G(t)[:, cols], on the columns the Jacobian reads
+    ones: np.ndarray  # (s, 1): the law's seed column, its sites independent
+
+
 class Sites:
     """The force G(t)^T law(G(t) x, t) of s independent scalar sites.
 
     gather(t) gives the (s, n) matrix G(t), row i site i's projection of
     x; law(u, t), written with nnrad.ad, gives the (s,) site forces, site
-    i's from u_i alone.  G is kept for the last t, which every residual
-    and Jacobian of a step shares.
+    i's from u_i alone.  G and its SiteTerms are kept for the last t,
+    which every residual and Jacobian of a step shares.
     """
 
     def __init__(self, gather, law):
         self.gather = gather
         self.law = law
         self._last = (None, None)
+        self._terms = (None, None, None)
 
     def matrix(self, t):
         """G(t), from the cache when t is the time of the last call."""
         if t != self._last[0]:
             self._last = (t, np.asarray(self.gather(t), dtype=float))
         return self._last[1]
+
+    def terms(self, t, cols):
+        """The SiteTerms at t on the columns cols, kept for the last t."""
+        last_t, last_cols, terms = self._terms
+        if t != last_t or not (cols is last_cols or np.array_equal(cols, last_cols)):
+            G = self.matrix(t)
+            terms = SiteTerms(G, G[:, cols], np.ones((len(G), 1)))
+            self._terms = (t, cols, terms)
+        return terms
 
     def force(self, x, v, a, t):
         """G(t)^T law(G(t) x, t): the F_nl of the sites; rows of x too."""

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nnrad import NewmarkConfig, State
+from nnrad import NewmarkConfig, State, linalg
 from nnrad.linalg import (
     SINGULARITY_RTOL,
     SingularMatrixError,
@@ -9,10 +11,11 @@ from nnrad.linalg import (
     lu_solve,
     lu_update,
     norm2,
+    rank_k_base,
     scatter_add,
 )
 from nnrad.models import assemble_dual_rotor, default_dual_rotor_layout
-from nnrad.newmark import solve_terms, step_jacobian, step_terms
+from nnrad.newmark import linearize, solve_terms, step_terms
 
 
 class TestLUFactor:
@@ -253,31 +256,38 @@ class TestStacks:
 
 
 class TestRankKBase:
-    """lu_factor(A, base): the inverse of A as a rank-k update of the factor
-    of a matrix B that differs from A in k columns only."""
+    """lu_factor(D, base): the inverse of B + P D Q^T, B with a block D
+    added on (base.rows, base.cols), as a rank-k update of B's factor."""
 
     @staticmethod
-    def dual_jacobians():
-        """Dual-rotor step Jacobians at random states, and their SolveTerms."""
+    def dual_blocks(sites=True):
+        """Dual-rotor step Jacobian blocks at random states, and their
+        SolveTerms: the sites' (nl_dofs, nl_dofs) blocks, or without sites
+        the dense F_nl's blocks on every row."""
         cfg = NewmarkConfig(dt=1e-4)
         sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        if not sites:
+            sys_ = dataclasses.replace(sys_, sites=None)
         terms = solve_terms(sys_, cfg)
         rng = np.random.default_rng(31)
-        Js = []
+        Ds = []
         for _ in range(4):
             n = sys_.n_dof
             s = State(0.0, 1e-5 * rng.standard_normal(n),
                       1e-3 * rng.standard_normal(n), rng.standard_normal(n))
             p = step_terms(sys_, s, cfg)
-            Js.append(step_jacobian(1e-5 * rng.standard_normal(n), p, sys_, terms))
-        return np.array(Js), terms
+            Ds.append(linearize(1e-5 * rng.standard_normal(n), p, sys_, terms)[1])
+        return np.array(Ds), terms
 
-    def test_dual_rotor_jacobians_agree_with_the_direct_factor(self):
-        Js, terms = self.dual_jacobians()
-        assert terms.base is not None and len(terms.base[2]) == 10
+    @pytest.mark.parametrize("sites", [True, False])
+    def test_dual_rotor_jacobians_agree_with_the_direct_factor(self, sites):
+        Ds, terms = self.dual_blocks(sites)
+        base = terms.base
+        assert base is not None and len(base.cols) == 10
+        assert Ds.shape[1:] == (len(base.rows), 10)
         differ = False
-        for J in Js:
-            f, f0 = lu_factor(J, terms.base), lu_factor(J)
+        for D in Ds:
+            f, f0 = lu_factor(D, base), lu_factor(base.matrix(D))
             assert np.max(np.abs(f - f0)) <= 1e-12 * np.max(np.abs(f0))
             differ |= not np.array_equal(f, f0)
         assert differ  # the rank-k path ran
@@ -285,39 +295,64 @@ class TestRankKBase:
     @pytest.mark.parametrize("case", ["zero column", "dependent column"])
     def test_singular_update_reports_the_direct_pivot(self, case):
         rng = np.random.default_rng(32)
-        A = rng.standard_normal((6, 6)) + 4.0 * np.eye(6)
-        cols = np.array([1, 4])
+        # Integer entries keep B + D exact, so J's column 4 is exactly
+        # column 0 plus column 2.
+        A = rng.integers(-3, 4, (6, 6)) + 8.0 * np.eye(6)
+        rows, cols = np.arange(6), np.array([1, 4])
+        D = np.zeros((6, 2))
         if case == "zero column":
             # With A = 2I the k x k matrix I + W[cols] is singular too, so
             # inv raises.
             A = 2.0 * np.eye(6)
-            J = A.copy()
-            J[:, 1] = 0.0
+            D[:, 0] = -A[:, 1]
         else:
-            J = A.copy()
-            J[:, 1] += 0.5
-            J[:, 4] = J[:, 0] + J[:, 2]
-        base = (A, lu_factor(A), cols)
+            D[:, 0] = 0.5
+            D[:, 1] = A[:, 0] + A[:, 2] - A[:, 4]
+        base = rank_k_base(A, lu_factor(A), rows, cols)
         with pytest.raises(SingularMatrixError) as direct:
-            lu_factor(J)
+            lu_factor(base.matrix(D))
         with pytest.raises(SingularMatrixError) as updated:
-            lu_factor(J, base)
+            lu_factor(D, base)
         assert updated.value.pivot_index == direct.value.pivot_index
 
     def test_stack_matches_one_row_calls(self):
-        Js, terms = self.dual_jacobians()
-        A_eff, f_eff, cols = terms.base
-        F = np.array([f_eff] * len(Js))
+        Ds, terms = self.dual_blocks(sites=False)
+        A_eff, f_eff, rows, cols = terms.base[:4]
+        F = np.array([f_eff] * len(Ds))
         F[1] = np.nan  # a row without a base is factored directly
-        base = (np.array([A_eff] * len(Js)), F, cols)
-        f = lu_factor(Js, base)
-        for i in range(len(Js)):
-            assert np.array_equal(f[i], lu_factor(Js[i], (A_eff, F[i], cols)))
-        assert np.array_equal(f[1], lu_factor(Js[1]))
-        Js[2][:, cols[3]] = 0.0
+        base = rank_k_base(np.array([A_eff] * len(Ds)), F, rows, cols)
+        f = lu_factor(Ds, base)
+        for i in range(len(Ds)):
+            assert np.array_equal(f[i], lu_factor(Ds[i], base.row(i)))
+        assert np.array_equal(f[1], lu_factor(base.row(1).matrix(Ds[1])))
+        Ds[2][:, 3] = -A_eff[:, cols[3]]  # J's column cols[3] is zero
         with pytest.raises(SingularMatrixError) as one:
-            lu_factor(Js[2], (A_eff, f_eff, cols))
+            lu_factor(Ds[2], terms.base)
         with pytest.raises(SingularMatrixError) as stacked:
-            lu_factor(Js, base)
+            lu_factor(Ds, base)
         assert stacked.value.row == 2
         assert stacked.value.pivot_index == one.value.pivot_index
+
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_the_screen_scales_by_the_changed_block(self, singular):
+        # B's entries are at most 1 and pass the screen; the block puts
+        # J's largest entry, 1e12, at (0, 0), where the screen fails, so J
+        # is eliminated exactly as lu_factor(J) eliminates it.  With B's
+        # pivot 5e-3 at (1, 1), under 1e-14 * 1e12, J is singular by the
+        # rule; scaled by B alone the screen would pass it.
+        B = np.eye(4) + 0.25 * np.diag(np.ones(3), 1)
+        if singular:
+            B[1, 1] = 5e-3
+        base = rank_k_base(B, lu_factor(B), np.array([0, 1]), np.array([0, 1]))
+        D = np.array([[1e12 - 1.0, 0.0], [0.0, 0.0]])
+        J = base.matrix(D)
+        assert np.abs(J).max() == 1e12 and np.abs(B).max() == 1.0
+        assert not linalg._passes(np.abs(J).max(), linalg._inverse(D, base))
+        if singular:
+            with pytest.raises(SingularMatrixError) as direct:
+                lu_factor(J)
+            with pytest.raises(SingularMatrixError) as updated:
+                lu_factor(D, base)
+            assert updated.value.pivot_index == direct.value.pivot_index == 1
+        else:
+            assert np.array_equal(lu_factor(D, base), lu_factor(J))

@@ -24,6 +24,7 @@ from nnrad import (
 )
 from nnrad import ad
 from nnrad.lockstep import _stack, integrate_rows
+from nnrad.system import Sites
 from nnrad.models import (
     default_dual_rotor_layout,
     duffing,
@@ -509,6 +510,8 @@ class TestLinearize:
                 p = step_terms(sys_, s, cfg)
                 R, J = linearize(x1, p, sys_, terms)
                 assert R.tobytes() == residual(x1, p, sys_).tobytes(), sys_.name
+                if terms.base is not None:
+                    J = terms.base.matrix(J)
                 assert J.tobytes() == step_jacobian(x1, p, sys_, terms).tobytes()
             if not len(sys_.nl_dofs):
                 assert J is terms.A_eff
@@ -774,7 +777,7 @@ class TestRankKFactor:
 
         def lu_factor(A, base=None):
             calls.append(base)
-            return linalg.lu_factor(A)
+            return linalg.lu_factor(A if base is None else base.matrix(A))
 
         monkeypatch.setattr(nnrad.newmark, "lu_factor", lu_factor)
         return calls
@@ -803,6 +806,64 @@ class TestRankKFactor:
         assert errors[0].step_index == errors[1].step_index == 4
         assert errors[0].pivot_index == errors[1].pivot_index
         assert errors[0].t == errors[1].t
+
+    def test_singular_site_block_is_located_as_by_the_direct_path(self, monkeypatch):
+        cfg = NewmarkConfig(dt=1e-3)
+        c_a = 1.0 / (cfg.beta * cfg.dt * cfg.dt)
+        K = np.diag([1.0, 2.0, 3.0, 4.0])
+        G = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+
+        def law(u, t):
+            # From t = 3.5 ms on, site 0's stiffness cancels A_eff[0, 0].
+            coef = c_a + K[0, 0] if t > 3.5e-3 else 0.0
+            return ad.stack([-coef * u[0], 0.5 * u[1] * u[1]])
+
+        sys_ = DynamicSystem(n_dof=4, M=np.eye(4), C=np.zeros((4, 4)), K=K,
+                             Q=lambda t: np.ones(4), nl_dofs=[0, 2],
+                             sites=Sites(lambda t: G, law))
+        base = solve_terms(sys_, cfg).base
+        assert base is not None and np.array_equal(base.rows, [0, 2])
+        x0 = np.full(4, 0.1)
+        errors = []
+        for patch in (False, True):
+            if patch:
+                self.direct(monkeypatch)
+            with pytest.raises(SingularJacobianError) as exc:
+                integrate(sys_, x0, np.zeros(4), 0.0, 0.01, cfg)
+            errors.append(exc.value)
+        assert errors[0].step_index == errors[1].step_index == 4
+        assert errors[0].pivot_index == errors[1].pivot_index == 0
+        assert errors[0].t == errors[1].t
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_the_dual_rotor_never_forms_its_jacobian(self, strategy, monkeypatch):
+        # Every refresh hands lu_factor the sites' 10 x 10 block; no n x n
+        # step Jacobian is formed, by linearize or by the factor.
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        factored, formed = [], []
+        fac, matrix = nnrad.newmark.lu_factor, linalg.RankKBase.matrix
+
+        def lu_factor(A, base=None):
+            factored.append((A, base))
+            return fac(A, base)
+
+        def spied(self, D):
+            formed.append(np.shape(D))
+            return matrix(self, D)
+
+        monkeypatch.setattr(nnrad.newmark, "lu_factor", lu_factor)
+        monkeypatch.setattr(linalg.RankKBase, "matrix", spied)
+        x0 = 1e-5 * np.random.default_rng(28).standard_normal(sys_.n_dof)
+        cfg = NewmarkConfig(dt=1e-4, strategy=strategy)
+        traj = integrate(sys_, x0, np.zeros(sys_.n_dof), 0.0, 0.002, cfg)
+        # initial_acceleration factors M and solve_terms A_eff, once each.
+        (M, no_base), (A_eff, none), *refreshes = factored
+        assert M is sys_.M and no_base is None and none is None
+        assert np.array_equal(A_eff, solve_terms(sys_, cfg).A_eff)
+        assert len(refreshes) >= traj.n_samples - 1
+        assert all(np.shape(D) == (10, 10) and base is not None
+                   for D, base in refreshes)
+        assert not formed
 
     def test_singular_A_eff_integrates_as_the_direct_path(self, monkeypatch):
         cfg = NewmarkConfig(dt=1e-3)
