@@ -16,8 +16,9 @@ residual.  What a step holds fixed, the offsets of the Newmark maps from x1 to v
 and a1 and the load Q(t1), is built once per step (StepTerms), so every
 residual and Jacobian of the step shares it.  What a solve holds fixed,
 A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
-half of the DOFs, the factor of A_eff that lu_factor updates by the
-Jacobian's k nonlinear columns, is built once per solve (SolveTerms).
+half of the DOFs, the base from which lu_factor inverts A_eff plus the
+Jacobian's AD block as a rank-k update of A_eff's factor, is built once
+per solve (SolveTerms); the n x n Jacobian is then never formed.
 
 _step_core is the one Newton step.  It runs one row on 1-D arrays, or
 the rows of systems that share a batch_key in lock-step on (B, n)
@@ -249,30 +250,30 @@ def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
 
 
 def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
-    """(R, J) at x1 from one forward pass, R with the bits of residual and
-    J = dR/dx1, A_eff plus the AD derivative dF of F_nl in sys.nl_dofs;
-    with terms.base, J is that derivative's block D alone, which
-    lu_factor(D, terms.base) factors as base.matrix(D) = J.
+    """(R, J) at x1 from one forward pass: R with the bits of residual, and
+    J = dR/dx1 = A_eff + dF, with dF the AD derivative of F_nl in the
+    nl_dofs columns, nonzero in a block D.  With terms.base (SolveTerms)
+    J is D alone, which lu_factor(D, terms.base) factors as
+    base.matrix(D); A_eff + dF is not formed.
 
-    F_nl runs once, with the constant seeds of terms (SolveTerms) on x1,
-    v1 and a1: through the Newmark maps a displacement seed e_j carries
-    the velocity seed c_v e_j and the acceleration seed c_a e_j, so its
-    seeds are dF/dx + c_v dF/dv + c_a dF/da and its value the float F_nl
-    (nnrad.ad).  D is these seeds on every row; without a base, when
-    F_nl reads every DOF (nl_dofs is sorted), J is A_eff + D, with no
-    copy and no column scatter, else A_eff with D added in the nl_dofs
-    columns.  With sites (DynamicSystem.sites), F_nl = G^T law(G x1) at
-    G = G(t1): the law runs once, at u = G x1 with one seed column of
-    ones (its sites are independent), and D = G_n^T diag(law') G_n with
-    G_n = G[:, nl_dofs] is the (nl_dofs, nl_dofs) block.  With no
-    nl_dofs, or a force without seeds, J is terms.A_eff itself, or a
-    zero block with a base.  With (B, n) rows x1, stacked StepTerms and
-    stacked SolveTerms (a (B, n, n) A_eff), F_nl (or the law) must take
-    rows (DynamicSystem.batch_key); R and J hold each row's.
+    F_nl runs once, with the constant seeds of terms on x1, v1 and a1:
+    through the Newmark maps a displacement seed e_j carries the velocity
+    seed c_v e_j and the acceleration seed c_a e_j, so its seeds are
+    dF/dx + c_v dF/dv + c_a dF/da and its value the float F_nl
+    (nnrad.ad).  D is these seeds, on every row.  With sites
+    (DynamicSystem.sites), F_nl = G^T law(G x1) at G = G(t1): the law
+    runs once, at u = G x1 with one seed column of ones (its sites are
+    independent), and D = G_n^T diag(law') G_n, with G_n = G[:, nl_dofs],
+    is the (nl_dofs, nl_dofs) block.  Without a base, J is A_eff + D when
+    F_nl reads every DOF (nl_dofs is sorted), with no copy and no column
+    scatter, and otherwise a copy of A_eff with D added on its block.
+    With no nl_dofs, or a force without seeds, J is terms.A_eff itself,
+    or a zero block with a base.  With (B, n) rows x1, stacked StepTerms
+    and stacked SolveTerms (a (B, n, n) A_eff), F_nl (or the law) must
+    take rows (DynamicSystem.batch_key); R and J hold each row's.
     """
     lin, v1, a1 = _linear_part(x1, p, sys)
-    cols, base = sys.nl_dofs, terms.base
-    D = None
+    cols, base, D = sys.nl_dofs, terms.base, None
     if not len(cols):
         F = sys.F_nl(x1, v1, a1, p.t1)
     elif sys.sites is not None:
@@ -290,15 +291,15 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     R = lin + ad.value_of(ad.stack(F)) - p.q1
     if base is not None:
         return R, np.zeros_like(base.block) if D is None else D
-    J = terms.A_eff
-    if D is not None and D.shape[-2:] == J.shape[-2:]:
-        J = J + D
-    elif D is not None:
-        J = J.copy()
-        if sys.sites is not None:
-            J[..., cols[:, None], cols] += D
-        else:
-            J[..., cols] += D
+    if D is None:
+        return R, terms.A_eff
+    if D.shape[-2:] == terms.A_eff.shape[-2:]:
+        return R, terms.A_eff + D
+    J = terms.A_eff.copy()
+    if sys.sites is not None:
+        J[..., cols[:, None], cols] += D
+    else:
+        J[..., cols] += D
     return R, J
 
 

@@ -66,9 +66,10 @@ class Sites:
         return self._last[1]
 
     def terms(self, t, cols):
-        """The SiteTerms at t on the columns cols, kept for the last t."""
+        """The SiteTerms at t on the columns cols, kept while t and cols (the
+        same array) repeat."""
         last_t, last_cols, terms = self._terms
-        if t != last_t or not (cols is last_cols or np.array_equal(cols, last_cols)):
+        if t != last_t or cols is not last_cols:
             G = self.matrix(t)
             terms = SiteTerms(G, G[:, cols], np.ones((len(G), 1)))
             self._terms = (t, cols, terms)
