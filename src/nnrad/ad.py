@@ -13,9 +13,10 @@ function here accepts either and returns a plain result for plain input.
 
 Rows: an array whose leading axis indexes independent problems, say the
 speeds of a sweep, carries that axis through every operation, and
-``matvec``, ``dot`` and ``jacobian`` act row by row.  They form each row's
-product with ``np.matmul`` on stacked operands, which reproduces the
-bits of the one-row product; ``einsum`` or ``X @ A.T`` would not.
+``matvec``, ``dot`` and ``jacobian`` act row by row.  They form a stacked
+product with one NumPy gufunc call, ``np.matvec``, ``np.vecdot`` or
+``np.vecmat`` (NumPy >= 2.2), which reproduces the bits of the one-row
+product; ``einsum`` or ``X @ A.T`` would not.
 """
 
 from __future__ import annotations
@@ -321,18 +322,17 @@ def matvec(A, x):
 
     x may be an ADArray or an ndarray.  With rows, x of shape (B, n), A
     is an (m, n) matrix or a (B, m, n) stack and the result has shape
-    (B, m); each row is formed by np.matmul on stacked operands, which
-    gives the bits of ``A @ x[i]``.
+    (B, m); the value is one np.matvec call, which gives the bits of
+    ``A @ x[i]``, and the seeds one np.matmul.
     """
     if isinstance(x, ADArray):
-        if x.value.ndim == 0:
+        ndim = x.value.ndim
+        if ndim == 0:
             raise ValueError("A @ x needs an ADArray x of at least one axis")
-        if x.value.ndim == 1:
+        if ndim == 1:
             return _new(A @ x.value, A @ x.seeds)
-        return _new(np.matmul(A, x.value[..., None])[..., 0], np.matmul(A, x.seeds))
-    if np.ndim(x) == 1:
-        return A @ x
-    return np.matmul(A, x[..., None])[..., 0]
+        return _new(np.matvec(A, x.value), np.matmul(A, x.seeds))
+    return A @ x if x.ndim == 1 else np.matvec(A, x)
 
 
 def dot(x, y):
@@ -340,32 +340,33 @@ def dot(x, y):
 
     For 1-D x and y this is the 0-d ``x @ y``.  For rows of shape (B, n)
     the result has shape (B, 1), so it broadcasts against the rows it
-    came from; each entry is formed by np.matmul on stacked operands,
-    which gives the bits of ``x[i] @ y[i]``.  x, y may be ADArrays or
-    ndarrays.
+    came from; the value is one np.vecdot call and each operand's seeds
+    one np.vecmat call, which give the bits of ``x[i] @ y[i]``.  x, y
+    may be ADArrays or ndarrays.
     """
-    a, b = value_of(x), value_of(y)
-    ndim = np.ndim(a)
-    if ndim != np.ndim(b) or ndim == 0:
+    x_ad, y_ad = isinstance(x, ADArray), isinstance(y, ADArray)
+    a = x.value if x_ad else x
+    b = y.value if y_ad else y
+    ndim = a.ndim
+    if ndim != b.ndim or ndim == 0:
         raise ValueError("x @ y needs x and y both 1-D or both rows")
     if ndim == 1:
         value = a @ b
-        if isinstance(x, ADArray):
-            if isinstance(y, ADArray):
+        if x_ad:
+            if y_ad:
                 return _new(value, b @ x.seeds + a @ x._seeds_of(y))
             return _new(value, b @ x.seeds)
-        if isinstance(y, ADArray):
+        if y_ad:
             return _new(value, a @ y.seeds)
         return value
-    row = a[..., None, :]
-    value = np.matmul(row, b[..., :, None])[..., 0]
-    if isinstance(x, ADArray):
-        seeds = np.matmul(b[..., None, :], x.seeds)
-        if isinstance(y, ADArray):
-            seeds = seeds + np.matmul(row, x._seeds_of(y))
-        return _new(value, seeds)
-    if isinstance(y, ADArray):
-        return _new(value, np.matmul(row, y.seeds))
+    value = np.vecdot(a, b)[..., None]
+    if x_ad:
+        seeds = np.vecmat(b, x.seeds)
+        if y_ad:
+            seeds = seeds + np.vecmat(a, x._seeds_of(y))
+        return _new(value, seeds[..., None, :])
+    if y_ad:
+        return _new(value, np.vecmat(a, y.seeds)[..., None, :])
     return value
 
 

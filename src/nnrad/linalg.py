@@ -41,7 +41,9 @@ Stacks: ``lu_factor``, ``lu_solve``, ``lu_update`` and ``norm2`` also take
 a leading row axis, a (B, n, n) stack of matrices with (B, n) right-hand
 sides, and treat each row as its own problem, the singularity screen
 included; with a base, a stack of blocks D and a base built from a
-stacked B and f_B.  Each row's result has the bits of the one-row call.
+stacked B and f_B.  Each row's result has the bits of the one-row call:
+the stacked products are single ``np.matvec``, ``np.vecmat`` and
+``np.vecdot`` calls (NumPy >= 2.2).
 """
 
 from __future__ import annotations
@@ -237,12 +239,13 @@ def _lu_factor_rows(A, base):
 
 
 def lu_solve(f, b):
-    """Solve A x = b with f = lu_factor(A), or each row of a stack."""
+    """Solve A x = b with f = lu_factor(A), or each row of a stack (one
+    np.matvec call)."""
     b = np.asarray(b, dtype=float)
     if f.ndim > 2:
         if b.shape != f.shape[:-1]:
             raise ValueError(f"dimension mismatch: factors {f.shape}, b {b.shape}")
-        return np.matmul(f, b[..., None])[..., 0]
+        return np.matvec(f, b)
     if b.shape[0] != f.shape[0]:
         raise ValueError(
             f"dimension mismatch: factor is {f.shape[0]}, b is {b.shape[0]}"
@@ -260,15 +263,15 @@ def lu_update(f, u, v):
     row whose denominator fails raises with ``row`` set.
     """
     if f.ndim > 2:
-        fu = np.matmul(f, u[..., None])
-        denom = 1.0 + np.matmul(v[..., None, :], fu)
+        fu = np.matvec(f, u)
+        denom = 1.0 + np.vecdot(v, fu)
         bad = (denom == 0.0) | ~np.isfinite(denom)
         if bad.any():
             raise SingularMatrixError(
                 None, "rank-1 update makes the matrix singular",
                 row=int(np.flatnonzero(bad)[0]),
             )
-        return f - fu * np.matmul(v[..., None, :], f) / denom
+        return f - fu[..., None] * np.vecmat(v, f)[..., None, :] / denom[..., None, None]
     fu = f @ u
     denom = 1.0 + float(v @ fu)
     if denom == 0.0 or not np.isfinite(denom):
@@ -281,11 +284,11 @@ def norm2(v):
 
     That is sqrt(v.dot(v)) on a contiguous copy, bit for bit, without
     norm's argument handling.  Rows of shape (B, n) give the (B,) norms of
-    the rows, each with the bits of its own norm2.
+    the rows from one np.vecdot call, each with the bits of its own norm2.
     """
     v = np.ascontiguousarray(v, dtype=float)
     if v.ndim > 1:
-        return np.sqrt(np.matmul(v[..., None, :], v[..., :, None])[..., 0, 0])
+        return np.sqrt(np.vecdot(v, v))
     return math.sqrt(v.dot(v))
 
 

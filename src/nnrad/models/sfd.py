@@ -251,41 +251,39 @@ def _film_force_rows(q, dq, p: SFDParams):
     The kinematics run on all rows at once.  The quadrature runs once per
     branch of the one-journal force: concentric rows get zero force, and
     the others are grouped by (static, panel count), so no row is ever
-    integrated with another row's panels.  Raises FilmRuptureError if any
-    row has ruptured.
+    integrated with another row's panels.  The branches are chosen on the
+    rows' values as Python floats, with the one-journal comparisons.
+    Raises FilmRuptureError if any row has ruptured.
     """
-    n_rows = len(ad.value_of(q))
+    n_rows = len(q)
     r2 = ad.dot(q, q)
-    moving = ~(ad.value_of(r2)[:, 0] < _concentric_r2(p))
-    if not moving.all():
+    floor = _concentric_r2(p)
+    moving = [not r2_i < floor for r2_i in ad.value_of(r2)[:, 0].tolist()]
+    if not all(moving):
         idx = np.flatnonzero(moving)
         if idx.size == 0:
             return np.zeros((n_rows, 2))
         return _merge_rows([(idx, _film_force_rows(q[idx], dq[idx], p))], n_rows)
     r = ad.sqrt(r2)
-    rv = ad.value_of(r)[:, 0]
-    if not (rv < 1.0).all():
-        i = np.flatnonzero(~(rv < 1.0))[0]
-        if rv[i] >= 1.0:
-            raise _rupture(rv[i], ad.value_of(q)[i], p)
-        raise ValueError(f"eccentricity of row {i} is not a number")
+    rv = ad.value_of(r)[:, 0].tolist()
+    for i, r_i in enumerate(rv):
+        if not r_i < 1.0:
+            if r_i >= 1.0:
+                raise _rupture(r_i, ad.value_of(q)[i], p)
+            raise ValueError(f"eccentricity of row {i} is not a number")
     dr = ad.dot(q, dq) / r
     rdpsi = ad.dot(q, ad.matvec(_QUARTER_TURN, dq)) / r
-    static = ((abs(ad.value_of(rdpsi)) < STATIC_FLOOR)
-              & (abs(ad.value_of(dr)) < STATIC_FLOOR))
-    # _n_panels of every row, and one code per (static, panel count).
-    panels = np.array([_n_panels(r) for r in rv.tolist()])
-    branch = panels + (MAX_PANELS + 1) * static[:, 0]
-    if (branch == branch[0]).all():
-        return _film_integral(q, r, dr, rdpsi, bool(static[0, 0]), int(panels[0]), p)
-    parts = []
-    # Not np.unique: it imports numpy.ma on first use.
-    for code in set(branch.tolist()):
-        idx = np.flatnonzero(branch == code)
-        i = idx[0]
-        parts.append((idx, _film_integral(q[idx], r[idx], dr[idx], rdpsi[idx],
-                                          bool(static[i, 0]), int(panels[i]), p)))
-    return _merge_rows(parts, n_rows)
+    # (static, panel count) of every row: the branch of its _film_integral.
+    branch = [(abs(rdpsi_i) < STATIC_FLOOR and abs(dr_i) < STATIC_FLOOR, _n_panels(r_i))
+              for rdpsi_i, dr_i, r_i in zip(ad.value_of(rdpsi)[:, 0].tolist(),
+                                            ad.value_of(dr)[:, 0].tolist(), rv)]
+    if branch.count(branch[0]) == n_rows:
+        return _film_integral(q, r, dr, rdpsi, *branch[0], p)
+    groups = {}
+    for i, key in enumerate(branch):
+        groups.setdefault(key, []).append(i)
+    return _merge_rows([(idx, _film_integral(q[idx], r[idx], dr[idx], rdpsi[idx], *key, p))
+                        for key, idx in groups.items()], n_rows)
 
 
 def _merge_rows(parts, n_rows):

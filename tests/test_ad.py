@@ -266,6 +266,17 @@ class TestArrayOps:
             1.0 / ad.lift([1.0, 0.0])
 
 
+# The product shapes of the models: duffing's 1x1, the SFD journal's 2x2
+# and 2x4, the SFD rotor's 4x4, the dual rotor's 10x10 site block, its
+# 32x40 gather and its 40x40 matrices.
+PRODUCT_SHAPES = [(1, 1), (2, 2), (2, 4), (4, 4), (10, 10), (32, 40), (40, 40)]
+
+
+def spread(rng, shape):
+    """Random entries of either sign whose magnitudes spread over 1e±6."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+
+
 class TestRows:
     """A leading row axis: each row has the bits of its own 1-D call."""
 
@@ -310,6 +321,32 @@ class TestRows:
         X, Y = self.rows()
         with pytest.raises(ValueError):
             ad.dot(X, Y[0])
+
+    @pytest.mark.parametrize("m, n", PRODUCT_SHAPES)
+    def test_products_of_row_views_per_row(self, m, n):
+        # Entries over 1e-6 to 1e6, and rows that are strided views or
+        # gathered copies, as the models and the step loop pass them.
+        rng = np.random.default_rng(10 * m + n)
+        A, As = spread(rng, (m, n)), spread(rng, (5, m, n))
+        xs, ys = spread(rng, (5, 3, n)), spread(rng, (5, 3, n))
+        x_seeds, y_seeds = spread(rng, (5, 3, n, 3)), spread(rng, (5, 3, n, 3))
+        idx = [4, 1, 3, 0]
+        for X, Y, SX, SY in ((xs[:, 1], ys[:, 2], x_seeds[:, 0], y_seeds[:, 2]),
+                             (xs[idx, 0], ys[idx, 1], x_seeds[idx, 1], y_seeds[idx, 0])):
+            x, y = ADArray(X, SX), ADArray(Y, SY)
+            Ax, Asx, Ax_ad = ad.matvec(A, X), ad.matvec(As[:len(X)], X), ad.matvec(A, x)
+            d, xy, xY, Xy = ad.dot(X, Y), ad.dot(x, y), ad.dot(x, Y), ad.dot(X, y)
+            for i in range(len(X)):
+                assert np.array_equal(Ax[i], A @ X[i])
+                assert np.array_equal(Asx[i], As[i] @ X[i])
+                one = ad.matvec(A, x[i])
+                assert np.array_equal(Ax_ad.value[i], one.value)
+                assert np.array_equal(Ax_ad.seeds[i], one.seeds)
+                assert d[i, 0] == X[i] @ Y[i]
+                for rows, one in ((xy, ad.dot(x[i], y[i])), (xY, ad.dot(x[i], Y[i])),
+                                  (Xy, ad.dot(X[i], y[i]))):
+                    assert rows.value[i, 0] == one.value
+                    assert np.array_equal(rows.seeds[i, 0], one.seeds)
 
     def test_jacobian_rows(self):
         X, Y = self.rows()

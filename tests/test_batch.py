@@ -422,6 +422,35 @@ class TestFilmForceRows:
         with pytest.raises(FilmRuptureError):
             sfd_rotor_system(900.0).F_nl(x, v, np.zeros_like(x), 0.0)
 
+    @staticmethod
+    def journals(q0):
+        """Three moving journals, in clearances, with q0 as the first."""
+        q = np.array([q0, (0.1, 0.05), (-0.2, 0.1)])
+        return q, np.array([(1.0, 2.0), (0.5, -0.3), (3.0, 0.0)])
+
+    def test_nan_row_is_named(self):
+        q, dq = self.journals((0.3, 0.1))
+        q[1, 0] = math.nan
+        with pytest.raises(ValueError, match="eccentricity of row 1 is not a number"):
+            sfd._film_force_rows(q, dq, sfd.default_sfd_params())
+
+    def test_infinite_row_ruptures(self):
+        q, dq = self.journals((0.3, 0.1))
+        q[2] = (math.inf, 0.0)
+        with pytest.raises(FilmRuptureError, match="r=inf"):
+            sfd._film_force_rows(q, dq, sfd.default_sfd_params())
+
+    def test_row_at_the_concentric_floor_is_moving(self):
+        p = sfd.default_sfd_params()
+        floor = sfd._concentric_r2(p)
+        a = math.sqrt(floor)
+        assert a * a == floor  # r^2 of (a, 0) is exactly the floor
+        q, dq = self.journals((a, 0.0))
+        f = sfd._film_force_rows(q, dq, p)
+        assert f[0].any()
+        for i in range(len(q)):
+            assert np.array_equal(f[i], sfd._film_force(q[i], dq[i], p))
+
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_rows_whose_force_reads_no_dof(strategy, step_core_steps):

@@ -18,6 +18,11 @@ from nnrad.models import assemble_dual_rotor, default_dual_rotor_layout
 from nnrad.newmark import linearize, solve_terms, step_terms
 
 
+def spread(rng, shape):
+    """Random entries of either sign whose magnitudes spread over 1e±6."""
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-6.0, 6.0, shape)
+
+
 class TestLUFactor:
     def test_identity(self):
         b = np.array([1.0, -2.0, 3.5])
@@ -229,6 +234,21 @@ class TestStacks:
             assert np.array_equal(x[i], lu_solve(fi, b[i]))
             assert np.array_equal(g[i], lu_update(fi, u[i], v[i]))
             assert norms[i] == norm2(b[i])
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 10, 32, 40])
+    def test_solve_update_and_norm_of_row_views_per_row(self, n):
+        # Entries over 1e-6 to 1e6; rows that are strided views or gathered
+        # copies, as the step loop passes them.
+        rng = np.random.default_rng(n)
+        f = spread(rng, (5, n, n))
+        bs = spread(rng, (5, 3, n))
+        idx = [4, 1, 3, 0, 2]
+        for b, u, v in ((bs[:, 1], bs[:, 0], bs[:, 2]), (bs[idx, 0], bs[idx, 2], bs[idx, 1])):
+            x, g, norms = lu_solve(f, b), lu_update(f, u, v), norm2(b)
+            for i in range(len(f)):
+                assert np.array_equal(x[i], lu_solve(f[i], b[i]))
+                assert np.array_equal(g[i], lu_update(f[i], u[i], v[i]))
+                assert norms[i] == norm2(b[i])
 
     @pytest.mark.parametrize("exact", [True, False])
     def test_one_singular_row(self, exact):
