@@ -274,16 +274,17 @@ def _film_force_rows(q, dq, p: SFDParams):
     dr = ad.dot(q, dq) / r
     rdpsi = ad.dot(q, ad.matvec(_QUARTER_TURN, dq)) / r
     # (static, panel count) of every row: the branch of its _film_integral.
-    branch = [(abs(rdpsi_i) < STATIC_FLOOR and abs(dr_i) < STATIC_FLOOR, _n_panels(r_i))
-              for rdpsi_i, dr_i, r_i in zip(ad.value_of(rdpsi)[:, 0].tolist(),
-                                            ad.value_of(dr)[:, 0].tolist(), rv)]
+    branch = [(abs(w) < STATIC_FLOOR and abs(u) < STATIC_FLOOR, _n_panels(r_i))
+              for w, u, r_i in zip(ad.value_of(rdpsi)[:, 0].tolist(),
+                                   ad.value_of(dr)[:, 0].tolist(), rv)]
     if branch.count(branch[0]) == n_rows:
         return _film_integral(q, r, dr, rdpsi, *branch[0], p)
     groups = {}
     for i, key in enumerate(branch):
         groups.setdefault(key, []).append(i)
-    return _merge_rows([(idx, _film_integral(q[idx], r[idx], dr[idx], rdpsi[idx], *key, p))
-                        for key, idx in groups.items()], n_rows)
+    parts = [(idx, _film_integral(q[idx], r[idx], dr[idx], rdpsi[idx], *key, p))
+             for key, idx in groups.items()]
+    return _merge_rows(parts, n_rows)
 
 
 def _merge_rows(parts, n_rows):

@@ -243,7 +243,8 @@ class TestStacks:
         f = spread(rng, (5, n, n))
         bs = spread(rng, (5, 3, n))
         idx = [4, 1, 3, 0, 2]
-        for b, u, v in ((bs[:, 1], bs[:, 0], bs[:, 2]), (bs[idx, 0], bs[idx, 2], bs[idx, 1])):
+        for b, u, v in ((bs[:, 1], bs[:, 0], bs[:, 2]),
+                        (bs[idx, 0], bs[idx, 2], bs[idx, 1])):
             x, g, norms = lu_solve(f, b), lu_update(f, u, v), norm2(b)
             for i in range(len(f)):
                 assert np.array_equal(x[i], lu_solve(f[i], b[i]))
