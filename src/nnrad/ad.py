@@ -16,7 +16,11 @@ speeds of a sweep, carries that axis through every operation, and
 ``matvec``, ``dot`` and ``jacobian`` act row by row.  They form a stacked
 product with one NumPy gufunc call, ``np.matvec``, ``np.vecdot`` or
 ``np.vecmat`` (NumPy >= 2.2), which reproduces the bits of the one-row
-product; ``einsum`` or ``X @ A.T`` would not.
+product; ``einsum`` or ``X @ A.T`` would not.  A one-row product is
+``ndarray.dot``, which has the bits of ``@`` where both reach BLAS (every
+layout the models pass) at about half of ``@``'s call cost.  ``dot`` does
+not defer to an ADArray operand as ``@`` does, so a product with one goes
+through ``matvec`` or ``dot`` here.
 """
 
 from __future__ import annotations
@@ -196,7 +200,7 @@ class ADArray:
 
     def __rmatmul__(self, A):
         """A @ x for a constant matrix (or vector) A (see matvec)."""
-        return matvec(A, self)
+        return matvec(np.asarray(A, dtype=float), self)
 
     def sum(self, axis=None):
         ndim = self.value.ndim
@@ -323,16 +327,17 @@ def matvec(A, x):
     x may be an ADArray or an ndarray.  With rows, x of shape (B, n), A
     is an (m, n) matrix or a (B, m, n) stack and the result has shape
     (B, m); the value is one np.matvec call, which gives the bits of
-    ``A @ x[i]``, and the seeds one np.matmul.
+    ``A @ x[i]``, and the seeds one np.matmul.  A is an ndarray; a vector
+    x takes ``A.dot``.
     """
     if isinstance(x, ADArray):
         ndim = x.value.ndim
         if ndim == 0:
             raise ValueError("A @ x needs an ADArray x of at least one axis")
         if ndim == 1:
-            return _new(A @ x.value, A @ x.seeds)
+            return _new(A.dot(x.value), A.dot(x.seeds))
         return _new(np.matvec(A, x.value), np.matmul(A, x.seeds))
-    return A @ x if x.ndim == 1 else np.matvec(A, x)
+    return A.dot(x) if x.ndim == 1 else np.matvec(A, x)
 
 
 def dot(x, y):
@@ -351,13 +356,13 @@ def dot(x, y):
     if ndim != b.ndim or ndim == 0:
         raise ValueError("x @ y needs x and y both 1-D or both rows")
     if ndim == 1:
-        value = a @ b
+        value = a.dot(b)
         if x_ad:
             if y_ad:
-                return _new(value, b @ x.seeds + a @ x._seeds_of(y))
-            return _new(value, b @ x.seeds)
+                return _new(value, b.dot(x.seeds) + a.dot(x._seeds_of(y)))
+            return _new(value, b.dot(x.seeds))
         if y_ad:
-            return _new(value, a @ y.seeds)
+            return _new(value, a.dot(y.seeds))
         return value
     value = np.vecdot(a, b)[..., None]
     if x_ad:

@@ -109,13 +109,14 @@ def _gauss_jordan_inverse(A, threshold):
 def _passes(scale, inv):
     """The screen max|A| ||A^-1||_inf < SCREEN_MARGIN / (n SINGULARITY_RTOL).
 
-    scale is max|A|, per row for a stack; a non-finite inverse fails.
-    Callers fail a non-finite max|A| themselves: inf * 0 would warn.
+    scale is max|A|, a float for one matrix and per row for a stack; a
+    non-finite inverse fails.  Callers fail a non-finite max|A|
+    themselves: on a stack, inf * 0 would warn.
     """
-    n = inv.shape[-1]
-    return scale * np.abs(inv).sum(axis=-1).max(axis=-1) < SCREEN_MARGIN / (
-        n * SINGULARITY_RTOL
-    )
+    bound = SCREEN_MARGIN / (inv.shape[-1] * SINGULARITY_RTOL)
+    if inv.ndim > 2:
+        return scale * np.abs(inv).sum(axis=-1).max(axis=-1) < bound
+    return scale * float(np.abs(inv).sum(axis=1).max()) < bound
 
 
 class RankKBase(NamedTuple):
@@ -123,6 +124,8 @@ class RankKBase(NamedTuple):
 
     Built by rank_k_base.  B, f_B and the fields derived from them may
     carry a leading row axis (a stack); rows, cols and eye are shared.
+    f_rows and f_cols are C-contiguous, so that a row of a stack reaches
+    BLAS as its one-row base does and the products keep their bits.
     """
 
     B: np.ndarray
@@ -155,25 +158,41 @@ def rank_k_base(B, f_B, rows, cols):
     rows, cols = np.asarray(rows), np.asarray(cols)
     outside = np.abs(B)
     outside[..., rows[:, None], cols] = 0.0
-    return RankKBase(B, f_B, rows, cols, np.eye(len(cols)), f_B[..., :, rows],
-                     f_B[..., cols, :], B[..., rows[:, None], cols],
-                     outside.max(axis=(-2, -1)))
+    return RankKBase(B, f_B, rows, cols, np.eye(len(cols)),
+                     np.ascontiguousarray(f_B[..., :, rows]),
+                     np.ascontiguousarray(f_B[..., cols, :]),
+                     B[..., rows[:, None], cols], outside.max(axis=(-2, -1)))
 
 
 def _scale(A, base):
-    """max|A|, or with a base max|base.matrix(A)| from its parts; per row."""
+    """max|A|, or with a base max|base.matrix(A)| from its parts: a float
+    for one matrix, per row for a stack.  A NaN in A gives NaN."""
+    if A.ndim > 2:
+        if base is None:
+            return np.abs(A).max(axis=(-2, -1))
+        return np.maximum(base.off_max, np.abs(base.block + A).max(axis=(-2, -1)))
     if base is None:
-        return np.abs(A).max(axis=(-2, -1))
-    return np.maximum(base.off_max, np.abs(base.block + A).max(axis=(-2, -1)))
+        return float(np.abs(A).max())
+    # max's first argument wins a comparison with NaN, so a NaN stays.
+    return max(float(np.abs(base.block + A).max()), base.off_max)
 
 
 def _inverse(A, base):
-    """numpy.linalg.inv of A, or with a base of base.matrix(A) (Woodbury)."""
+    """numpy.linalg.inv of A, or with a base of base.matrix(A) (Woodbury).
+
+    One matrix takes its products from ndarray.dot, a stack from
+    np.matmul: both reach BLAS on the base's contiguous f_rows and f_cols,
+    so a row of a stack has the bits of its one-row call.
+    """
     if base is None:
         return np.linalg.inv(A)
-    W = np.matmul(base.f_rows, A)
-    small = np.linalg.inv(base.eye + W[..., base.cols, :])
-    return base.f_B - np.matmul(W, np.matmul(small, base.f_cols))
+    if A.ndim > 2:
+        W = np.matmul(base.f_rows, A)
+        small = np.linalg.inv(base.eye + W[..., base.cols, :])
+        return base.f_B - np.matmul(W, np.matmul(small, base.f_cols))
+    W = base.f_rows.dot(A)
+    small = np.linalg.inv(base.eye + W[base.cols])
+    return base.f_B - W.dot(small.dot(base.f_cols))
 
 
 def lu_factor(A, base=None):
@@ -250,7 +269,7 @@ def lu_solve(f, b):
         raise ValueError(
             f"dimension mismatch: factor is {f.shape[0]}, b is {b.shape[0]}"
         )
-    return f @ b
+    return f.dot(b)
 
 
 def lu_update(f, u, v):
@@ -272,11 +291,11 @@ def lu_update(f, u, v):
                 row=int(np.flatnonzero(bad)[0]),
             )
         return f - fu[..., None] * np.vecmat(v, f)[..., None, :] / denom[..., None, None]
-    fu = f @ u
-    denom = 1.0 + float(v @ fu)
-    if denom == 0.0 or not np.isfinite(denom):
+    fu = f.dot(u)
+    denom = 1.0 + float(v.dot(fu))
+    if denom == 0.0 or not math.isfinite(denom):
         raise SingularMatrixError(None, "rank-1 update makes the matrix singular")
-    return f - np.outer(fu, v @ f) / denom
+    return f - np.outer(fu, v.dot(f)) / denom
 
 
 def norm2(v):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import newmark
 from .linalg import rank_k_base
-from .newmark import NewmarkConfig, SolveTerms
+from .newmark import NewmarkConfig
 from .system import Sites, State, Trajectory
 
 __all__ = ["integrate_rows"]
@@ -74,7 +74,7 @@ def _stack(systems, terms, live):
         nan = np.full_like(ref.f_B, np.nan)
         f_eff = np.array([nan if b is None else b.f_B for b in bases])
         base = rank_k_base(A_eff, f_eff, ref.rows, ref.cols)
-    return rows, SolveTerms(A_eff, terms[live[0]].seeds, base)
+    return rows, terms[live[0]]._replace(A_eff=A_eff, base=base)
 
 
 def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
@@ -120,7 +120,10 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
         step = None
         if batched and len(live) > 1:
             if stacked is None:
-                stacked = np.array(live), *_stack(systems, terms, live)
+                # live is in order, so while every row is live a basic
+                # slice moves the rows, without fancy indexing.
+                idx = slice(None) if len(live) == n_rows else np.array(live)
+                stacked = idx, *_stack(systems, terms, live)
             idx, rows, row_terms = stacked
             try:
                 step = newmark._step_core(rows, xs[idx, i - 1], vs[idx, i - 1],

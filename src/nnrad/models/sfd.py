@@ -245,7 +245,7 @@ def _film_integral(q, r, dr, rdpsi, static, n_panels, p: SFDParams):
     return (f_r * q - f_t * ad.matvec(_QUARTER_TURN, q)) * (coef / r)
 
 
-def _film_force_rows(q, dq, p: SFDParams):
+def _film_force_rows(q, dq, p: SFDParams, names=None):
     """_film_force of each row of (B, 2) arrays q and dq, bit for bit.
 
     The kinematics run on all rows at once.  The quadrature runs once per
@@ -253,7 +253,8 @@ def _film_force_rows(q, dq, p: SFDParams):
     the others are grouped by (static, panel count), so no row is ever
     integrated with another row's panels.  The branches are chosen on the
     rows' values as Python floats, with the one-journal comparisons.
-    Raises FilmRuptureError if any row has ruptured.
+    Raises FilmRuptureError if any row has ruptured, and ValueError naming
+    the row (its index in names, the caller's rows) if one is NaN.
     """
     n_rows = len(q)
     r2 = ad.dot(q, q)
@@ -263,14 +264,15 @@ def _film_force_rows(q, dq, p: SFDParams):
         idx = np.flatnonzero(moving)
         if idx.size == 0:
             return np.zeros((n_rows, 2))
-        return _merge_rows([(idx, _film_force_rows(q[idx], dq[idx], p))], n_rows)
+        return _merge_rows([(idx, _film_force_rows(q[idx], dq[idx], p, idx))], n_rows)
     r = ad.sqrt(r2)
     rv = ad.value_of(r)[:, 0].tolist()
     for i, r_i in enumerate(rv):
         if not r_i < 1.0:
             if r_i >= 1.0:
                 raise _rupture(r_i, ad.value_of(q)[i], p)
-            raise ValueError(f"eccentricity of row {i} is not a number")
+            row = i if names is None else int(names[i])
+            raise ValueError(f"eccentricity of row {row} is not a number")
     dr = ad.dot(q, dq) / r
     rdpsi = ad.dot(q, ad.matvec(_QUARTER_TURN, dq)) / r
     # (static, panel count) of every row: the branch of its _film_integral.

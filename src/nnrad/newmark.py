@@ -14,11 +14,13 @@ An iterate whose Jacobian the next iteration factors is evaluated by
 linearize, R and J from one AD pass, and any other by the float
 residual.  What a step holds fixed, the offsets of the Newmark maps from x1 to v1
 and a1 and the load Q(t1), is built once per step (StepTerms), so every
-residual and Jacobian of the step shares it.  What a solve holds fixed,
-A_eff, the AD seeds of the nonlinear DOFs and, when F_nl reads at most
-half of the DOFs, the base from which lu_factor inverts A_eff plus the
-Jacobian's AD block as a rank-k update of A_eff's factor, is built once
-per solve (SolveTerms); the n x n Jacobian is then never formed.
+residual and Jacobian of the step shares it; for sites, whose forces read
+x1 alone, so is the offset h of the linear part A_eff x1 + h.  What a
+solve holds fixed, A_eff, the Newmark coefficients, the AD seeds of the
+nonlinear DOFs and, when F_nl reads at most half of the DOFs, the base
+from which lu_factor inverts A_eff plus the Jacobian's AD block as a
+rank-k update of A_eff's factor, is built once per solve (SolveTerms);
+the n x n Jacobian is then never formed.
 
 _step_core is the one Newton step.  It runs one row on 1-D arrays, or
 the rows of systems that share a batch_key in lock-step on (B, n)
@@ -50,6 +52,7 @@ __all__ = [
     "NewmarkConfig",
     "NonConvergenceError",
     "SingularJacobianError",
+    "Coefficients",
     "StepTerms",
     "step_terms",
     "SolveTerms",
@@ -138,11 +141,27 @@ class NewmarkConfig:
             )
 
 
+class Coefficients(NamedTuple):
+    """The coefficients of the Newmark maps under a NewmarkConfig.
+
+    0-d arrays: one scales an array with the bits of its float, at about
+    two thirds of a Python float's call cost.
+    """
+
+    c_a: np.ndarray  # 1 / (beta dt^2), x1's in the acceleration update
+    c_v: np.ndarray  # gamma / (beta dt), x1's in the velocity update
+    beta_dt: np.ndarray  # beta dt, which divides v in the acceleration offset
+    a_a: np.ndarray  # 1 / (2 beta) - 1, a's in the acceleration offset
+    v_v: np.ndarray  # 1 - gamma / beta, v's in the velocity offset
+    a_v: np.ndarray  # (1 - gamma / (2 beta)) dt, a's in the velocity offset
+
+
 def _newmark_coeffs(cfg):
+    """The Coefficients of cfg."""
     b, g, dt = cfg.beta, cfg.gamma, cfg.dt
-    c_a = 1.0 / (b * dt * dt)  # x1 coefficient in the acceleration update
-    c_v = g / (b * dt)  # x1 coefficient in the velocity update
-    return c_a, c_v
+    return Coefficients(*map(np.array, (1.0 / (b * dt * dt), g / (b * dt), b * dt,
+                                        0.5 / b - 1.0, 1.0 - g / b,
+                                        (1.0 - g / (2.0 * b)) * dt)))
 
 
 class StepTerms(NamedTuple):
@@ -151,14 +170,19 @@ class StepTerms(NamedTuple):
     The Newmark update gives the acceleration and velocity at t1 as
     affine maps of the trial displacement x1, a1 = c_a x1 + g_a and
     v1 = c_v x1 + g_v, whose offsets depend only on the step's start.
+    _step_core gives a system with sites also A_eff and the offset
+    h = M g_a + C g_v - q1 (_offset_terms): its linear part less the load
+    is then A_eff x1 + h, and its forces read x1 alone.
     """
 
     t1: float
-    c_a: float
+    c_a: np.ndarray
     g_a: np.ndarray
-    c_v: float
+    c_v: np.ndarray
     g_v: np.ndarray
     q1: np.ndarray
+    A_eff: Optional[np.ndarray] = None
+    h: Optional[np.ndarray] = None
 
     def acceleration(self, x1):
         """Acceleration at t1 implied by the trial displacement x1."""
@@ -169,30 +193,39 @@ class StepTerms(NamedTuple):
         return self.c_v * x1 + self.g_v
 
 
-def _step_terms(x, v, a, t1, q1, cfg):
-    """The StepTerms of the step from (x, v, a) to t1 with load q1; rows too."""
-    c_a, c_v = _newmark_coeffs(cfg)
-    b, g, dt = cfg.beta, cfg.gamma, cfg.dt
+def _step_terms(x, v, a, t1, q1, k: Coefficients):
+    """The StepTerms of the step from (x, v, a) to t1 with load q1, under
+    the Newmark coefficients k; rows too."""
     nx = -x
-    g_a = c_a * nx - v / (b * dt) - (0.5 / b - 1.0) * a
-    g_v = c_v * nx + (1.0 - g / b) * v + (1.0 - g / (2.0 * b)) * dt * a
-    return StepTerms(t1, c_a, g_a, c_v, g_v, q1)
+    g_a = k.c_a * nx - v / k.beta_dt - k.a_a * a
+    g_v = k.c_v * nx + k.v_v * v + k.a_v * a
+    return StepTerms(t1, k.c_a, g_a, k.c_v, g_v, q1)
+
+
+def _offset_terms(p: StepTerms, sys, A_eff):
+    """p with A_eff and the offset h = M g_a + C g_v - q1 of sys; rows too."""
+    h = ad.matvec(sys.M, p.g_a) + ad.matvec(sys.C, p.g_v) - p.q1
+    return StepTerms(p.t1, p.c_a, p.g_a, p.c_v, p.g_v, p.q1, A_eff, h)
 
 
 def step_terms(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> StepTerms:
-    """The StepTerms of the step from s to t1 = s.t + dt."""
+    """The StepTerms of the step from s to t1 = s.t + dt, without an offset."""
     t1 = s.t + cfg.dt
-    return _step_terms(s.x, s.v, s.a, t1, sys.Q(t1), cfg)
+    return _step_terms(s.x, s.v, s.a, t1, sys.Q(t1), _newmark_coeffs(cfg))
 
 
 def _linear_part(x1, p: StepTerms, sys: DynamicSystem):
-    """(M a1 + C v1 + K x1, v1, a1) at x1, with a1, v1 from p's maps."""
+    """(lin, v1, a1) at x1.  lin is M a1 + C v1 + K x1, with a1 and v1 from
+    p's maps; with p's offset, it is A_eff x1 + h, which holds -q1, and
+    v1 and a1 are None."""
+    if p.h is not None:
+        return ad.matvec(p.A_eff, x1) + p.h, None, None
     a1 = p.acceleration(x1)
     v1 = p.velocity(x1)
-    if sys.M.ndim > 2 or ad.value_of(x1).ndim > 1:
-        lin = ad.matvec(sys.M, a1) + ad.matvec(sys.C, v1) + ad.matvec(sys.K, x1)
+    if isinstance(x1, np.ndarray) and x1.ndim == 1:
+        lin = sys.M.dot(a1) + sys.C.dot(v1) + sys.K.dot(x1)
     else:
-        lin = sys.M @ a1 + sys.C @ v1 + sys.K @ x1
+        lin = ad.matvec(sys.M, a1) + ad.matvec(sys.C, v1) + ad.matvec(sys.K, x1)
     return lin, v1, a1
 
 
@@ -200,20 +233,23 @@ def residual(x1, p: StepTerms, sys: DynamicSystem):
     """Step residual R(x1) whose root advances the trajectory to p.t1.
 
     R = M a1 + C v1 + K x1 + F_nl(x1, v1, a1, t1) - Q(t1) with a1, v1
-    from the Newmark maps of p.  Accepts a float vector or an ADArray;
+    from the Newmark maps of p.  With p's offset (StepTerms), R is
+    (A_eff x1 + h) + F_nl(x1, None, None, t1): the forces of sites read
+    x1 alone.  Accepts a float vector or an ADArray;
     the latter yields seeds for the Jacobian.  With (B, n) rows x1,
     stacked StepTerms and a stacked sys (_step_core), the result is the
     (B, n) rows of each row's residual, with its bits.
     """
     x1 = ad.stack(x1)
     lin, v1, a1 = _linear_part(x1, p, sys)
-    return lin + ad.stack(sys.F_nl(x1, v1, a1, p.t1)) - p.q1
+    R = lin + ad.stack(sys.F_nl(x1, v1, a1, p.t1))
+    return R if p.h is not None else R - p.q1
 
 
 def step_matrix(sys: DynamicSystem, cfg: NewmarkConfig):
     """A_eff = c_a M + c_v C + K: the step Jacobian of the linear terms."""
-    c_a, c_v = _newmark_coeffs(cfg)
-    return c_a * sys.M + c_v * sys.C + sys.K
+    k = _newmark_coeffs(cfg)
+    return k.c_a * sys.M + k.c_v * sys.C + sys.K
 
 
 class SolveTerms(NamedTuple):
@@ -226,17 +262,19 @@ class SolveTerms(NamedTuple):
     sites and on every row otherwise, so that linearize gives the
     Jacobian as its block and lu_factor inverts it as a rank-k update of
     A_eff's factor (linalg); None otherwise or when A_eff is singular.
+    k holds the Newmark coefficients of the solve.
     """
 
     A_eff: np.ndarray
     seeds: tuple
     base: Optional[RankKBase]
+    k: Coefficients
 
 
 def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
     """The SolveTerms of sys under cfg."""
     A_eff = step_matrix(sys, cfg)
-    c_a, c_v = _newmark_coeffs(cfg)
+    k = _newmark_coeffs(cfg)
     cols = sys.nl_dofs
     S = np.eye(sys.n_dof)[:, cols]
     base = None
@@ -246,7 +284,7 @@ def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
             base = rank_k_base(A_eff, lu_factor(A_eff), rows, cols)
         except SingularMatrixError:
             pass
-    return SolveTerms(A_eff, (S, c_v * S, c_a * S), base)
+    return SolveTerms(A_eff, (S, k.c_v * S, k.c_a * S), base, k)
 
 
 def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
@@ -281,14 +319,17 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
         law = sys.sites.law(ad._seeded(ad.matvec(st.G, x1), st.ones), p.t1)
         F = ad.matvec(st.G.T, ad.value_of(law))
         if isinstance(law, ad.ADArray):
-            D = np.matmul(st.G_n.T, law.seeds * st.G_n)
+            GD = law.seeds * st.G_n
+            D = st.G_n.T.dot(GD) if GD.ndim == 2 else np.matmul(st.G_n.T, GD)
     else:
         S, S_v, S_a = terms.seeds
         F = ad.stack(sys.F_nl(ad._seeded(x1, S), ad._seeded(v1, S_v),
                               ad._seeded(a1, S_a), p.t1))
         if isinstance(F, ad.ADArray):
             D = F.seeds
-    R = lin + ad.value_of(ad.stack(F)) - p.q1
+    R = lin + ad.value_of(ad.stack(F))
+    if p.h is None:
+        R = R - p.q1
     if base is not None:
         return R, np.zeros_like(base.block) if D is None else D
     if D is None:
@@ -354,7 +395,9 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     x0 is linearized; a later iterate is, unless it passes the dx test
     (which ends the step) or the next iteration makes no refresh.
     """
-    p = _step_terms(x, v, a, t1, sys.Q(t1), cfg)
+    p = _step_terms(x, v, a, t1, sys.Q(t1), terms.k)
+    if sys.sites is not None:
+        p = _offset_terms(p, sys, terms.A_eff)
     rows = x.ndim > 1
     iters, lu, dx = 0, None, None
     counts = np.zeros(len(x), dtype=int) if rows else None

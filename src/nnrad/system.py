@@ -41,7 +41,8 @@ class SiteTerms(NamedTuple):
 
     G: np.ndarray  # G(t)
     G_n: np.ndarray  # G(t)[:, cols], on the columns the Jacobian reads
-    ones: np.ndarray  # (s, 1): the law's seed column, its sites independent
+    ones: np.ndarray  # (s, 1): the law's seed column, its sites independent;
+    # one array, kept by Sites across times, that no caller may write to
 
 
 class Sites:
@@ -58,6 +59,7 @@ class Sites:
         self.law = law
         self._last = (None, None)
         self._terms = (None, None, None)
+        self._ones = np.ones((0, 1))
 
     def matrix(self, t):
         """G(t), from the cache when t is the time of the last call."""
@@ -71,7 +73,9 @@ class Sites:
         last_t, last_cols, terms = self._terms
         if t != last_t or cols is not last_cols:
             G = self.matrix(t)
-            terms = SiteTerms(G, G[:, cols], np.ones((len(G), 1)))
+            if len(self._ones) != len(G):
+                self._ones = np.ones((len(G), 1))
+            terms = SiteTerms(G, G[:, cols], self._ones)
             self._terms = (t, cols, terms)
         return terms
 
@@ -110,7 +114,8 @@ class DynamicSystem:
     contact, whose derivative is exactly zero at that state.
 
     sites (Sites) declares F_nl as independent sites that read x only,
-    so the step Jacobian differentiates their law alone.  F_nl, when not
+    so the step Jacobian differentiates their law alone and the Newton
+    loop passes F_nl None for v and a.  F_nl, when not
     given, is derived from them; a given one (a wrapper, say) is kept and
     must equal it.  nl_dofs must still list every DOF that G(t) reads.
 

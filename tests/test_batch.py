@@ -434,6 +434,14 @@ class TestFilmForceRows:
         with pytest.raises(ValueError, match="eccentricity of row 1 is not a number"):
             sfd._film_force_rows(q, dq, sfd.default_sfd_params())
 
+    def test_nan_row_after_a_concentric_row_is_named(self):
+        # The concentric row 0 leaves the moving rows 1 and 2, whose
+        # forces are formed as a sub-batch; the error names the caller's row.
+        q = np.array([(0.0, 0.0), (0.1, 0.05), (math.nan, 0.1)])
+        dq = np.array([(1.0, 2.0), (0.5, -0.3), (3.0, 0.0)])
+        with pytest.raises(ValueError, match="eccentricity of row 2 is not a number"):
+            sfd._film_force_rows(q, dq, sfd.default_sfd_params())
+
     def test_infinite_row_ruptures(self):
         q, dq = self.journals((0.3, 0.1))
         q[2] = (math.inf, 0.0)

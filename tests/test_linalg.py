@@ -276,6 +276,37 @@ class TestStacks:
         assert exc.value.row == 1 and exc.value.pivot_index is None
 
 
+class TestOneRowProducts:
+    """One-row products are ndarray.dot, which has the bits of @ where
+    both reach BLAS: every shape and layout the models pass."""
+
+    # (m, n) and seed width w: duffing, the SFD rotor's maps, the dual
+    # rotor's sites (10 of 40 DOFs) and its whole matrices.
+    SHAPES = [(1, 1, 1), (2, 2, 4), (2, 4, 4), (4, 4, 4), (10, 40, 1), (40, 10, 10),
+              (10, 10, 10), (40, 40, 10), (40, 40, 40), (32, 40, 10)]
+
+    @staticmethod
+    def layouts(rng, m, n):
+        """An (m, n) matrix as C, F, a transposed view and a column gather."""
+        A = spread(rng, (m, n))
+        wide = spread(rng, (m, n + 3))
+        return [A, np.asfortranarray(A), spread(rng, (n, m)).T,
+                wide[:, rng.permutation(n + 3)[:n]]]
+
+    @pytest.mark.parametrize("m, n, w", SHAPES)
+    def test_dot_has_the_bits_of_matmul(self, m, n, w):
+        rng = np.random.default_rng(m * 100 + n)
+        for A in self.layouts(rng, m, n):
+            for _ in range(5):
+                x, y = spread(rng, n), spread(rng, m)
+                X = spread(rng, (n, w))
+                assert A.dot(x).tobytes() == (A @ x).tobytes()
+                for Y in (X, np.asfortranarray(X)):
+                    assert A.dot(Y).tobytes() == (A @ Y).tobytes()
+                assert y.dot(A).tobytes() == (y @ A).tobytes()
+                assert x.dot(x).tobytes() == (x @ x).tobytes()
+
+
 class TestRankKBase:
     """lu_factor(D, base): the inverse of B + P D Q^T, B with a block D
     added on (base.rows, base.cols), as a rank-k update of B's factor."""
@@ -353,6 +384,21 @@ class TestRankKBase:
             lu_factor(Ds, base)
         assert stacked.value.row == 2
         assert stacked.value.pivot_index == one.value.pivot_index
+
+    def test_rows_of_a_stack_reach_blas_as_one_row(self):
+        # A row of a stacked base takes np.matmul, one row ndarray.dot; the
+        # two agree only if both reach BLAS, so f_rows and f_cols are kept
+        # C-contiguous (a gathered f_B[..., :, rows] row would not be).
+        for sites in (True, False):
+            Ds, terms = self.dual_blocks(sites)
+            one = terms.base
+            base = rank_k_base(np.array([one.B] * len(Ds)),
+                               np.array([one.f_B] * len(Ds)), one.rows, one.cols)
+            f = lu_factor(Ds, base)
+            for i in range(len(Ds)):
+                row = base.row(i)
+                assert row.f_rows.flags.c_contiguous and row.f_cols.flags.c_contiguous
+                assert np.array_equal(f[i], lu_factor(Ds[i], one))
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_the_screen_scales_by_the_changed_block(self, singular):

@@ -36,7 +36,7 @@ from nnrad.models.bearing import ball_angles
 from nnrad.models.rotor import assemble_dual_rotor
 from nnrad.newmark import (
     STRATEGIES,
-    SolveTerms,
+    _offset_terms,
     _step_terms,
     linearize,
     solve_terms,
@@ -346,9 +346,10 @@ class TestStepJacobian:
         terms = [solve_terms(sys_, cfg) for sys_ in systems]
         X, V, A, X1 = 1e-5 * rng.standard_normal((4, 3, 4))
         t1 = 0.1 + cfg.dt
-        p = _step_terms(X, V, A, t1, np.array([sys_.Q(t1) for sys_ in systems]), cfg)
+        p = _step_terms(X, V, A, t1, np.array([sys_.Q(t1) for sys_ in systems]),
+                        terms[0].k)
         A_eff = np.array([s.A_eff for s in terms])
-        J = step_jacobian(X1, p, systems[0], SolveTerms(A_eff, terms[0].seeds, None))
+        J = step_jacobian(X1, p, systems[0], terms[0]._replace(A_eff=A_eff, base=None))
         assert np.array_equal(J, self._maps_on_ad_arrays(X1, p, systems[0], A_eff))
         for i, sys_ in enumerate(systems):
             p_i = step_terms(sys_, State(0.1, X[i], V[i], A[i]), cfg)
@@ -371,10 +372,10 @@ class TestStepJacobian:
             shape = (n_rows, sys_.n_dof) if n_rows > 1 else (sys_.n_dof,)
             X, V, A, X1 = scale * rng.standard_normal((4,) + shape)
             p = _step_terms(X, V, A, 0.1 + cfg.dt,
-                            np.broadcast_to(sys_.Q(0.1 + cfg.dt), shape), cfg)
+                            np.broadcast_to(sys_.Q(0.1 + cfg.dt), shape), terms.k)
             if n_rows > 1:
                 A_eff = np.array([terms.A_eff] * n_rows)
-                terms = SolveTerms(A_eff, terms.seeds, None)
+                terms = terms._replace(A_eff=A_eff, base=None)
             J = step_jacobian(X1, p, sys_, terms)
             ref = terms.A_eff.copy()
             ref[..., sys_.nl_dofs] += ad.jacobian(
@@ -443,6 +444,72 @@ class TestSites:
         want = integrate(sys_, x0, v0, 0.0, 0.003, cfg)
         for name in self.FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_offset_form_of_the_residual(self):
+        # In a step the linear part is A_eff x1 + h, h = M g_a + C g_v - q1:
+        # within rounding of the plain form, with linearize's R keeping its
+        # bits and a lifted x1 its value's bits (ndarray.dot would not take it).
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        cfg = NewmarkConfig(dt=1e-4)
+        terms = solve_terms(sys_, cfg)
+        rng = np.random.default_rng(28)
+        n = sys_.n_dof
+        for _ in range(8):
+            s = State(0.2, 1e-5 * rng.standard_normal(n), 1e-3 * rng.standard_normal(n),
+                      rng.standard_normal(n))
+            x1 = s.x + 1e-6 * rng.standard_normal(n)
+            plain = step_terms(sys_, s, cfg)
+            p = _offset_terms(plain, sys_, terms.A_eff)
+            R = residual(x1, p, sys_)
+            a1, v1 = plain.acceleration(x1), plain.velocity(x1)
+            parts = [sys_.M @ a1, sys_.C @ v1, sys_.K @ x1, sys_.F_nl(x1, v1, a1, p.t1),
+                     p.q1]
+            want = parts[0] + parts[1] + parts[2] + parts[3] - parts[4]
+            scale = max(np.abs(part).max() for part in parts)
+            assert np.abs(R - want).max() <= 1e-13 * scale
+            assert linearize(x1, p, sys_, terms)[0].tobytes() == R.tobytes()
+            lifted = residual(ad.lift(x1), p, sys_)
+            assert lifted.value.tobytes() == R.tobytes()
+            assert np.allclose(lifted.seeds, step_jacobian(x1, p, sys_, terms),
+                               rtol=1e-12, atol=0.0)
+
+    def test_offset_form_on_lock_step_rows(self):
+        # Each row of a stacked offset form has the bits of its own.
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        systems = [dataclasses.replace(sys_, C=f * sys_.C, batch_key="dual")
+                   for f in (0.5, 1.0, 2.0)]
+        cfg = NewmarkConfig(dt=1e-4)
+        terms = [solve_terms(s, cfg) for s in systems]
+        rows, row_terms = _stack(systems, terms, [0, 1, 2])
+        rng = np.random.default_rng(29)
+        X, V, A, X1 = 1e-5 * rng.standard_normal((4, 3, sys_.n_dof))
+        t1 = 0.2 + cfg.dt
+        p = _offset_terms(_step_terms(X, V, A, t1, rows.Q(t1), row_terms.k), rows,
+                          row_terms.A_eff)
+        R, J = linearize(X1, p, rows, row_terms)
+        assert R.tobytes() == residual(X1, p, rows).tobytes()
+        for i, row in enumerate(systems):
+            p_i = _offset_terms(step_terms(row, State(0.2, X[i], V[i], A[i]), cfg), row,
+                                terms[i].A_eff)
+            R_i, J_i = linearize(X1[i], p_i, row, terms[i])
+            assert R[i].tobytes() == R_i.tobytes()
+            assert J[i].tobytes() == J_i.tobytes()
+
+    def test_the_newton_loop_passes_sites_no_velocity(self):
+        # Site forces read x alone: past initial_acceleration, the Newton
+        # loop's F_nl calls get v = a = None.
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        f_nl, calls = sys_.F_nl, []
+
+        def force(x, v, a, t):
+            calls.append((v is None, a is None))
+            return f_nl(x, v, a, t)
+
+        x0, v0 = self.start(sys_)
+        integrate(dataclasses.replace(sys_, F_nl=force), x0, v0, 0.0, 0.001,
+                  NewmarkConfig(dt=1e-4))
+        assert calls[0] == (False, False) and len(calls) > 1
+        assert all(c == (True, True) for c in calls[1:])
 
     def test_rows_in_lock_step_equal_integrate(self, monkeypatch):
         # One set of sites shared by rows whose damping differs.
@@ -533,7 +600,7 @@ class TestLinearize:
             rows, row_terms = _stack(systems, terms, list(range(len(systems))))
             X, V, A, X1 = 1e-5 * rng.standard_normal((4, len(systems), systems[0].n_dof))
             t1 = 0.2 + cfg.dt
-            p = _step_terms(X, V, A, t1, rows.Q(t1), cfg)
+            p = _step_terms(X, V, A, t1, rows.Q(t1), row_terms.k)
             R, J = linearize(X1, p, rows, row_terms)
             assert R.tobytes() == residual(X1, p, rows).tobytes()
             for i, sys_ in enumerate(systems):
