@@ -42,7 +42,7 @@ class SiteTerms(NamedTuple):
     G: np.ndarray  # G(t)
     G_n: np.ndarray  # G(t)[:, cols], on the columns the Jacobian reads
     ones: np.ndarray  # (s, 1): the law's seed column, its sites independent;
-    # one array, kept by Sites across times, that no caller may write to
+    # read-only, one array that Sites keeps across times
 
 
 class Sites:
@@ -75,6 +75,7 @@ class Sites:
             G = self.matrix(t)
             if len(self._ones) != len(G):
                 self._ones = np.ones((len(G), 1))
+                self._ones.flags.writeable = False
             terms = SiteTerms(G, G[:, cols], self._ones)
             self._terms = (t, cols, terms)
         return terms
