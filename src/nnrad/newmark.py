@@ -235,8 +235,8 @@ def residual(x1, p: StepTerms, sys: DynamicSystem):
     R = M a1 + C v1 + K x1 + F_nl(x1, v1, a1, t1) - Q(t1) with a1, v1
     from the Newmark maps of p.  With p's offset (StepTerms), R is
     (A_eff x1 + h) + F_nl(x1, None, None, t1): the forces of sites read
-    x1 alone.  Accepts a float vector or an ADArray;
-    the latter yields seeds for the Jacobian.  With (B, n) rows x1,
+    x1 alone.  Accepts a float vector or an ADArray; the latter yields
+    seeds for the Jacobian.  With (B, n) rows x1,
     stacked StepTerms and a stacked sys (_step_core), the result is the
     (B, n) rows of each row's residual, with its bits.
     """
