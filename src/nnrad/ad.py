@@ -284,41 +284,27 @@ def _seeded(x, seeds):
     return _new(x, seeds)
 
 
-def jacobian(f, x0, seeds=None):
+def jacobian(f, x0):
     """Dense Jacobian of a vector function at x0 via one forward pass.
 
     f maps a lifted 1-D ADArray to an ADArray or to a sequence of 0-d
     ADArrays and numbers (numbers where f is locally constant).
     Returns an (m, n) array with row i = d f_i / d x_j.
 
-    With ``seeds``, an (n, width) matrix S, x0 carries S instead of the
-    identity and the result is the (m, width) derivative along S:
-    ``I[:, cols]`` gives the columns cols alone.  x0 and seeds may also
-    be tuples of several inputs and their seed matrices, of one width; f
-    then takes one ADArray per input and the result sums the
-    derivatives along each input's seeds.
-
     With (B, n) rows x0, f maps the lifted rows to (B, m) rows and the
-    result is the (B, m, width) stack of each row's Jacobian; every row
-    carries the same seeds.
+    result is the (B, m, n) stack of each row's Jacobian.
     """
-    if seeds is None:
-        xs = (lift(x0),)
-    elif isinstance(x0, tuple):
-        xs = tuple(_seeded(np.asarray(x, dtype=float), s) for x, s in zip(x0, seeds))
-    else:
-        xs = (_seeded(np.asarray(x0, dtype=float), seeds),)
-    width = xs[0].seeds.shape[-1]
-    out = stack(f(*xs))
-    rows = xs[0].value.shape[:-1]
+    x = lift(x0)
+    out = stack(f(x))
+    rows, n = x.value.shape[:-1], x.value.shape[-1]
     if not isinstance(out, ADArray):
         if rows:
-            return np.zeros(np.shape(out) + (width,))
-        return np.zeros((np.size(out), width))
-    if out.seeds.shape[-1] != width:
+            return np.zeros(np.shape(out) + (n,))
+        return np.zeros((np.size(out), n))
+    if out.seeds.shape[-1] != n:
         raise ValueError("output seed width does not match input")
-    # A copy: f may return (part of) an input, whose seeds are the caller's.
-    return out.seeds.reshape(rows + (-1, width)).copy()
+    # A copy: f may return seeds that it keeps, such as its input's.
+    return out.seeds.reshape(rows + (-1, n)).copy()
 
 
 def matvec(A, x):

@@ -365,7 +365,7 @@ def cmd_check_jacobian(args):
                               dtype=float)
 
         # Scaling by dF alone keeps a large A_eff from hiding a wrong column.
-        dF_ad = step_jacobian(x1, p, sys_, terms) - terms.A_eff
+        dF_ad = step_jacobian(x1, p, sys_, terms) - terms.base.B
         dF_fd = np.zeros((n, n))
         for j in range(n):
             e = np.zeros(n)

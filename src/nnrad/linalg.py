@@ -25,17 +25,21 @@ construction; any other 1x1 takes the general path.
 Rank-k base: ``lu_factor(D, base)`` factors A = B + P D Q^T, that is B
 with the block D added on its rows base.rows and its k columns
 base.cols (P = I[:, rows], Q = I[:, cols]), where
-base = rank_k_base(B, f_B, rows, cols) and f_B = lu_factor(B).  With
-W = f_B[:, rows] D, the Woodbury identity gives
-A^-1 = f_B - W (I_k + W[cols])^-1 f_B[cols]: a k x k inverse and a few
-products instead of an n x n inverse (Hager, "Updating the inverse of a
-matrix", SIAM Review 31, 1989).  A is not formed: the screen's max|A| is
-the larger of max|B| outside the block, which the base keeps, and
-max|B[rows, cols] + D|, whose entries have the bits of A's.  If the
-screen fails, or ``inv`` raises, A = base.matrix(D) is formed and
-factored directly, so the singular rule and the pivot reported are those
-of the direct path.  The Newton loop factors its step Jacobians this way
-when F_nl reads 1 <= k <= n/2 DOFs (newmark.SolveTerms).
+base = rank_k_base(B, f_B, rows, cols).  Every step Jacobian of the
+Newton loop is factored so, B being A_eff (newmark.SolveTerms), and the
+base alone picks the route:
+
+- f_B is None: A = base.matrix(D) is formed and factored directly.
+- k = 0: A is B, and its factor is f_B = lu_factor(B) itself, read-only.
+- Otherwise, with W = f_B[:, rows] D, the Woodbury identity gives
+  A^-1 = f_B - W (I_k + W[cols])^-1 f_B[cols]: a k x k inverse and a few
+  products instead of an n x n inverse (Hager, "Updating the inverse of
+  a matrix", SIAM Review 31, 1989).  A is not formed: the screen's
+  max|A| is the larger of max|B| outside the block, which the base
+  keeps, and max|B[rows, cols] + D|, whose entries have the bits of A's.
+  If the screen fails, or ``inv`` raises, A is formed and factored
+  directly, so the singular rule and the pivot reported are those of the
+  direct path.
 
 Stacks: ``lu_factor``, ``lu_solve``, ``lu_update`` and ``norm2`` also take
 a leading row axis, a (B, n, n) stack of matrices with (B, n) right-hand
@@ -49,7 +53,7 @@ the stacked products are single ``np.matvec``, ``np.vecmat`` and
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -120,79 +124,99 @@ def _passes(scale, inv):
 
 
 class RankKBase(NamedTuple):
-    """B, its factor f_B and what every factor of B + P D Q^T shares.
+    """A matrix B, its factor f_B and what every factor of B + P D Q^T shares.
 
-    Built by rank_k_base.  B, f_B and the fields derived from them may
+    Built by rank_k_base.  lu_factor(D, base) factors base.matrix(D), B
+    with the block D added on (rows, cols), by the route the base fixes
+    (module docstring).  B, f_B and the fields derived from them may
     carry a leading row axis (a stack); rows, cols and eye are shared.
-    f_rows and f_cols are C-contiguous, so that a row of a stack reaches
-    BLAS as its one-row base does and the products keep their bits.
+    f_B is read-only, or None, and then so are f_rows and f_cols.  f_rows
+    and f_cols are C-contiguous, so that a row of a stack reaches BLAS as
+    its one-row base does and the products keep their bits.
     """
 
     B: np.ndarray
-    f_B: np.ndarray
+    f_B: Optional[np.ndarray]
     rows: np.ndarray
     cols: np.ndarray
     eye: np.ndarray  # I_k
-    f_rows: np.ndarray  # f_B[:, rows]
-    f_cols: np.ndarray  # f_B[cols, :]
+    f_rows: Optional[np.ndarray]  # f_B[:, rows]
+    f_cols: Optional[np.ndarray]  # f_B[cols, :]
     block: np.ndarray  # B[rows, cols]
     off_max: np.ndarray  # max|B| outside the block
 
     def matrix(self, D):
-        """B with the block D added on (rows, cols): what lu_factor(D, self)
-        factors, formed; a stack of blocks gives a stack of matrices."""
+        """B with the block D added on (rows, cols), formed: B + D when the
+        block is all of B; a stack of blocks gives a stack of matrices."""
+        if D.shape[-2:] == self.B.shape[-2:]:
+            return self.B + D
         A = self.B.copy()
         A[..., self.rows[:, None], self.cols] += D
         return A
 
     def row(self, i):
-        """The base of row i of a stacked base."""
+        """The base of row i of a stacked base whose f_B is not None."""
         return self._replace(B=self.B[i], f_B=self.f_B[i], f_rows=self.f_rows[i],
                              f_cols=self.f_cols[i], block=self.block[i],
                              off_max=self.off_max[i])
 
+    def inverse(self, D):
+        """The inverse of self.matrix(D) from f_B, by Woodbury.
+
+        One block takes its products from ndarray.dot, a stack from
+        np.matmul: both reach BLAS on the contiguous f_rows and f_cols, so
+        a row of a stack has the bits of its one-row call.
+        """
+        if D.ndim > 2:
+            W = np.matmul(self.f_rows, D)
+            small = np.linalg.inv(self.eye + W[..., self.cols, :])
+            return self.f_B - np.matmul(W, np.matmul(small, self.f_cols))
+        W = self.f_rows.dot(D)
+        small = np.linalg.inv(self.eye + W[self.cols])
+        return self.f_B - W.dot(small.dot(self.f_cols))
+
+    def factor(self, D):
+        """lu_factor(D, self): the factor of self.matrix(D)."""
+        if self.f_B is None:
+            return lu_factor(self.matrix(D))
+        if not len(self.cols):
+            return self.f_B
+        # max|self.matrix(D)| from its parts; NaN in D gives NaN.
+        if D.ndim > 2:
+            scale = np.maximum(self.off_max, np.abs(self.block + D).max(axis=(-2, -1)))
+            return _factor_rows(scale, lambda: self.inverse(D), self.f_B.shape,
+                                lambda i: lu_factor(D[i], self.row(i)))
+        # max's first argument wins a comparison with NaN, so a NaN stays.
+        inv = _screened(max(float(np.abs(self.block + D).max()), self.off_max),
+                        self.inverse, D)
+        return lu_factor(self.matrix(D)) if inv is None else inv
+
 
 def rank_k_base(B, f_B, rows, cols):
-    """The RankKBase of B with f_B = lu_factor(B) for blocks on (rows, cols);
-    B and f_B may be (S, n, n) stacks."""
+    """The RankKBase of B for blocks on (rows, cols), with f_B = lu_factor(B),
+    or None to factor every matrix directly; B and f_B may be (S, n, n)
+    stacks.  f_B is made read-only: at k = 0 lu_factor returns it."""
     rows, cols = np.asarray(rows), np.asarray(cols)
     outside = np.abs(B)
     outside[..., rows[:, None], cols] = 0.0
-    return RankKBase(B, f_B, rows, cols, np.eye(len(cols)),
-                     np.ascontiguousarray(f_B[..., :, rows]),
-                     np.ascontiguousarray(f_B[..., cols, :]),
+    f_rows = f_cols = None
+    if f_B is not None:
+        f_B.flags.writeable = False
+        f_rows = np.ascontiguousarray(f_B[..., :, rows])
+        f_cols = np.ascontiguousarray(f_B[..., cols, :])
+    return RankKBase(B, f_B, rows, cols, np.eye(len(cols)), f_rows, f_cols,
                      B[..., rows[:, None], cols], outside.max(axis=(-2, -1)))
 
 
-def _scale(A, base):
-    """max|A|, or with a base max|base.matrix(A)| from its parts: a float
-    for one matrix, per row for a stack.  A NaN in A gives NaN."""
-    if A.ndim > 2:
-        if base is None:
-            return np.abs(A).max(axis=(-2, -1))
-        return np.maximum(base.off_max, np.abs(base.block + A).max(axis=(-2, -1)))
-    if base is None:
-        return float(np.abs(A).max())
-    # max's first argument wins a comparison with NaN, so a NaN stays.
-    return max(float(np.abs(base.block + A).max()), base.off_max)
-
-
-def _inverse(A, base):
-    """numpy.linalg.inv of A, or with a base of base.matrix(A) (Woodbury).
-
-    One matrix takes its products from ndarray.dot, a stack from
-    np.matmul: both reach BLAS on the base's contiguous f_rows and f_cols,
-    so a row of a stack has the bits of its one-row call.
-    """
-    if base is None:
-        return np.linalg.inv(A)
-    if A.ndim > 2:
-        W = np.matmul(base.f_rows, A)
-        small = np.linalg.inv(base.eye + W[..., base.cols, :])
-        return base.f_B - np.matmul(W, np.matmul(small, base.f_cols))
-    W = base.f_rows.dot(A)
-    small = np.linalg.inv(base.eye + W[base.cols])
-    return base.f_B - W.dot(small.dot(base.f_cols))
+def _screened(scale, inverse, A):
+    """inverse(A) where it passes the screen with max|A| = scale, else None."""
+    if not math.isfinite(scale):  # it fails unscreened: inf * 0 would warn
+        return None
+    try:
+        inv = inverse(A)
+    except np.linalg.LinAlgError:
+        return None
+    return inv if _passes(scale, inv) else None
 
 
 def lu_factor(A, base=None):
@@ -201,57 +225,43 @@ def lu_factor(A, base=None):
     A pivot counts as singular when its magnitude is at or under
     1e-14 * max|A| (see the module docstring for the screen).  With base,
     a RankKBase of B, A is a block D and the factor is that of
-    base.matrix(D), B with D added on (base.rows, base.cols), formed as
-    a rank-k update of B's factor where the screen passes it (module
-    docstring).
+    base.matrix(D), B with D added on (base.rows, base.cols), by the
+    route the base fixes (module docstring).
     """
     A = np.asarray(A, dtype=float)
-    if base is None:
-        if A.shape == (1, 1):
-            a = float(A[0, 0])
-            if a != 0.0 and math.isfinite(a) and math.isfinite(r := 1.0 / a):
-                return np.array([[r]])
-        if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-            raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
+    if base is not None:
+        return base.factor(A)
+    if A.shape == (1, 1):
+        a = float(A[0, 0])
+        if a != 0.0 and math.isfinite(a) and math.isfinite(r := 1.0 / a):
+            return np.array([[r]])
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise ValueError(f"lu_factor expects a square matrix, got {A.shape}")
     if A.ndim > 2:
-        return _lu_factor_rows(A, base)
-    scale = _scale(A, base)
-    passed = False
-    if math.isfinite(scale):  # else it fails unscreened: inf * 0 would warn
-        try:
-            inv = _inverse(A, base)
-            passed = _passes(scale, inv)
-        except np.linalg.LinAlgError:
-            pass
-    if not passed:
-        if base is not None:
-            return lu_factor(base.matrix(A))
-        inv = _gauss_jordan_inverse(A, SINGULARITY_RTOL * scale)
-    return inv
+        return _factor_rows(np.abs(A).max(axis=(-2, -1)), lambda: np.linalg.inv(A),
+                            A.shape, lambda i: lu_factor(A[i]))
+    scale = float(np.abs(A).max())
+    inv = _screened(scale, np.linalg.inv, A)
+    return _gauss_jordan_inverse(A, SINGULARITY_RTOL * scale) if inv is None else inv
 
 
-def _lu_factor_rows(A, base):
-    """lu_factor of each matrix of a (B, n, n) stack, or of each block of a
-    (B, ...) stack on a stacked base.
-
-    The inverses come from one stacked ``numpy.linalg.inv`` or rank-k
-    update; a row that fails its screen, or a stack that ``inv`` rejects,
-    is factored on its own with its own base.  The first singular row
-    raises SingularMatrixError with ``row`` set.
+def _factor_rows(scale, inverse, shape, factor_row):
+    """The factors of a stack of the given shape: inverse(), the stacked
+    inverse, screened per row with max|A| = scale.  A row that fails its
+    screen, or every row when inverse raises, is factor_row(i); the first
+    singular one raises SingularMatrixError with ``row`` set.
     """
-    scale = _scale(A, base)
     # A row with a non-finite max|A| fails the screen as NaN, which,
     # unlike inf * 0, multiplies without a warning.
     scale[~np.isfinite(scale)] = np.nan
     try:
-        inv = _inverse(A, base)
+        inv = inverse()
         passed = _passes(scale, inv)
     except np.linalg.LinAlgError:
-        inv = np.empty(A.shape if base is None else base.f_B.shape)
-        passed = np.zeros(len(A), dtype=bool)
+        inv, passed = np.empty(shape), np.zeros(len(scale), dtype=bool)
     for i in np.flatnonzero(~passed):
         try:
-            inv[i] = lu_factor(A[i], None if base is None else base.row(i))
+            inv[i] = factor_row(i)
         except SingularMatrixError as err:
             raise SingularMatrixError(err.pivot_index, str(err), row=int(i)) from err
     return inv

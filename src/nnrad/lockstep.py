@@ -64,17 +64,17 @@ def _stack(systems, terms, live):
     rows = Rows(row_systems, *(np.array([getattr(systems[k], name) for k in live])
                                for name in "MCK"), first.F_nl, first.nl_dofs,
                 first.sites)
-    A_eff = np.array([terms[k].A_eff for k in live])
     bases = [terms[k].base for k in live]
-    base = None
-    if any(b is not None for b in bases):
-        # A row whose A_eff is singular has no base; its NaN factor fails
-        # the screen of every rank-k inverse, so it is factored directly.
-        ref = next(b for b in bases if b is not None)
-        nan = np.full_like(ref.f_B, np.nan)
-        f_eff = np.array([nan if b is None else b.f_B for b in bases])
-        base = rank_k_base(A_eff, f_eff, ref.rows, ref.cols)
-    return rows, terms[live[0]]._replace(A_eff=A_eff, base=base)
+    f_B = None
+    if any(b.f_B is not None for b in bases):
+        # A row whose A_eff is singular has no f_B.  Its NaN factor fails
+        # the screen of every rank-k inverse, so that row is factored
+        # directly; at k = 0 its NaN step faults the batch, and the row
+        # raises when the step is run again on its own.
+        nan = np.full_like(bases[0].B, np.nan)
+        f_B = np.array([nan if b.f_B is None else b.f_B for b in bases])
+    base = rank_k_base(np.array([b.B for b in bases]), f_B, bases[0].rows, bases[0].cols)
+    return rows, terms[live[0]]._replace(base=base)
 
 
 def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):

@@ -11,16 +11,17 @@ every iteration (full Newton), once per step (simplified Newton), or
 once per step and once more past half of max_iter, with a Broyden rank-1
 secant update of the factor at each iteration in between (broyden).
 An iterate whose Jacobian the next iteration factors is evaluated by
-linearize, R and J from one AD pass, and any other by the float
-residual.  What a step holds fixed, the offsets of the Newmark maps from x1 to v1
-and a1 and the load Q(t1), is built once per step (StepTerms), so every
-residual and Jacobian of the step shares it; for sites, whose forces read
-x1 alone, so is the offset h of the linear part A_eff x1 + h.  What a
-solve holds fixed, A_eff, the Newmark coefficients, the AD seeds of the
-nonlinear DOFs and, when F_nl reads at most half of the DOFs, the base
-from which lu_factor inverts A_eff plus the Jacobian's AD block as a
-rank-k update of A_eff's factor, is built once per solve (SolveTerms);
-the n x n Jacobian is then never formed.
+linearize, R and the Jacobian's AD block from one pass, and any other
+by the float residual.  What a step holds fixed, the offsets of the
+Newmark maps from x1 to v1 and a1 and the load Q(t1), is built once per
+step (StepTerms), so every residual and Jacobian of the step shares it;
+for sites, whose forces read x1 alone, so is the offset h of the linear
+part A_eff x1 + h.  What a solve holds fixed, the Newmark coefficients,
+the AD seeds of the nonlinear DOFs and A_eff's linalg.RankKBase, is
+built once per solve (SolveTerms).  lu_factor(D, base) factors A_eff
+plus linearize's block D by the route the base fixes: a rank-k update
+of A_eff's factor, that factor itself when F_nl reads no DOF, or a
+direct inverse.
 
 _step_core is the one Newton step.  It runs one row on 1-D arrays, or
 the rows of systems that share a batch_key in lock-step on (B, n)
@@ -255,19 +256,19 @@ def step_matrix(sys: DynamicSystem, cfg: NewmarkConfig):
 class SolveTerms(NamedTuple):
     """What every step Jacobian of a solve shares.
 
-    The step Jacobian is A_eff plus the AD derivative of F_nl in the k
-    columns sys.nl_dofs.  seeds are the constant seeds of x1, v1 and a1
-    on those DOFs: S = I[:, nl_dofs], c_v S and c_a S.  base is A_eff's
-    linalg.RankKBase when 1 <= k and 2k <= n, on the rows nl_dofs for
-    sites and on every row otherwise, so that linearize gives the
-    Jacobian as its block and lu_factor inverts it as a rank-k update of
-    A_eff's factor (linalg); None otherwise or when A_eff is singular.
-    k holds the Newmark coefficients of the solve.
+    The step Jacobian is J = A_eff + P D Q^T: D is the AD block of F_nl
+    in the k columns sys.nl_dofs, on the rows nl_dofs for sites and on
+    every row otherwise.  base is A_eff's linalg.RankKBase on those rows
+    and columns, with base.B = A_eff: linearize returns D, base.matrix(D)
+    forms J and lu_factor(D, base) factors it.  base.f_B is
+    lu_factor(A_eff) where a rank-k update pays, k = 0 or 2k <= n with
+    A_eff regular, and None otherwise.  seeds are the constant seeds of
+    x1, v1 and a1 on nl_dofs: S = I[:, nl_dofs], c_v S and c_a S.  k
+    holds the Newmark coefficients of the solve.
     """
 
-    A_eff: np.ndarray
     seeds: tuple
-    base: Optional[RankKBase]
+    base: RankKBase
     k: Coefficients
 
 
@@ -277,22 +278,22 @@ def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
     k = _newmark_coeffs(cfg)
     cols = sys.nl_dofs
     S = np.eye(sys.n_dof)[:, cols]
-    base = None
-    if 1 <= len(cols) and 2 * len(cols) <= sys.n_dof:
-        rows = cols if sys.sites is not None else np.arange(sys.n_dof)
+    f_B = None
+    if 2 * len(cols) <= sys.n_dof:
         try:
-            base = rank_k_base(A_eff, lu_factor(A_eff), rows, cols)
+            f_B = lu_factor(A_eff)
         except SingularMatrixError:
             pass
-    return SolveTerms(A_eff, (S, k.c_v * S, k.c_a * S), base, k)
+    rows = cols if sys.sites is not None else np.arange(sys.n_dof)
+    return SolveTerms((S, k.c_v * S, k.c_a * S), rank_k_base(A_eff, f_B, rows, cols), k)
 
 
 def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
-    """(R, J) at x1 from one forward pass: R with the bits of residual, and
-    J = dR/dx1 = A_eff + dF, with dF the AD derivative of F_nl in the
-    nl_dofs columns, nonzero in a block D.  With terms.base (SolveTerms)
-    J is D alone, which lu_factor(D, terms.base) factors as
-    base.matrix(D); A_eff + dF is not formed.
+    """(R, D) at x1 from one forward pass: R with the bits of residual, and
+    D the block of dR/dx1 = A_eff + dF, with dF the AD derivative of F_nl
+    in the nl_dofs columns, on terms.base's rows and columns (SolveTerms).
+    terms.base.matrix(D) is the Jacobian and lu_factor(D, terms.base)
+    its factor; linearize does not form it.
 
     F_nl runs once, with the constant seeds of terms on x1, v1 and a1:
     through the Newmark maps a displacement seed e_j carries the velocity
@@ -302,16 +303,13 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     (DynamicSystem.sites), F_nl = G^T law(G x1) at G = G(t1): the law
     runs once, at u = G x1 with one seed column of ones (its sites are
     independent), and D = G_n^T diag(law') G_n, with G_n = G[:, nl_dofs],
-    is the (nl_dofs, nl_dofs) block.  Without a base, J is A_eff + D when
-    F_nl reads every DOF (nl_dofs is sorted), with no copy and no column
-    scatter, and otherwise a copy of A_eff with D added on its block.
-    With no nl_dofs, or a force without seeds, J is terms.A_eff itself,
-    or a zero block with a base.  With (B, n) rows x1, stacked StepTerms
-    and stacked SolveTerms (a (B, n, n) A_eff), F_nl (or the law) must
-    take rows (DynamicSystem.batch_key); R and J hold each row's.
+    is the (nl_dofs, nl_dofs) block.  With no nl_dofs, or a force without
+    seeds, D is a zero block.  With (B, n) rows x1, stacked StepTerms and
+    stacked SolveTerms (a stacked base), F_nl (or the law) must take rows
+    (DynamicSystem.batch_key); R and D hold each row's.
     """
     lin, v1, a1 = _linear_part(x1, p, sys)
-    cols, base, D = sys.nl_dofs, terms.base, None
+    cols, D = sys.nl_dofs, None
     if not len(cols):
         F = sys.F_nl(x1, v1, a1, p.t1)
     elif sys.sites is not None:
@@ -330,24 +328,12 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     R = lin + ad.value_of(ad.stack(F))
     if p.h is None:
         R = R - p.q1
-    if base is not None:
-        return R, np.zeros_like(base.block) if D is None else D
-    if D is None:
-        return R, terms.A_eff
-    if D.shape[-2:] == terms.A_eff.shape[-2:]:
-        return R, terms.A_eff + D
-    J = terms.A_eff.copy()
-    if sys.sites is not None:
-        J[..., cols[:, None], cols] += D
-    else:
-        J[..., cols] += D
-    return R, J
+    return R, np.zeros_like(terms.base.block) if D is None else D
 
 
 def step_jacobian(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
-    """dR/dx1 at x1, formed: the J of linearize, or base.matrix of its block."""
-    J = linearize(x1, p, sys, terms)[1]
-    return J if terms.base is None else terms.base.matrix(J)
+    """dR/dx1 at x1, formed: base.matrix of linearize's block."""
+    return terms.base.matrix(linearize(x1, p, sys, terms)[1])
 
 
 def initial_acceleration(sys: DynamicSystem, x0, v0, t0=0.0):
@@ -397,7 +383,7 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     """
     p = _step_terms(x, v, a, t1, sys.Q(t1), terms.k)
     if sys.sites is not None:
-        p = _offset_terms(p, sys, terms.A_eff)
+        p = _offset_terms(p, sys, terms.base.B)
     rows = x.ndim > 1
     iters, lu, dx = 0, None, None
     counts = np.zeros(len(x), dtype=int) if rows else None
@@ -420,7 +406,7 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
         except SingularMatrixError as err:
             raise SingularJacobianError(step_index, err.pivot_index) from err
 
-    R, J = linearize(x, p, sys, terms)
+    R, D = linearize(x, p, sys, terms)
     rn = norm(R)
     done = rn < cfg.tol_res
     # A converged row stays converged: its zero step passes the dx test
@@ -428,8 +414,8 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     while not (done.all() if rows else done):
         if iters >= cfg.max_iter:
             raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
-        if J is not None:
-            lu = factor(lu_factor, J, terms.base)
+        if D is not None:
+            lu = factor(lu_factor, D, terms.base)
         elif cfg.strategy == BROYDEN_RANK1:
             # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
             # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.  A
@@ -452,9 +438,9 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
         refresh = cfg.strategy == FULL_NEWTON or (
             cfg.strategy == BROYDEN_RANK1 and iters == cfg.max_iter // 2 + 1)
         if (small.all() if rows else small) or not refresh:
-            R, J = residual(x, p, sys), None
+            R, D = residual(x, p, sys), None
         else:
-            R, J = linearize(x, p, sys, terms)
+            R, D = linearize(x, p, sys, terms)
         rn = norm(R)
         done = small | (rn < cfg.tol_res)
     return x, p.velocity(x), p.acceleration(x), counts if rows else iters, rn

@@ -52,7 +52,8 @@ def rk4_integrate(field, y0, t0, t_end, dt) -> Trajectory:
     """Classical 4-stage Runge-Kutta with a fixed step.
 
     Output uses the same Trajectory layout as the Newmark solver;
-    accelerations are recomputed from the field at each grid point.
+    accelerations are read from the field at each grid point, the call
+    that is also the next step's first stage: 4 field calls a step.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -67,11 +68,10 @@ def rk4_integrate(field, y0, t0, t_end, dt) -> Trajectory:
     ys = np.zeros((n_steps + 1, 2 * n))
     accs = np.zeros((n_steps + 1, n))
     ys[0] = y0
-    accs[0] = field(t0, y0)[n:]
-    y = y0
+    y, k1 = y0, field(t0, y0)
+    accs[0] = k1[n:]
     for i in range(1, n_steps + 1):
         ti = t[i - 1]
-        k1 = field(ti, y)
         k2 = field(ti + 0.5 * dt, y + 0.5 * dt * k1)
         k3 = field(ti + 0.5 * dt, y + 0.5 * dt * k2)
         k4 = field(ti + dt, y + dt * k3)
@@ -79,5 +79,6 @@ def rk4_integrate(field, y0, t0, t_end, dt) -> Trajectory:
         if not np.all(np.isfinite(y)):
             raise DivergenceError(i)
         ys[i] = y
-        accs[i] = field(t[i], y)[n:]
+        k1 = field(t[i], y)  # the next step's first stage
+        accs[i] = k1[n:]
     return Trajectory(t=t, x=ys[:, :n], v=ys[:, n:], a=accs)

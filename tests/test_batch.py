@@ -137,12 +137,12 @@ def test_rank_k_rows_equal_integrate(strategy):
     cfg = NewmarkConfig(dt=1e-3, strategy=strategy)
     c_a = 1.0 / (cfg.beta * cfg.dt * cfg.dt)
     c_v = cfg.gamma / (cfg.beta * cfg.dt)
-    # Row 1's stiffness cancels A_eff[0, 0], so it has no base and is
-    # factored directly; F_nl keeps its Jacobian regular.
+    # Row 1's stiffness cancels A_eff[0, 0], so its base has no f_B and
+    # it is factored directly; F_nl keeps its Jacobian regular.
     systems = [narrow_system(k0, c_a + 10.0)
                for k0 in (1.0, -c_a - 0.02 * c_v, 5.0)]
     terms = [solve_terms(sys_, cfg) for sys_ in systems]
-    assert [t.base is None for t in terms] == [False, True, False]
+    assert [t.base.f_B is None for t in terms] == [False, True, False]
     x0 = [np.array([0.1, 0.0, 0.2, 0.0])] * 3
     got = integrate_rows(systems, x0, x0, 0.0, 0.3, cfg)
     for sys_, traj in zip(systems, got):
@@ -245,7 +245,7 @@ class TestFaultsInABatch:
         cfg = NewmarkConfig(dt=DT, strategy=strategy, max_iter=MAX_ITER)
         systems = faulty_rows(nl_dofs, cfg)
         terms = [solve_terms(sys_, cfg) for sys_ in systems]
-        assert [t.base is None for t in terms] == (
+        assert [t.base.f_B is None for t in terms] == (
             [False, False, False, True, False] if nl_dofs == (0,) else [True] * 5)
         x0 = np.array([0.1, 0.0, 0.2, 0.0])
         got = integrate_rows(systems, [x0] * 5, [x0] * 5, 0.0, 12 * DT, cfg)

@@ -306,10 +306,10 @@ class TestStepJacobian:
     def _maps_on_ad_arrays(x1, p, sys_, A_eff):
         """The Jacobian with x1 seeded on nl_dofs and v1, a1 from the Newmark
         maps run on ADArrays, the seeds a solve now builds once."""
-        S = np.eye(sys_.n_dof)[:, sys_.nl_dofs]
+        x = ad._seeded(x1, np.eye(sys_.n_dof)[:, sys_.nl_dofs])
         J = A_eff.copy()
-        J[..., sys_.nl_dofs] += ad.jacobian(
-            lambda x: sys_.F_nl(x, p.velocity(x), p.acceleration(x), p.t1), x1, S)
+        J[..., sys_.nl_dofs] += ad.stack(
+            sys_.F_nl(x, p.velocity(x), p.acceleration(x), p.t1)).seeds
         return J
 
     def test_constant_seeds_match_the_newmark_maps(self):
@@ -337,20 +337,20 @@ class TestStepJacobian:
                 p = step_terms(sys_, s, cfg)
                 assert np.array_equal(step_jacobian(x1, p, sys_, terms),
                                       self._maps_on_ad_arrays(x1, p, sys_,
-                                                              terms.A_eff))
+                                                              terms.base.B))
 
     def test_constant_seeds_match_the_newmark_maps_on_rows(self):
         rng = np.random.default_rng(25)
         cfg = NewmarkConfig(dt=1e-4)
         systems = [sfd_rotor_system(w) for w in (700.0, 900.0, 1300.0)]
         terms = [solve_terms(sys_, cfg) for sys_ in systems]
+        rows, row_terms = _stack(systems, terms, [0, 1, 2])
         X, V, A, X1 = 1e-5 * rng.standard_normal((4, 3, 4))
         t1 = 0.1 + cfg.dt
-        p = _step_terms(X, V, A, t1, np.array([sys_.Q(t1) for sys_ in systems]),
-                        terms[0].k)
-        A_eff = np.array([s.A_eff for s in terms])
-        J = step_jacobian(X1, p, systems[0], terms[0]._replace(A_eff=A_eff, base=None))
-        assert np.array_equal(J, self._maps_on_ad_arrays(X1, p, systems[0], A_eff))
+        p = _step_terms(X, V, A, t1, rows.Q(t1), row_terms.k)
+        J = step_jacobian(X1, p, systems[0], row_terms)
+        assert np.array_equal(J, self._maps_on_ad_arrays(X1, p, systems[0],
+                                                         row_terms.base.B))
         for i, sys_ in enumerate(systems):
             p_i = step_terms(sys_, State(0.1, X[i], V[i], A[i]), cfg)
             assert np.array_equal(J[i], step_jacobian(X1[i], p_i, sys_, terms[i]))
@@ -374,13 +374,14 @@ class TestStepJacobian:
             p = _step_terms(X, V, A, 0.1 + cfg.dt,
                             np.broadcast_to(sys_.Q(0.1 + cfg.dt), shape), terms.k)
             if n_rows > 1:
-                A_eff = np.array([terms.A_eff] * n_rows)
-                terms = terms._replace(A_eff=A_eff, base=None)
+                one = terms.base
+                terms = terms._replace(base=linalg.rank_k_base(
+                    np.array([one.B] * n_rows), None, one.rows, one.cols))
             J = step_jacobian(X1, p, sys_, terms)
-            ref = terms.A_eff.copy()
-            ref[..., sys_.nl_dofs] += ad.jacobian(
-                lambda x, v, a: sys_.F_nl(x, v, a, p.t1),
-                (X1, p.velocity(X1), p.acceleration(X1)), terms.seeds)
+            ref = terms.base.B.copy()
+            x, v, a = (ad._seeded(z, S) for z, S in zip(
+                (X1, p.velocity(X1), p.acceleration(X1)), terms.seeds))
+            ref[..., sys_.nl_dofs] += ad.stack(sys_.F_nl(x, v, a, p.t1)).seeds
             assert J.tobytes() == ref.tobytes()
 
     def test_replace_keeps_declared_dofs(self):
@@ -459,7 +460,7 @@ class TestSites:
                       rng.standard_normal(n))
             x1 = s.x + 1e-6 * rng.standard_normal(n)
             plain = step_terms(sys_, s, cfg)
-            p = _offset_terms(plain, sys_, terms.A_eff)
+            p = _offset_terms(plain, sys_, terms.base.B)
             R = residual(x1, p, sys_)
             a1, v1 = plain.acceleration(x1), plain.velocity(x1)
             parts = [sys_.M @ a1, sys_.C @ v1, sys_.K @ x1, sys_.F_nl(x1, v1, a1, p.t1),
@@ -485,12 +486,12 @@ class TestSites:
         X, V, A, X1 = 1e-5 * rng.standard_normal((4, 3, sys_.n_dof))
         t1 = 0.2 + cfg.dt
         p = _offset_terms(_step_terms(X, V, A, t1, rows.Q(t1), row_terms.k), rows,
-                          row_terms.A_eff)
+                          row_terms.base.B)
         R, J = linearize(X1, p, rows, row_terms)
         assert R.tobytes() == residual(X1, p, rows).tobytes()
         for i, row in enumerate(systems):
             p_i = _offset_terms(step_terms(row, State(0.2, X[i], V[i], A[i]), cfg), row,
-                                terms[i].A_eff)
+                                terms[i].base.B)
             R_i, J_i = linearize(X1[i], p_i, row, terms[i])
             assert R[i].tobytes() == R_i.tobytes()
             assert J[i].tobytes() == J_i.tobytes()
@@ -575,13 +576,14 @@ class TestLinearize:
                           scale * rng.standard_normal(n), scale * rng.standard_normal(n))
                 x1 = scale * rng.standard_normal(n)
                 p = step_terms(sys_, s, cfg)
-                R, J = linearize(x1, p, sys_, terms)
+                R, D = linearize(x1, p, sys_, terms)
                 assert R.tobytes() == residual(x1, p, sys_).tobytes(), sys_.name
-                if terms.base is not None:
-                    J = terms.base.matrix(J)
+                J = terms.base.matrix(D)
                 assert J.tobytes() == step_jacobian(x1, p, sys_, terms).tobytes()
             if not len(sys_.nl_dofs):
-                assert J is terms.A_eff
+                # J is A_eff, whose factor is the solve's own.
+                assert J.tobytes() == terms.base.B.tobytes()
+                assert linalg.lu_factor(D, terms.base) is terms.base.f_B
 
     def test_residual_bits_on_lock_step_rows(self):
         # Rows of a stacked view (lockstep), as _step_core runs them: the
@@ -634,17 +636,17 @@ class TestLinearize:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_a_force_that_reads_no_dof_is_solved_on_A_eff(self, strategy):
-        # J is A_eff itself, so every step converges in one iteration, and
-        # keyed rows keep the bits of their one-row solves.
+        # J is A_eff, factored by the solve itself, so every step converges
+        # in one iteration, and keyed rows keep the bits of their one-row
+        # solves.
         cfg = NewmarkConfig(dt=1e-3, strategy=strategy)
-        sys_ = DynamicSystem(n_dof=2, M=np.eye(2), C=0.1 * np.eye(2),
-                             K=np.array([[2.0, -1.0], [-1.0, 2.0]]),
-                             Q=lambda t: np.array([math.cos(t), 0.0]))
+        sys_ = TestForceThatReadsNoDof.linear()
         assert sys_.nl_dofs.size == 0
         st = solve_terms(sys_, cfg)
         p = step_terms(sys_, State(0.0, np.array([0.1, 0.0]), np.zeros(2),
                                    np.zeros(2)), cfg)
-        assert linearize(np.array([0.1, 0.0]), p, sys_, st)[1] is st.A_eff
+        D = linearize(np.array([0.1, 0.0]), p, sys_, st)[1]
+        assert linalg.lu_factor(D, st.base) is st.base.f_B
         traj = integrate(sys_, [0.1, 0.0], [0.0, 0.0], 0.0, 0.05, cfg)
         assert np.all(traj.iterations[1:] == 1)
         keyed = [dataclasses.replace(sys_, K=f * sys_.K, batch_key="linear")
@@ -663,6 +665,94 @@ class TestLinearize:
         with_force = DynamicSystem(2, np.eye(2), np.eye(2), np.eye(2),
                                    F_nl=lambda x, v, a, t: x)
         assert np.array_equal(with_force.nl_dofs, [0, 1])
+
+
+class TestForceThatReadsNoDof:
+    """With no nl_dofs (k = 0) the step Jacobian is A_eff: every refresh
+    returns the factor that the solve built once, and inverts nothing."""
+
+    @staticmethod
+    def linear(K=((2.0, -1.0), (-1.0, 2.0))):
+        """A 2-DOF linear system, whose nl_dofs default to none."""
+        return DynamicSystem(n_dof=2, M=np.eye(2), C=0.1 * np.eye(2), K=np.array(K),
+                             Q=lambda t: np.array([math.cos(t), 0.0]))
+
+    def cases(self):
+        """(system, x0, v0, dt): the 2-DOF system and the bearing-free rotor."""
+        rng = np.random.default_rng(36)
+        bare = TestLinearize.bearing_free()
+        return [(self.linear(), np.array([0.1, 0.0]), np.zeros(2), 1e-3),
+                (bare, 1e-5 * rng.standard_normal(bare.n_dof),
+                 1e-3 * rng.standard_normal(bare.n_dof), 1e-4)]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_refresh_returns_the_solves_factor(self, strategy, monkeypatch):
+        inv, fac = np.linalg.inv, nnrad.newmark.lu_factor
+        for sys_, x0, v0, dt in self.cases():
+            assert sys_.nl_dofs.size == 0
+            inverted, factors = [], []
+
+            def counted(A):
+                inverted.append(np.shape(A))
+                return inv(A)
+
+            def spied(A, base=None):
+                factors.append((fac(A, base), base))
+                return factors[-1][0]
+
+            monkeypatch.setattr(np.linalg, "inv", counted)
+            monkeypatch.setattr(nnrad.newmark, "lu_factor", spied)
+            integrate(sys_, x0, v0, 0.0, 40 * dt, NewmarkConfig(dt=dt, strategy=strategy))
+            monkeypatch.undo()
+            # initial_acceleration inverts M and solve_terms A_eff, once each,
+            # with no base; the step loop inverts nothing.
+            (_, first), (f_B, second), *refreshes = factors
+            assert first is second is None
+            assert inverted == [(sys_.n_dof, sys_.n_dof)] * 2
+            assert len(refreshes) >= 40
+            assert all(f is base.f_B is f_B for f, base in refreshes)
+
+    def test_the_solves_factor_is_read_only(self):
+        for sys_, _, _, dt in self.cases():
+            f_B = solve_terms(sys_, NewmarkConfig(dt=dt)).base.f_B
+            with pytest.raises(ValueError, match="read-only"):
+                f_B[0, 0] = 0.0
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_keyed_rows_equal_their_one_row_solves(self, strategy):
+        for sys_, x0, v0, dt in self.cases():
+            cfg = NewmarkConfig(dt=dt, strategy=strategy)
+            keyed = [dataclasses.replace(sys_, K=f * sys_.K, batch_key="no dof")
+                     for f in (1.0, 2.0, 3.0)]
+            got = integrate_rows(keyed, [x0] * 3, [v0] * 3, 0.0, 30 * dt, cfg)
+            for row, traj in zip(keyed, got):
+                want = integrate(row, x0, v0, 0.0, 30 * dt, cfg)
+                for name in TestSites.FIELDS:
+                    assert np.array_equal(getattr(traj, name), getattr(want, name))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_a_singular_row_leaves_at_its_one_row_step(self, strategy):
+        # Row 1's K cancels A_eff's first row and column exactly, so its
+        # solve has no factor; in lock-step it still leaves with the
+        # SingularJacobianError of its own solve, and the other rows go on.
+        cfg = NewmarkConfig(dt=1e-3, strategy=strategy)
+        c_a = 1.0 / (cfg.beta * cfg.dt * cfg.dt)
+        c_v = cfg.gamma / (cfg.beta * cfg.dt)
+        systems = [dataclasses.replace(s, batch_key="no dof") for s in (
+            self.linear(), self.linear(((-c_a - 0.1 * c_v, 0.0), (0.0, 2.0))),
+            self.linear(((4.0, -1.0), (-1.0, 4.0))))]
+        assert [solve_terms(s, cfg).base.f_B is None for s in systems] == [
+            False, True, False]
+        x0, v0 = np.array([0.1, 0.0]), np.zeros(2)
+        got = integrate_rows(systems, [x0] * 3, [v0] * 3, 0.0, 0.03, cfg)
+        with pytest.raises(SingularJacobianError) as alone:
+            integrate(systems[1], x0, v0, 0.0, 0.03, cfg)
+        assert type(got[1]) is SingularJacobianError and str(got[1]) == str(alone.value)
+        assert (got[1].step_index, got[1].pivot_index) == (1, 0)
+        for row, traj in zip(systems[::2], got[::2]):
+            want = integrate(row, x0, v0, 0.0, 0.03, cfg)
+            for name in TestSites.FIELDS:
+                assert np.array_equal(getattr(traj, name), getattr(want, name))
 
 
 class TestInitialAcceleration:
@@ -839,15 +929,16 @@ class TestRankKFactor:
 
     @staticmethod
     def direct(monkeypatch):
-        """Make newmark factor every Jacobian directly, as it did before."""
-        calls = []
+        """Make newmark factor every Jacobian directly: its solves' bases
+        keep no f_B.  Returns the f_B each base was built with."""
+        built = []
 
-        def lu_factor(A, base=None):
-            calls.append(base)
-            return linalg.lu_factor(A if base is None else base.matrix(A))
+        def rank_k_base(B, f_B, rows, cols):
+            built.append(f_B)
+            return linalg.rank_k_base(B, None, rows, cols)
 
-        monkeypatch.setattr(nnrad.newmark, "lu_factor", lu_factor)
-        return calls
+        monkeypatch.setattr(nnrad.newmark, "rank_k_base", rank_k_base)
+        return built
 
     def test_singular_jacobian_is_located_as_by_the_direct_path(self, monkeypatch):
         cfg = NewmarkConfig(dt=1e-3)
@@ -861,7 +952,7 @@ class TestRankKFactor:
 
         sys_ = DynamicSystem(n_dof=4, M=np.eye(4), C=np.zeros((4, 4)), K=K,
                              Q=lambda t: np.ones(4), F_nl=f_nl, nl_dofs=[0])
-        assert solve_terms(sys_, cfg).base is not None
+        assert solve_terms(sys_, cfg).base.f_B is not None
         x0 = np.full(4, 0.1)
         errors = []
         for patch in (False, True):
@@ -889,7 +980,7 @@ class TestRankKFactor:
                              Q=lambda t: np.ones(4), nl_dofs=[0, 2],
                              sites=Sites(lambda t: G, law))
         base = solve_terms(sys_, cfg).base
-        assert base is not None and np.array_equal(base.rows, [0, 2])
+        assert base.f_B is not None and np.array_equal(base.rows, [0, 2])
         x0 = np.full(4, 0.1)
         errors = []
         for patch in (False, True):
@@ -923,12 +1014,13 @@ class TestRankKFactor:
         x0 = 1e-5 * np.random.default_rng(28).standard_normal(sys_.n_dof)
         cfg = NewmarkConfig(dt=1e-4, strategy=strategy)
         traj = integrate(sys_, x0, np.zeros(sys_.n_dof), 0.0, 0.002, cfg)
-        # initial_acceleration factors M and solve_terms A_eff, once each.
-        (M, no_base), (A_eff, none), *refreshes = factored
-        assert M is sys_.M and no_base is None and none is None
-        assert np.array_equal(A_eff, solve_terms(sys_, cfg).A_eff)
+        # initial_acceleration factors M and solve_terms A_eff, once each,
+        # with no base.
+        (M, first), (A_eff, second), *refreshes = factored
+        assert M is sys_.M and first is second is None
+        assert np.array_equal(A_eff, solve_terms(sys_, cfg).base.B)
         assert len(refreshes) >= traj.n_samples - 1
-        assert all(np.shape(D) == (10, 10) and base is not None
+        assert all(np.shape(D) == (10, 10) and base.f_B is not None
                    for D, base in refreshes)
         assert not formed
 
@@ -945,12 +1037,12 @@ class TestRankKFactor:
                              Q=lambda t: np.array([math.cos(t), math.sin(5 * t)]),
                              F_nl=f_nl, nl_dofs=[1])
         with pytest.raises(linalg.SingularMatrixError):
-            linalg.lu_factor(solve_terms(sys_, cfg).A_eff)
-        assert solve_terms(sys_, cfg).base is None
+            linalg.lu_factor(solve_terms(sys_, cfg).base.B)
+        assert solve_terms(sys_, cfg).base.f_B is None
         got = integrate(sys_, [0.1, 0.2], [0.0, 0.0], 0.0, 0.5, cfg)
-        calls = self.direct(monkeypatch)
+        built = self.direct(monkeypatch)
         want = integrate(sys_, [0.1, 0.2], [0.0, 0.0], 0.0, 0.5, cfg)
-        assert calls and all(base is None for base in calls)
+        assert built == [None]  # the patch took no f_B away
         for name in ("x", "v", "a", "iterations", "residual_norms"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 

@@ -104,6 +104,40 @@ class TestRK4:
         assert nm.a.shape == rk.a.shape
         assert np.allclose(nm.t, rk.t)
 
+    @staticmethod
+    def five_call_rk4(field, y0, t0, n_steps, dt):
+        """RK4 that evaluates every step's first stage anew: 5 calls a step."""
+        n = y0.size // 2
+        t = t0 + dt * np.arange(n_steps + 1)
+        ys, accs, y = [y0], [field(t0, y0)[n:]], y0
+        for i in range(1, n_steps + 1):
+            k1 = field(t[i - 1], y)
+            k2 = field(t[i - 1] + 0.5 * dt, y + 0.5 * dt * k1)
+            k3 = field(t[i - 1] + 0.5 * dt, y + 0.5 * dt * k2)
+            k4 = field(t[i - 1] + dt, y + dt * k3)
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ys.append(y)
+            accs.append(field(t[i], y)[n:])
+        ys = np.array(ys)
+        return t, ys[:, :n], ys[:, n:], np.array(accs)
+
+    @pytest.mark.parametrize("sys_", [duffing(), pendulum()], ids=["duffing", "pendulum"])
+    def test_four_field_calls_a_step(self, sys_):
+        # The call that gives a at a grid point is the next step's first
+        # stage: 4 calls a step plus one at t0, with the five-call bits.
+        field, calls = to_first_order(sys_), []
+
+        def counted(t, y):
+            calls.append(t)
+            return field(t, y)
+
+        y0, dt, n_steps = np.array([2.0, 0.0]), 1e-2, 300
+        traj = rk4_integrate(counted, y0, 0.0, n_steps * dt, dt)
+        assert len(calls) == 4 * n_steps + 1
+        want = self.five_call_rk4(field, y0, 0.0, n_steps, dt)
+        for got, ref in zip((traj.t, traj.x, traj.v, traj.a), want):
+            assert got.tobytes() == ref.tobytes()
+
     def test_pendulum_energy_conservation(self):
         field = to_first_order(pendulum())
         traj = rk4_integrate(field, np.array([2.0, 0.0]), 0.0, 100.0, 1e-3)
