@@ -176,11 +176,8 @@ class RankKBase(NamedTuple):
         return self.f_B - W.dot(small.dot(self.f_cols))
 
     def factor(self, D):
-        """lu_factor(D, self): the factor of self.matrix(D)."""
-        if self.f_B is None:
-            return lu_factor(self.matrix(D))
-        if not len(self.cols):
-            return self.f_B
+        """The factor of self.matrix(D) as a rank-k update of f_B (k >= 1),
+        or formed and factored directly where the screen fails it."""
         # max|self.matrix(D)| from its parts; NaN in D gives NaN.
         if D.ndim > 2:
             scale = np.maximum(self.off_max, np.abs(self.block + D).max(axis=(-2, -1)))
@@ -226,11 +223,17 @@ def lu_factor(A, base=None):
     1e-14 * max|A| (see the module docstring for the screen).  With base,
     a RankKBase of B, A is a block D and the factor is that of
     base.matrix(D), B with D added on (base.rows, base.cols), by the
-    route the base fixes (module docstring).
+    route the base fixes: formed and factored directly when base.f_B is
+    None, f_B itself at k = 0, else a rank-k update (module docstring).
     """
     A = np.asarray(A, dtype=float)
     if base is not None:
-        return base.factor(A)
+        if base.f_B is None:
+            A = base.matrix(A)
+        elif not len(base.cols):
+            return base.f_B
+        else:
+            return base.factor(A)
     if A.shape == (1, 1):
         a = float(A[0, 0])
         if a != 0.0 and math.isfinite(a) and math.isfinite(r := 1.0 / a):
