@@ -4,7 +4,9 @@ Short-bearing theory gives the radial/tangential film forces in terms of
 journal eccentricity, its rate, and the precession rate, through three
 Sommerfeld integrals evaluated with a 15-node Gauss-Legendre rule over
 the positive-pressure half film.  Everything is written over the AD
-array type, so the integrals differentiate through the quadrature.
+array type, so the integrals differentiate through the quadrature.  The
+rotor declares the film as one rate-reading site of width 2
+(nnrad.system.Sites): the journal map gathers it, the film force is its law.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import ad
-from ..system import DynamicSystem
+from ..system import DynamicSystem, Sites
 
 __all__ = [
     "FilmRuptureError",
@@ -372,16 +374,16 @@ def sfd_rotor_system(
             [amp * math.cos(omega * t), amp * math.sin(omega * t), 0.0, 0.0]
         )
 
-    # The film force (F_x, F_y) enters the equations as (F_x, F_y,
-    # -F_y*l1, F_x*l1), the transpose of the journal map in metres.
+    # The film reads the journal centre q = T x and its rate T v, in
+    # clearances; T^T (F_x, F_y) * clearance is (F_x, F_y, -F_y*l1, F_x*l1).
     T = _journal_map(l1, sfd)
-    load = T.T * sfd.film_clearance
 
-    def f_nl(x, v, a, t):
-        return ad.matvec(load, _film_force(ad.matvec(T, x), ad.matvec(T, v), sfd))
+    def film(q, dq, t):
+        return _film_force(q, dq, sfd) * sfd.film_clearance
 
-    # f_nl depends on l1 and the damper alone, and takes rows of states.
+    # The site depends on l1 and the damper alone, and takes rows of states.
     return DynamicSystem(
-        n_dof=4, M=M, C=C, K=K, Q=q, F_nl=f_nl, name="sfd_rotor",
+        n_dof=4, M=M, C=C, K=K, Q=q, name="sfd_rotor",
+        sites=Sites(lambda t: T, film, width=2, rate=True),
         batch_key=("sfd_rotor", l1, sfd),
     )

@@ -15,13 +15,13 @@ linearize, R and the Jacobian's AD block from one pass, and any other
 by the float residual.  What a step holds fixed, the offsets of the
 Newmark maps from x1 to v1 and a1 and the load Q(t1), is built once per
 step (StepTerms), so every residual and Jacobian of the step shares it;
-for sites, whose forces read x1 alone, so is the offset h of the linear
-part A_eff x1 + h.  What a solve holds fixed, the Newmark coefficients,
-the AD seeds of the nonlinear DOFs and A_eff's linalg.RankKBase, is
-built once per solve (SolveTerms).  lu_factor(D, base) factors A_eff
-plus linearize's block D by the route the base fixes: a rank-k update
-of A_eff's factor, that factor itself when F_nl reads no DOF, or a
-direct inverse.
+for every system with sites, whose forces read x1 and at most v1, so is
+the offset h of the linear part A_eff x1 + h.  What a solve holds fixed,
+the Newmark coefficients, the AD seeds of the force and A_eff's
+linalg.RankKBase, is built once per solve (SolveTerms).
+lu_factor(D, base) factors A_eff plus linearize's block D by the route
+the base fixes: a rank-k update of A_eff's factor, that factor itself
+when F_nl reads no DOF, or a direct inverse.
 
 _step_core is the one Newton step.  It runs one row on 1-D arrays, or
 the rows of systems that share a batch_key in lock-step on (B, n)
@@ -173,7 +173,7 @@ class StepTerms(NamedTuple):
     v1 = c_v x1 + g_v, whose offsets depend only on the step's start.
     _step_core gives a system with sites also A_eff and the offset
     h = M g_a + C g_v - q1 (_offset_terms): its linear part less the load
-    is then A_eff x1 + h, and its forces read x1 alone.
+    is then A_eff x1 + h, and its forces read x1 and at most v1.
     """
 
     t1: float
@@ -217,10 +217,11 @@ def step_terms(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> StepTerms:
 
 def _linear_part(x1, p: StepTerms, sys: DynamicSystem):
     """(lin, v1, a1) at x1.  lin is M a1 + C v1 + K x1, with a1 and v1 from
-    p's maps; with p's offset, it is A_eff x1 + h, which holds -q1, and
-    v1 and a1 are None."""
+    p's maps; with p's offset, it is A_eff x1 + h, which holds -q1, a1 is
+    None, and so is v1 unless the sites' law reads the rate."""
     if p.h is not None:
-        return ad.matvec(p.A_eff, x1) + p.h, None, None
+        v1 = p.velocity(x1) if sys.sites.rate else None
+        return ad.matvec(p.A_eff, x1) + p.h, v1, None
     a1 = p.acceleration(x1)
     v1 = p.velocity(x1)
     if isinstance(x1, np.ndarray) and x1.ndim == 1:
@@ -235,11 +236,11 @@ def residual(x1, p: StepTerms, sys: DynamicSystem):
 
     R = M a1 + C v1 + K x1 + F_nl(x1, v1, a1, t1) - Q(t1) with a1, v1
     from the Newmark maps of p.  With p's offset (StepTerms), R is
-    (A_eff x1 + h) + F_nl(x1, None, None, t1): the forces of sites read
-    x1 alone.  Accepts a float vector or an ADArray; the latter yields
-    seeds for the Jacobian.  With (B, n) rows x1,
-    stacked StepTerms and a stacked sys (_step_core), the result is the
-    (B, n) rows of each row's residual, with its bits.
+    (A_eff x1 + h) + F_nl(x1, v1, None, t1), v1 None unless the sites'
+    law reads the rate.  Accepts a float vector or an ADArray; the latter
+    yields seeds for the Jacobian.  With (B, n) rows x1, stacked StepTerms
+    and a stacked sys (_step_core), the result is the (B, n) rows of each
+    row's residual, with its bits.
     """
     x1 = ad.stack(x1)
     lin, v1, a1 = _linear_part(x1, p, sys)
@@ -262,9 +263,9 @@ class SolveTerms(NamedTuple):
     and columns, with base.B = A_eff: linearize returns D, base.matrix(D)
     forms J and lu_factor(D, base) factors it.  base.f_B is
     lu_factor(A_eff) where a rank-k update pays, k = 0 or 2k <= n with
-    A_eff regular, and None otherwise.  seeds are the constant seeds of
-    x1, v1 and a1 on nl_dofs: S = I[:, nl_dofs], c_v S and c_a S.  k
-    holds the Newmark coefficients of the solve.
+    A_eff regular, and None otherwise.  seeds, read-only, are the seeds
+    S, c_v S and c_a S of x1, v1 and a1, S = I[:, nl_dofs], or of sites'
+    u and du, S = I_m per site.  k holds the Newmark coefficients.
     """
 
     seeds: tuple
@@ -276,48 +277,52 @@ def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
     """The SolveTerms of sys under cfg."""
     A_eff = step_matrix(sys, cfg)
     k = _newmark_coeffs(cfg)
-    cols = sys.nl_dofs
-    S = np.eye(sys.n_dof)[:, cols]
+    cols, sites = sys.nl_dofs, sys.sites
+    S = np.eye(sys.n_dof)[:, cols] if sites is None else np.tile(
+        np.eye(sites.width), (len(sites.matrix(0.0)) // sites.width, 1))
     f_B = None
     if 2 * len(cols) <= sys.n_dof:
         try:
             f_B = lu_factor(A_eff)
         except SingularMatrixError:
             pass
-    rows = cols if sys.sites is not None else np.arange(sys.n_dof)
-    return SolveTerms((S, k.c_v * S, k.c_a * S), rank_k_base(A_eff, f_B, rows, cols), k)
+    seeds = (S, k.c_v * S, k.c_a * S)
+    for s in seeds:
+        s.flags.writeable = False
+    rows = cols if sites is not None else np.arange(sys.n_dof)
+    return SolveTerms(seeds, rank_k_base(A_eff, f_B, rows, cols), k)
 
 
 def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
     """(R, D) at x1 from one forward pass: R with the bits of residual, and
-    D the block of dR/dx1 = A_eff + dF, with dF the AD derivative of F_nl
-    in the nl_dofs columns, on terms.base's rows and columns (SolveTerms).
-    terms.base.matrix(D) is the Jacobian and lu_factor(D, terms.base)
-    its factor; linearize does not form it.
+    D the block of dR/dx1 = A_eff + dF on terms.base's rows and columns
+    (SolveTerms); terms.base.matrix(D) is the Jacobian and
+    lu_factor(D, terms.base) its factor, and linearize forms neither.
 
-    F_nl runs once, with the constant seeds of terms on x1, v1 and a1:
-    through the Newmark maps a displacement seed e_j carries the velocity
-    seed c_v e_j and the acceleration seed c_a e_j, so its seeds are
-    dF/dx + c_v dF/dv + c_a dF/da and its value the float F_nl
-    (nnrad.ad).  D is these seeds, on every row.  With sites
-    (DynamicSystem.sites), F_nl = G^T law(G x1) at G = G(t1): the law
-    runs once, at u = G x1 with one seed column of ones (its sites are
-    independent), and D = G_n^T diag(law') G_n, with G_n = G[:, nl_dofs],
-    is the (nl_dofs, nl_dofs) block.  With no nl_dofs, or a force without
-    seeds, D is a zero block.  With (B, n) rows x1, stacked StepTerms and
-    stacked SolveTerms (a stacked base), F_nl (or the law) must take rows
-    (DynamicSystem.batch_key); R and D hold each row's.
+    F_nl runs once on x1, v1 and a1 with the seeds S, c_v S and c_a S of
+    terms, as the Newmark maps carry a displacement seed e_j into c_v e_j
+    and c_a e_j: its seeds, dF/dx + c_v dF/dv + c_a dF/da, are D.  With
+    sites of width m, the law runs once on u = G x1 with S, I_m per site,
+    and on du = G v1 with c_v S if it reads the rate, and D is
+    G_n^T blockdiag(law') G_n, with G_n = G(t1)[:, nl_dofs].  With no
+    nl_dofs, or a force without seeds, D is a zero block.  With (B, n)
+    rows x1, stacked StepTerms and stacked SolveTerms, F_nl (or the law)
+    must take rows (DynamicSystem.batch_key); R and D hold each row's.
     """
     lin, v1, a1 = _linear_part(x1, p, sys)
-    cols, D = sys.nl_dofs, None
+    cols, sites, D = sys.nl_dofs, sys.sites, None
     if not len(cols):
-        F = sys.F_nl(x1, v1, a1, p.t1)
-    elif sys.sites is not None:
-        st = sys.sites.terms(p.t1, cols)
-        law = sys.sites.law(ad._seeded(ad.matvec(st.G, x1), st.ones), p.t1)
+        F = ad.stack(sys.F_nl(x1, v1, a1, p.t1))
+    elif sites is not None:
+        st, (S, S_v, _) = sites.terms(p.t1, cols), terms.seeds
+        du = (ad._seeded(ad.matvec(st.G, v1), S_v),) if sites.rate else ()
+        law = sites.law(ad._seeded(ad.matvec(st.G, x1), S), *du, p.t1)
         F = ad.matvec(st.G.T, ad.value_of(law))
         if isinstance(law, ad.ADArray):
-            GD = law.seeds * st.G_n
+            # blockdiag(law') G_n, a sum over each site's m columns of law'
+            GD = law.seeds[..., :1] * st.spread[0]
+            for k in range(1, sites.width):
+                GD = GD + law.seeds[..., k:k + 1] * st.spread[k]
             D = st.G_n.T.dot(GD) if GD.ndim == 2 else np.matmul(st.G_n.T, GD)
     else:
         S, S_v, S_a = terms.seeds
@@ -325,7 +330,7 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
                               ad._seeded(a1, S_a), p.t1))
         if isinstance(F, ad.ADArray):
             D = F.seeds
-    R = lin + ad.value_of(ad.stack(F))
+    R = lin + ad.value_of(F)
     if p.h is None:
         R = R - p.q1
     return R, np.zeros_like(terms.base.block) if D is None else D
@@ -385,47 +390,36 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
     if sys.sites is not None:
         p = _offset_terms(p, sys, terms.base.B)
     rows = x.ndim > 1
-    iters, lu, dx = 0, None, None
+    iters, lu, dx, small = 0, None, None, False
     counts = np.zeros(len(x), dtype=int) if rows else None
-
-    def worst(rn):
-        """The largest norm: NaN if one is NaN, else inf if one is inf."""
-        return rn.max() if rows else rn
-
-    def norm(R):
-        """|R|; a non-finite one ends the step at once."""
+    R, D = linearize(x, p, sys, terms)
+    while True:
         rn = norm2(R)
-        if not math.isfinite(worst(rn)):
-            raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
-        return rn
-
-    def factor(fn, *args):
-        """lu_factor or lu_update, a singular result as SingularJacobianError."""
+        worst = rn.max() if rows else rn  # NaN if one is NaN, else inf if one is
+        if not math.isfinite(worst):
+            raise NonConvergenceError(step_index, iters, worst, float("nan"))
+        # A converged row stays converged: its zero step passes the dx test
+        # when tol_dx > 0, and with tol_dx = 0 it converged on rn < tol_res.
+        done = small | (rn < cfg.tol_res)
+        if done.all() if rows else done:
+            return x, p.velocity(x), p.acceleration(x), counts if rows else iters, rn
+        if iters >= cfg.max_iter:
+            raise NonConvergenceError(step_index, iters, worst, float("nan"))
         try:
-            return fn(*args)
+            if D is not None:
+                lu = lu_factor(D, terms.base)
+            elif cfg.strategy == BROYDEN_RANK1:
+                # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
+                # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.  A
+                # zero step (tol_dx = 0) cannot update J.
+                dd = ad.dot(dx, dx)
+                if rows:
+                    dd[done] = 1.0  # a converged row's factor is no longer used
+                if not np.all(dd > 0.0):
+                    raise NonConvergenceError(step_index, iters, worst, 0.0)
+                lu = lu_update(lu, R / dd, -dx)
         except SingularMatrixError as err:
             raise SingularJacobianError(step_index, err.pivot_index) from err
-
-    R, D = linearize(x, p, sys, terms)
-    rn = norm(R)
-    done = rn < cfg.tol_res
-    # A converged row stays converged: its zero step passes the dx test
-    # when tol_dx > 0, and with tol_dx = 0 it converged on rn < tol_res.
-    while not (done.all() if rows else done):
-        if iters >= cfg.max_iter:
-            raise NonConvergenceError(step_index, iters, worst(rn), float("nan"))
-        if D is not None:
-            lu = factor(lu_factor, D, terms.base)
-        elif cfg.strategy == BROYDEN_RANK1:
-            # Good Broyden update J += (dR - J dx') dx'^T / |dx'|^2 with
-            # dx' = -dx; since J dx = R_old, dR - J dx' is the new R.  A
-            # zero step (tol_dx = 0) cannot update J.
-            dd = ad.dot(dx, dx)
-            if rows:
-                dd[done] = 1.0  # a converged row's factor is no longer used
-            if not np.all(dd > 0.0):
-                raise NonConvergenceError(step_index, iters, worst(rn), 0.0)
-            lu = factor(lu_update, lu, R / dd, -dx)
         dx = lu_solve(lu, R)
         if rows:
             dx[done] = 0.0
@@ -441,9 +435,6 @@ def _step_core(sys, x, v, a, t1, cfg, terms, step_index=0):
             R, D = residual(x, p, sys), None
         else:
             R, D = linearize(x, p, sys, terms)
-        rn = norm(R)
-        done = small | (rn < cfg.tol_res)
-    return x, p.velocity(x), p.acceleration(x), counts if rows else iters, rn
 
 
 def step(sys: DynamicSystem, s: State, cfg: NewmarkConfig) -> State:

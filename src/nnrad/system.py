@@ -41,25 +41,26 @@ class SiteTerms(NamedTuple):
 
     G: np.ndarray  # G(t)
     G_n: np.ndarray  # G(t)[:, cols], on the columns the Jacobian reads
-    ones: np.ndarray  # (s, 1): the law's seed column, its sites independent;
-    # read-only, one array that Sites keeps across times
+    spread: tuple  # spread[k]: G_n with row i m + j taken from row i m + k
 
 
 class Sites:
-    """The force G(t)^T law(G(t) x, t) of s independent scalar sites.
+    """The force G(t)^T law(G(t) x, t) of s independent sites of width m.
 
-    gather(t) gives the (s, n) matrix G(t), row i site i's projection of
-    x; law(u, t), written with nnrad.ad, gives the (s,) site forces, site
-    i's from u_i alone.  G and its SiteTerms are kept for the last t,
-    which every residual and Jacobian of a step shares.
+    gather(t) gives the (s m, n) matrix G(t); rows i m .. i m + m - 1 give
+    site i's m-vector u_i of u = G(t) x.  law(u, t), written with nnrad.ad,
+    gives the (s m,) site forces, site i's from u_i alone.  With rate, it
+    is law(u, du, t) and reads du = G(t) v too, site i's du_i alone; v
+    reaches no other law.  G and its SiteTerms are kept for the last t.
     """
 
-    def __init__(self, gather, law):
+    def __init__(self, gather, law, width=1, rate=False):
         self.gather = gather
         self.law = law
+        self.width = width
+        self.rate = rate
         self._last = (None, None)
         self._terms = (None, None, None)
-        self._ones = np.ones((0, 1))
 
     def matrix(self, t):
         """G(t), from the cache when t is the time of the last call."""
@@ -72,18 +73,18 @@ class Sites:
         same array) repeat."""
         last_t, last_cols, terms = self._terms
         if t != last_t or cols is not last_cols:
-            G = self.matrix(t)
-            if len(self._ones) != len(G):
-                self._ones = np.ones((len(G), 1))
-                self._ones.flags.writeable = False
-            terms = SiteTerms(G, G[:, cols], self._ones)
+            G, m = self.matrix(t), self.width
+            G_n = G[:, cols]
+            terms = SiteTerms(G, G_n, (G_n,) if m == 1 else
+                              tuple(G_n[k::m].repeat(m, axis=0) for k in range(m)))
             self._terms = (t, cols, terms)
         return terms
 
     def force(self, x, v, a, t):
-        """G(t)^T law(G(t) x, t): the F_nl of the sites; rows of x too."""
+        """G(t)^T law(G(t) x, [G(t) v,] t): the F_nl of the sites; rows too."""
         G = self.matrix(t)
-        return ad.matvec(G.T, self.law(ad.matvec(G, x), t))
+        du = (ad.matvec(G, v),) if self.rate else ()
+        return ad.matvec(G.T, self.law(ad.matvec(G, x), *du, t))
 
 
 def _zero_force(n):
@@ -114,11 +115,12 @@ class DynamicSystem:
     structure: a probe evaluation would miss, say, a bearing ball out of
     contact, whose derivative is exactly zero at that state.
 
-    sites (Sites) declares F_nl as independent sites that read x only,
-    so the step Jacobian differentiates their law alone and the Newton
-    loop passes F_nl None for v and a.  F_nl, when not
-    given, is derived from them; a given one (a wrapper, say) is kept and
-    must equal it.  nl_dofs must still list every DOF that G(t) reads.
+    sites (Sites) declares F_nl as independent sites, so the step Jacobian
+    differentiates their law alone and the Newton loop passes F_nl None
+    for a, and for v unless the law reads the rate.  F_nl, when not given,
+    is derived from them; a given one (a wrapper, say) is kept and must
+    equal it.  nl_dofs must list every DOF that G(t) reads: ValueError
+    names one that G(0) reads outside it.
 
     batch_key opts the system into lock-step batches (analysis.sweep).
     Systems with equal, hashable, non-None keys and equal n_dof promise
@@ -157,6 +159,11 @@ class DynamicSystem:
             if dofs and (dofs[0] < 0 or dofs[-1] >= n):
                 raise ValueError(f"nl_dofs must lie in 0..{n - 1}, got {dofs}")
             self.nl_dofs = np.array(dofs, dtype=int)
+        if self.sites is not None:
+            stray = np.any(self.sites.matrix(0.0), axis=0)
+            stray[self.nl_dofs] = False
+            if stray.any():
+                raise ValueError(f"sites read DOF {stray.argmax()}, not in nl_dofs")
         if self.F_nl is None:
             self.F_nl = _zero_nonlinearity if self.sites is None else self.sites.force
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import nnrad
@@ -58,6 +59,51 @@ def test_tracer_patch_points_resolve():
     spec.loader.exec_module(tracing)
     for mod, attr, _ in tracing.PATCHES:
         assert callable(getattr(mod, attr, None)), f"{mod.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("run", ["duffing", "sfd_rotor", "sfd_sweep", "dual_rotor"])
+def test_the_solver_calls_the_tracers_patch_points(run, monkeypatch):
+    # bench/tracing.py times these layers by wrapping newmark's module
+    # attributes, so the step loop must look each one up there at call
+    # time, one row and in lock-step.  ad.jacobian, also in PATCHES, is
+    # not called by the step loop: linearize seeds F_nl or the sites' law
+    # itself.
+    import nnrad.newmark as newmark
+    from nnrad import NewmarkConfig, integrate
+    from nnrad.analysis import sweep
+    from nnrad.models import (
+        assemble_dual_rotor, default_dual_rotor_layout, duffing, sfd_rotor_system,
+    )
+
+    calls, stepping = {}, []
+    for name in ("residual", "lu_factor", "lu_solve"):
+        def counted(*args, _fn=getattr(newmark, name), _name=name, **kwargs):
+            if stepping:  # initial_acceleration and solve_terms factor too
+                calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(newmark, name, counted)
+
+    def step_core(*args, _fn=newmark._step_core, **kwargs):
+        stepping.append(1)
+        try:
+            return _fn(*args, **kwargs)
+        finally:
+            stepping.pop()
+
+    monkeypatch.setattr(newmark, "_step_core", step_core)
+    cfg = NewmarkConfig(dt=1e-4)
+    if run == "duffing":
+        integrate(duffing(), [2.0], [0.0], 0.0, 0.02, NewmarkConfig(dt=1e-3))
+    elif run == "sfd_rotor":
+        integrate(sfd_rotor_system(900.0), np.full(4, 1e-5), np.zeros(4), 0.0, 2e-3, cfg)
+    elif run == "sfd_sweep":
+        rows = sweep(sfd_rotor_system, [900.0, 1100.0], cfg, [0], 2e-3)
+        assert all(row.error is None for row in rows)
+    else:
+        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
+        integrate(sys_, np.full(sys_.n_dof, 1e-5), np.zeros(sys_.n_dof), 0.0, 2e-3, cfg)
+    assert sorted(calls) == ["lu_factor", "lu_solve", "residual"], calls
 
 
 # The demos that exercise nnrad.ad and the dual rotor's sites; 02 (about

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +47,9 @@ from nnrad.newmark import (
 )
 
 
+REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference.json"
+
+
 def linear_sdof(k=1.0, c=0.0):
     return DynamicSystem(
         n_dof=1, M=np.array([[1.0]]), C=np.array([[c]]), K=np.array([[k]])
@@ -55,6 +60,17 @@ def dense_dual_rotor():
     """The dual rotor without its sites: step_jacobian differentiates F_nl."""
     return dataclasses.replace(assemble_dual_rotor(default_dual_rotor_layout()),
                                sites=None)
+
+
+def stored_start():
+    """The sfd_sweep start: a state on the steady orbit at 1000 rad/s."""
+    start = json.loads(REFERENCE.read_text())["sfd_sweep"]["start"]
+    return np.array(start["x"]), np.array(start["v"])
+
+
+def dense_sfd_rotor(omega):
+    """The SFD rotor without its site: step_jacobian seeds F_nl on x, v, a."""
+    return dataclasses.replace(sfd_rotor_system(omega), sites=None)
 
 
 def terms(s, cfg):
@@ -325,7 +341,7 @@ class TestStepJacobian:
         cases = [
             (inertial, NewmarkConfig(dt=1e-3), 1.0),
             (duffing(), NewmarkConfig(dt=1e-3), 1.0),
-            (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5),
+            (dense_sfd_rotor(900.0), NewmarkConfig(dt=1e-4), 1e-5),
             (dense_dual_rotor(), NewmarkConfig(dt=1e-4), 1e-5),
         ]
         for sys_, cfg, scale in cases:
@@ -342,7 +358,7 @@ class TestStepJacobian:
     def test_constant_seeds_match_the_newmark_maps_on_rows(self):
         rng = np.random.default_rng(25)
         cfg = NewmarkConfig(dt=1e-4)
-        systems = [sfd_rotor_system(w) for w in (700.0, 900.0, 1300.0)]
+        systems = [dense_sfd_rotor(w) for w in (700.0, 900.0, 1300.0)]
         terms = [solve_terms(sys_, cfg) for sys_ in systems]
         rows, row_terms = _stack(systems, terms, [0, 1, 2])
         X, V, A, X1 = 1e-5 * rng.standard_normal((4, 3, 4))
@@ -356,15 +372,15 @@ class TestStepJacobian:
             assert np.array_equal(J[i], step_jacobian(X1[i], p_i, sys_, terms[i]))
 
     def test_equals_the_column_scatter_form(self):
-        # Every DOF declared (duffing, SFD) adds the derivative whole; the
-        # dual rotor's F_nl without its sites (10 of 40) scatters its
-        # columns.  Both keep the bits of the scatter form, on one row and
-        # on a stack of rows.
+        # Every DOF declared (duffing, the SFD rotor's F_nl without its
+        # site) adds the derivative whole; the dual rotor's F_nl without its
+        # sites (10 of 40) scatters its columns.  Both keep the bits of the
+        # scatter form, on one row and on a stack of rows.
         rng = np.random.default_rng(26)
         cases = [
             (duffing(), NewmarkConfig(dt=1e-3), 1.0, 1),
-            (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5, 1),
-            (sfd_rotor_system(900.0), NewmarkConfig(dt=1e-4), 1e-5, 4),
+            (dense_sfd_rotor(900.0), NewmarkConfig(dt=1e-4), 1e-5, 1),
+            (dense_sfd_rotor(900.0), NewmarkConfig(dt=1e-4), 1e-5, 4),
             (dense_dual_rotor(), NewmarkConfig(dt=1e-4), 1e-5, 1),
         ]
         for sys_, cfg, scale, n_rows in cases:
@@ -391,10 +407,85 @@ class TestStepJacobian:
 
 
 class TestSites:
-    """The dual rotor declares its bearing balls as sites: its step
-    Jacobian differentiates the Hertz law alone, never F_nl."""
+    """The dual rotor declares its bearing balls as scalar sites, the SFD
+    rotor its film as one 2-vector site that reads the rate: their step
+    Jacobians differentiate the law alone, never F_nl."""
 
     FIELDS = ("x", "v", "a", "iterations", "residual_norms")
+
+    @staticmethod
+    def site_models():
+        """(system, scale of x, scale of v) of each model declared by sites."""
+        return [(assemble_dual_rotor(default_dual_rotor_layout()), 1e-5, 1e-3),
+                (sfd_rotor_system(900.0), 1e-5, 1e-3)]
+
+    @staticmethod
+    def sfd_states(rng, n_rows):
+        """(x, v, a) near the sfd_sweep stored start, one row or (n_rows, 4)."""
+        x0, v0 = stored_start()
+        shape = (n_rows, 4) if n_rows > 1 else (4,)
+        return (x0 * (1.0 + 0.05 * rng.standard_normal(shape)),
+                v0 * (1.0 + 0.05 * rng.standard_normal(shape)),
+                1e2 * rng.standard_normal(shape))
+
+    def test_nl_dofs_must_list_every_dof_the_sites_read(self):
+        G = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.5, -0.5]])
+
+        def build(nl_dofs):
+            return DynamicSystem(n_dof=4, M=np.eye(4), C=np.zeros((4, 4)), K=np.eye(4),
+                                 nl_dofs=nl_dofs,
+                                 sites=Sites(lambda t: G, lambda u, t: u ** 3))
+
+        assert np.array_equal(build([0, 2, 3]).nl_dofs, [0, 2, 3])
+        assert np.array_equal(build(None).nl_dofs, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="DOF 2, not in nl_dofs"):
+            build([0, 3])
+        with pytest.raises(ValueError, match="DOF 3, not in nl_dofs"):
+            build([0, 1, 2])
+        for sys_, _, _ in self.site_models():
+            assert sys_.sites is not None
+
+    def test_sfd_site_jacobian_equals_the_dense_one(self):
+        # base.matrix(D) is A_eff plus the AD Jacobian of the whole force
+        # along the Newmark map v = c_v x + g_v, one row and 4 lock-step rows.
+        rng = np.random.default_rng(33)
+        cfg = NewmarkConfig(dt=1e-4)
+        speeds = (700.0, 900.0, 1100.0, 1300.0)
+        for n_rows in (1, 4):
+            systems = [sfd_rotor_system(w) for w in speeds[:n_rows]]
+            terms = [solve_terms(sys_, cfg) for sys_ in systems]
+            if n_rows > 1:
+                sys_, row_terms = _stack(systems, terms, list(range(n_rows)))
+            else:
+                sys_, row_terms = systems[0], terms[0]
+            for _ in range(4):
+                X, V, A = self.sfd_states(rng, n_rows)
+                t1 = 0.01 + cfg.dt
+                p = _offset_terms(_step_terms(X, V, A, t1, sys_.Q(t1), row_terms.k), sys_,
+                                  row_terms.base.B)
+                X1 = X + 1e-7 * rng.standard_normal(X.shape)
+                J = row_terms.base.matrix(linearize(X1, p, sys_, row_terms)[1])
+                dF = ad.jacobian(lambda x: sys_.F_nl(x, p.velocity(x), None, t1), X1)
+                want = row_terms.base.B + dF
+                assert np.abs(J - want).max() <= 1e-12 * np.abs(want).max()
+                # The film reads the whole journal map: every entry of dF counts.
+                assert np.abs(dF).min() > 0.0
+
+    def test_a_rate_law_gets_the_velocity(self):
+        # The SFD film reads the rate: past initial_acceleration, the Newton
+        # loop's F_nl calls get v1 and a = None.
+        sys_ = sfd_rotor_system(900.0)
+        f_nl, calls = sys_.F_nl, []
+
+        def force(x, v, a, t):
+            calls.append((v is None, a is None))
+            return f_nl(x, v, a, t)
+
+        x0, v0 = stored_start()
+        integrate(dataclasses.replace(sys_, F_nl=force), x0, v0, 0.0, 0.001,
+                  NewmarkConfig(dt=1e-4))
+        assert calls[0] == (False, False) and len(calls) > 1
+        assert all(c == (False, True) for c in calls[1:])
 
     @staticmethod
     def start(sys_):
@@ -450,29 +541,29 @@ class TestSites:
         # In a step the linear part is A_eff x1 + h, h = M g_a + C g_v - q1:
         # within rounding of the plain form, with linearize's R keeping its
         # bits and a lifted x1 its value's bits (ndarray.dot would not take it).
-        sys_ = assemble_dual_rotor(default_dual_rotor_layout())
         cfg = NewmarkConfig(dt=1e-4)
-        terms = solve_terms(sys_, cfg)
         rng = np.random.default_rng(28)
-        n = sys_.n_dof
-        for _ in range(8):
-            s = State(0.2, 1e-5 * rng.standard_normal(n), 1e-3 * rng.standard_normal(n),
-                      rng.standard_normal(n))
-            x1 = s.x + 1e-6 * rng.standard_normal(n)
-            plain = step_terms(sys_, s, cfg)
-            p = _offset_terms(plain, sys_, terms.base.B)
-            R = residual(x1, p, sys_)
-            a1, v1 = plain.acceleration(x1), plain.velocity(x1)
-            parts = [sys_.M @ a1, sys_.C @ v1, sys_.K @ x1, sys_.F_nl(x1, v1, a1, p.t1),
-                     p.q1]
-            want = parts[0] + parts[1] + parts[2] + parts[3] - parts[4]
-            scale = max(np.abs(part).max() for part in parts)
-            assert np.abs(R - want).max() <= 1e-13 * scale
-            assert linearize(x1, p, sys_, terms)[0].tobytes() == R.tobytes()
-            lifted = residual(ad.lift(x1), p, sys_)
-            assert lifted.value.tobytes() == R.tobytes()
-            assert np.allclose(lifted.seeds, step_jacobian(x1, p, sys_, terms),
-                               rtol=1e-12, atol=0.0)
+        for sys_, x_scale, v_scale in self.site_models():
+            terms = solve_terms(sys_, cfg)
+            n = sys_.n_dof
+            for _ in range(8):
+                s = State(0.2, x_scale * rng.standard_normal(n),
+                          v_scale * rng.standard_normal(n), rng.standard_normal(n))
+                x1 = s.x + 0.1 * x_scale * rng.standard_normal(n)
+                plain = step_terms(sys_, s, cfg)
+                p = _offset_terms(plain, sys_, terms.base.B)
+                R = residual(x1, p, sys_)
+                a1, v1 = plain.acceleration(x1), plain.velocity(x1)
+                parts = [sys_.M @ a1, sys_.C @ v1, sys_.K @ x1,
+                         sys_.F_nl(x1, v1, a1, p.t1), p.q1]
+                want = parts[0] + parts[1] + parts[2] + parts[3] - parts[4]
+                scale = max(np.abs(part).max() for part in parts)
+                assert np.abs(R - want).max() <= 1e-13 * scale
+                assert linearize(x1, p, sys_, terms)[0].tobytes() == R.tobytes()
+                lifted = residual(ad.lift(x1), p, sys_)
+                assert lifted.value.tobytes() == R.tobytes()
+                assert np.allclose(lifted.seeds, step_jacobian(x1, p, sys_, terms),
+                                   rtol=1e-12, atol=0.0)
 
     def test_offset_form_on_lock_step_rows(self):
         # Each row of a stacked offset form has the bits of its own.
@@ -580,6 +671,13 @@ class TestLinearize:
                 assert R.tobytes() == residual(x1, p, sys_).tobytes(), sys_.name
                 J = terms.base.matrix(D)
                 assert J.tobytes() == step_jacobian(x1, p, sys_, terms).tobytes()
+                if sys_.sites is not None:
+                    # The offset form that _step_core gives a site system
+                    # (the dual rotor, its bearing-free form, the SFD rotor).
+                    p = _offset_terms(p, sys_, terms.base.B)
+                    R, D_h = linearize(x1, p, sys_, terms)
+                    assert R.tobytes() == residual(x1, p, sys_).tobytes(), sys_.name
+                    assert D_h.tobytes() == D.tobytes()
             if not len(sys_.nl_dofs):
                 # J is A_eff, whose factor is the solve's own.
                 assert J.tobytes() == terms.base.B.tobytes()
@@ -602,14 +700,20 @@ class TestLinearize:
             rows, row_terms = _stack(systems, terms, list(range(len(systems))))
             X, V, A, X1 = 1e-5 * rng.standard_normal((4, len(systems), systems[0].n_dof))
             t1 = 0.2 + cfg.dt
-            p = _step_terms(X, V, A, t1, rows.Q(t1), row_terms.k)
-            R, J = linearize(X1, p, rows, row_terms)
-            assert R.tobytes() == residual(X1, p, rows).tobytes()
-            for i, sys_ in enumerate(systems):
-                p_i = step_terms(sys_, State(0.2, X[i], V[i], A[i]), cfg)
-                R_i, J_i = linearize(X1[i], p_i, sys_, terms[i])
-                assert R[i].tobytes() == R_i.tobytes()
-                assert J[i].tobytes() == J_i.tobytes()
+            plain = _step_terms(X, V, A, t1, rows.Q(t1), row_terms.k)
+            # Every batch here is of site systems: check the offset form
+            # that _step_core gives them too.
+            for offset in (False, True):
+                p = _offset_terms(plain, rows, row_terms.base.B) if offset else plain
+                R, J = linearize(X1, p, rows, row_terms)
+                assert R.tobytes() == residual(X1, p, rows).tobytes()
+                for i, sys_ in enumerate(systems):
+                    p_i = step_terms(sys_, State(0.2, X[i], V[i], A[i]), cfg)
+                    if offset:
+                        p_i = _offset_terms(p_i, sys_, terms[i].base.B)
+                    R_i, J_i = linearize(X1[i], p_i, sys_, terms[i])
+                    assert R[i].tobytes() == R_i.tobytes()
+                    assert J[i].tobytes() == J_i.tobytes()
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_one_force_call_per_iterate(self, strategy):
