@@ -1,12 +1,14 @@
 """Squeeze-film damper oil-film forces and the 4-DOF SFD rotor model.
 
-Short-bearing theory gives the radial/tangential film forces in terms of
-journal eccentricity, its rate, and the precession rate, through three
-Sommerfeld integrals evaluated with a 15-node Gauss-Legendre rule over
-the positive-pressure half film.  Everything is written over the AD
-array type, so the integrals differentiate through the quadrature.  The
-rotor declares the film as one rate-reading site of width 2
-(nnrad.system.Sites): the journal map gathers it, the film force is its law.
+Short-bearing theory gives the film force as the pressure
+(dq.n) / (1 + q.n)^3 integrated against the unit vector n over the
+positive-pressure half film, for the journal position q and its rate dq
+in clearances.  A composite 15-node Gauss-Legendre rule integrates it in
+the frame of dq, at fixed offsets from J dq (J the quarter turn), so the
+force needs no angle and no per-node sin or cos, and it is written over
+the AD array type.  The rotor declares the film as one rate-reading site
+of width 2 (nnrad.system.Sites): the journal map gathers it, the film
+force is its law.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ def _n_panels(r_value):
     """
     if r_value < 0.25:
         return 1
+    if math.isnan(r_value):
+        raise ValueError("eccentricity is not a number")
     return int(math.ceil(10.0 * r_value))
 
 
@@ -134,24 +138,16 @@ def _panel_rule(n_panels, span):
     return span * frac, np.tile(_GL15_WEIGHTS, n_panels) * (span * 0.5 / n_panels)
 
 
-# _HALF_FILM_RULES[P - 1] is the composite rule of P panels over a span of
-# pi, for every panel count that _n_panels gives below film rupture.
-_HALF_FILM_RULES = tuple(_panel_rule(n, math.pi) for n in range(1, MAX_PANELS + 1))
+def _half_film_rule(n_panels):
+    """(C, S, w, WSC, WSS) of the rule of n_panels over (0, pi): the cos and sin
+    of its offsets, its weights, and the (1, m) node rows w S C and w S^2."""
+    offsets, w = _panel_rule(n_panels, math.pi)
+    c, s = np.cos(offsets), np.sin(offsets)
+    return c, s, w, (w * s * c)[None], (w * s * s)[None]
 
 
-def _film_quadrature(r, theta1, rule):
-    """The film integrals' quadrature over all panels x nodes at once.
-
-    With rule = (offsets, weights) from _panel_rule, returns (w, s, c),
-    arrays over the quadrature points, such that
-    int_{theta1}^{theta1+span} sin^l cos^m / (1 + r cos)^3 dtheta
-    = sum(w * s**l * c**m).  r, theta1 and the rule may be ADArrays.
-    """
-    offsets, weights = rule
-    theta = theta1 + offsets
-    s = ad.sin(theta)
-    c = ad.cos(theta)
-    return weights * (1.0 + r * c) ** -3.0, s, c
+# _HALF_FILM_RULES[P - 1] is the rule of P panels, for each P of _n_panels.
+_HALF_FILM_RULES = tuple(_half_film_rule(n) for n in range(1, MAX_PANELS + 1))
 
 
 def sommerfeld_integral(l, m, r, theta1, theta2):
@@ -165,8 +161,10 @@ def sommerfeld_integral(l, m, r, theta1, theta2):
         raise ValueError("exponents l, m must lie in 0..2")
     if ad.value_of(r) >= 1.0:
         raise FilmRuptureError(ad.value_of(r))
-    rule = _panel_rule(_n_panels(ad.value_of(r)), theta2 - theta1)
-    w, s, c = _film_quadrature(r, theta1, rule)
+    offsets, weights = _panel_rule(_n_panels(ad.value_of(r)), theta2 - theta1)
+    theta = theta1 + offsets
+    s, c = ad.sin(theta), ad.cos(theta)
+    w = weights * (1.0 + r * c) ** -3.0
     for _ in range(l):
         w = w * s
     for _ in range(m):
@@ -200,18 +198,19 @@ def _film_force(q, dq, p: SFDParams):
     """
     if ad.value_of(q).ndim > 1:
         return _film_force_rows(q, dq, p)
-    r2 = q @ q
-    if ad.value_of(r2) < _concentric_r2(p):
+    qv = ad.value_of(q)
+    r2 = qv.dot(qv)
+    if r2 < _concentric_r2(p):
         return np.zeros(2)
-    r = ad.sqrt(r2)
-    if ad.value_of(r) >= 1.0:
-        raise _rupture(ad.value_of(r), ad.value_of(q), p)
-    # r' and r psi' (psi the precession angle): q.dq / r and (q x dq) / r.
-    dr = (q @ dq) / r
-    rdpsi = (q @ (_QUARTER_TURN @ dq)) / r
-    static = (abs(ad.value_of(rdpsi)) < STATIC_FLOOR
-              and abs(ad.value_of(dr)) < STATIC_FLOOR)
-    return _film_integral(q, r, dr, rdpsi, static, _n_panels(ad.value_of(r)), p)
+    r = math.sqrt(r2)
+    if r >= 1.0:
+        raise _rupture(r, qv, p)
+    # r' and r psi' (psi the precession angle) are q.dq / r and q.J dq / r.
+    jdq = ad.matvec(_QUARTER_TURN, dq)
+    qdq, qjdq = ad.dot(q, dq), ad.dot(q, jdq)
+    static = (abs(ad.value_of(qjdq) / r) < STATIC_FLOOR
+              and abs(ad.value_of(qdq) / r) < STATIC_FLOOR)
+    return _film_integral(q, dq, jdq, qdq, qjdq, static, _n_panels(r), p)
 
 
 def _concentric_r2(p: SFDParams):
@@ -224,27 +223,28 @@ def _rupture(r, q, p: SFDParams):
     return FilmRuptureError(r, context=f"journal at u={u:.3e}, w={w:.3e}")
 
 
-def _film_integral(q, r, dr, rdpsi, static, n_panels, p: SFDParams):
-    """The film force from the eccentricity r, r' and r psi'.
+def _film_integral(q, dq, jdq, qdq, qjdq, static, n_panels, p: SFDParams):
+    """The film force of journal q with rate dq, from J dq, q.dq and q.J dq.
 
     Takes one journal, or rows of journals that share the branch: static
     (no squeeze motion) and the panel count.  Per-row scalars then have
     shape (B, 1), as ad.dot gives them.
     """
-    # No squeeze motion: forces vanish; pin theta1 (one per row) to avoid
-    # atan2(0,0).
-    theta1 = np.zeros(np.shape(ad.value_of(r))) if static else ad.atan2(-dr, rdpsi)
-    # Radial and tangential forces integrate the short-bearing pressure
-    # p = (r psi' sin + r' cos) / (1 + r cos)^3 against cos and sin over
-    # the positive-pressure half film: f_r = coef (I_3^11 r psi' +
-    # I_3^02 r'), f_t = coef (I_3^20 r psi' + I_3^11 r').
-    wq, s, c = _film_quadrature(r, theta1, _HALF_FILM_RULES[n_panels - 1])
-    wp = wq * (s * rdpsi + c * dr)
-    f_r = ad.dot(wp, c)
-    f_t = ad.dot(wp, s)
-    # f_r along q/r, f_t along the quarter turn of q the other way, (-w, u)/r.
+    c, s, w, wsc, wss = _HALF_FILM_RULES[n_panels - 1]
     coef = p.viscosity * p.journal_radius * p.land_length**3 / p.film_clearance**2
-    return (f_r * q - f_t * ad.matvec(_QUARTER_TURN, q)) * (coef / r)
+    if static:
+        # No squeeze motion: the half film is pinned to start at q/r (theta1
+        # = 0), so n_j = C_j q/r - S_j J q/r and dq.n_j = r' C_j + r psi' S_j.
+        r = ad.sqrt(ad.dot(q, q))
+        wp = w * (1.0 + r * c) ** -3.0 * (s * (qjdq / r) + c * (qdq / r))
+        f_r, f_t = ad.matvec(c[None], wp), ad.matvec(s[None], wp)
+        return (f_r * q - f_t * ad.matvec(_QUARTER_TURN, q)) * (coef / r)
+    # In the frame of dq the half film starts where dq.n = 0, at J dq/|dq|:
+    # n_j = (C_j J dq + S_j dq)/|dq|, so dq.n_j = |dq| S_j, whose |dq|
+    # cancels the frame's, and q.n_j = (q.J dq C_j + q.dq S_j)/|dq|.
+    inv = 1.0 / ad.sqrt(ad.dot(dq, dq))
+    d = (1.0 + (qjdq * inv) * c + (qdq * inv) * s) ** -3.0
+    return (ad.matvec(wsc, d) * jdq + ad.matvec(wss, d) * dq) * coef
 
 
 def _film_force_rows(q, dq, p: SFDParams, names=None):
@@ -258,35 +258,35 @@ def _film_force_rows(q, dq, p: SFDParams, names=None):
     Raises FilmRuptureError if any row has ruptured, and ValueError naming
     the row (its index in names, the caller's rows) if one is NaN.
     """
-    n_rows = len(q)
-    r2 = ad.dot(q, q)
+    n_rows, qv = len(q), ad.value_of(q)
+    r2 = ad.dot(qv, qv)
     floor = _concentric_r2(p)
-    moving = [not r2_i < floor for r2_i in ad.value_of(r2)[:, 0].tolist()]
+    moving = [not r2_i < floor for r2_i in r2[:, 0].tolist()]
     if not all(moving):
         idx = np.flatnonzero(moving)
         if idx.size == 0:
             return np.zeros((n_rows, 2))
         return _merge_rows([(idx, _film_force_rows(q[idx], dq[idx], p, idx))], n_rows)
-    r = ad.sqrt(r2)
-    rv = ad.value_of(r)[:, 0].tolist()
+    rv = np.sqrt(r2)[:, 0].tolist()
     for i, r_i in enumerate(rv):
         if not r_i < 1.0:
             if r_i >= 1.0:
-                raise _rupture(r_i, ad.value_of(q)[i], p)
+                raise _rupture(r_i, qv[i], p)
             row = i if names is None else int(names[i])
             raise ValueError(f"eccentricity of row {row} is not a number")
-    dr = ad.dot(q, dq) / r
-    rdpsi = ad.dot(q, ad.matvec(_QUARTER_TURN, dq)) / r
+    jdq = ad.matvec(_QUARTER_TURN, dq)
+    qdq, qjdq = ad.dot(q, dq), ad.dot(q, jdq)
     # (static, panel count) of every row: the branch of its _film_integral.
-    branch = [(abs(w) < STATIC_FLOOR and abs(u) < STATIC_FLOOR, _n_panels(r_i))
-              for w, u, r_i in zip(ad.value_of(rdpsi)[:, 0].tolist(),
-                                   ad.value_of(dr)[:, 0].tolist(), rv)]
+    branch = [(abs(w / r_i) < STATIC_FLOOR and abs(u / r_i) < STATIC_FLOOR, _n_panels(r_i))
+              for w, u, r_i in zip(ad.value_of(qjdq)[:, 0].tolist(),
+                                   ad.value_of(qdq)[:, 0].tolist(), rv)]
+    args = (q, dq, jdq, qdq, qjdq)
     if branch.count(branch[0]) == n_rows:
-        return _film_integral(q, r, dr, rdpsi, *branch[0], p)
+        return _film_integral(*args, *branch[0], p)
     groups = {}
     for i, key in enumerate(branch):
         groups.setdefault(key, []).append(i)
-    parts = [(idx, _film_integral(q[idx], r[idx], dr[idx], rdpsi[idx], *key, p))
+    parts = [(idx, _film_integral(*(a[idx] for a in args), *key, p))
              for key, idx in groups.items()]
     return _merge_rows(parts, n_rows)
 

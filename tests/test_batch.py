@@ -57,10 +57,10 @@ def panel_calls(monkeypatch):
     calls = []
     integral = sfd._film_integral
 
-    def recorded(q, r, dr, rdpsi, static, n_panels, p):
+    def recorded(q, dq, jdq, qdq, qjdq, static, n_panels, p):
         if np.ndim(sfd.ad.value_of(q)) > 1:
             calls.append((len(sfd.ad.value_of(q)), n_panels))
-        return integral(q, r, dr, rdpsi, static, n_panels, p)
+        return integral(q, dq, jdq, qdq, qjdq, static, n_panels, p)
 
     monkeypatch.setattr(sfd, "_film_integral", recorded)
     return calls

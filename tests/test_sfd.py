@@ -9,6 +9,7 @@ from nnrad import ad
 from nnrad.models.sfd import (
     FilmRuptureError,
     SFDParams,
+    _film_force,
     default_sfd_params,
     gauss_legendre_15,
     sfd_force,
@@ -100,6 +101,10 @@ class TestSommerfeldIntegral:
         with pytest.raises(ValueError):
             sommerfeld_integral(3, 0, 0.1, 0.0, math.pi)
 
+    def test_nan_eccentricity(self):
+        with pytest.raises(ValueError, match="eccentricity is not a number"):
+            sommerfeld_integral(0, 2, math.nan, 0.0, math.pi)
+
     def test_ad_derivative_wrt_r(self):
         (r,) = ad.lift([0.37])
         val = sommerfeld_integral(0, 2, r, 0.2, 0.2 + math.pi)
@@ -139,6 +144,77 @@ def oracle_sfd_force(x, y, tx, ty, vx, vy, vtx, vty, p, l1):
     f_r = coef * (i11 * rdpsi + i02 * dr)
     f_t = coef * (i20 * rdpsi + i11 * dr)
     return f_r * u / e - f_t * w / e, f_r * w / e + f_t * u / e
+
+
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
+def theta1_film_force(q, dq, p):
+    """The film force from I_3^11, I_3^02 and I_3^20 over (theta1, theta1 + pi).
+
+    theta1 = atan2(-r', r psi') is where the pressure changes sign; f_r
+    and f_t act along q/r and its quarter turn.  q and dq are 2-vectors
+    in clearances, floats or ADArrays; sommerfeld_integral uses the panel
+    count of _film_force, so only rounding tells the two forms apart.
+    """
+    r = ad.sqrt(ad.dot(q, q))
+    dr = ad.dot(q, dq) / r
+    rdpsi = ad.dot(q, ad.matvec(_QUARTER_TURN, dq)) / r
+    th1 = ad.atan2(-dr, rdpsi)
+    i11, i02, i20 = (sommerfeld_integral(l, m, r, th1, th1 + math.pi)
+                     for l, m in ((1, 1), (0, 2), (2, 0)))
+    coef = p.viscosity * p.journal_radius * p.land_length**3 / p.film_clearance**2
+    f_r = coef * (i11 * rdpsi + i02 * dr)
+    f_t = coef * (i20 * rdpsi + i11 * dr)
+    return (f_r * q - f_t * ad.matvec(_QUARTER_TURN, q)) / r
+
+
+class TestFilmFrame:
+    """The force integrated in the frame of dq against the theta1 form."""
+
+    @staticmethod
+    def journals():
+        """(q, dq) rows in clearances at r = 0.15, 0.45 and 0.95, which take
+        1, 5 and 10 panels, each with four squeeze velocities."""
+        rng = np.random.default_rng(23)
+        rows = []
+        for r in (0.15, 0.45, 0.95):
+            for _ in range(4):
+                a, b = rng.uniform(0.0, 2 * math.pi, 2)
+                speed = rng.uniform(0.5, 50.0)
+                rows.append([r * math.cos(a), r * math.sin(a),
+                             speed * math.cos(b), speed * math.sin(b)])
+        return np.array(rows)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_floats(self):
+        p = default_sfd_params()
+        z = self.journals()
+        for zi in z:
+            self.assert_close(_film_force(zi[:2], zi[2:], p),
+                              theta1_film_force(zi[:2], zi[2:], p))
+        f = _film_force(z[:, :2], z[:, 2:], p)
+        for fi, zi in zip(f, z):
+            self.assert_close(fi, theta1_film_force(zi[:2], zi[2:], p))
+
+    def test_ad_seeds(self):
+        p = default_sfd_params()
+        z = self.journals()
+        for zi in z:
+            x = ad.lift(zi)
+            want = theta1_film_force(x[:2], x[2:], p)
+            got = _film_force(x[:2], x[2:], p)
+            self.assert_close(got.value, want.value)
+            self.assert_close(got.seeds, want.seeds)
+        x = ad.lift(z)
+        f = _film_force(x[:, :2], x[:, 2:], p)
+        for fi, xi in zip(f, ad.lift(z)):
+            want = theta1_film_force(xi[:2], xi[2:], p)
+            self.assert_close(fi.value, want.value)
+            self.assert_close(fi.seeds, want.seeds)
 
 
 class TestSFDForce:
@@ -220,6 +296,11 @@ class TestSFDForce:
             denom = np.max(np.abs(J_fd))
             assert np.max(np.abs(J_ad - J_fd)) / denom < 1e-5
 
+    def test_nan_journal(self):
+        p = default_sfd_params()
+        with pytest.raises(ValueError, match="eccentricity is not a number"):
+            _film_force(np.array([math.nan, 0.1]), np.array([1.0, 2.0]), p)
+
     def test_film_rupture_at_clearance(self):
         p = default_sfd_params()
         with pytest.raises(FilmRuptureError) as exc:
@@ -263,6 +344,11 @@ class TestSFDRotorSystem:
         assert R[0] == pytest.approx(-amp, rel=1e-12)
         assert abs(R[1]) < 1e-9
         assert R[2] == 0.0 and R[3] == 0.0
+
+    def test_nan_state(self):
+        x = np.array([math.nan, 0.5e-4, 0.0, 0.0])
+        with pytest.raises(ValueError, match="eccentricity is not a number"):
+            sfd_rotor_system(800.0).F_nl(x, np.ones(4), np.zeros(4), 0.0)
 
     def test_force_rows_mapping(self):
         sys_ = sfd_rotor_system(800.0)
