@@ -6,9 +6,10 @@ positive-pressure half film, for the journal position q and its rate dq
 in clearances.  A composite 15-node Gauss-Legendre rule integrates it in
 the frame of dq, at fixed offsets from J dq (J the quarter turn), so the
 force needs no angle and no per-node sin or cos, and it is written over
-the AD array type.  The rotor declares the film as one rate-reading site
-of width 2 (nnrad.system.Sites): the journal map gathers it, the film
-force is its law.
+the AD array type.  One rule picks each journal's branch, for one
+journal and for rows alike (_film_branches).  The rotor declares the
+film as one rate-reading site of width 2 (nnrad.system.Sites): the
+constant journal map is its gather matrix, the film force its law.
 """
 
 from __future__ import annotations
@@ -198,19 +199,45 @@ def _film_force(q, dq, p: SFDParams):
     """
     if ad.value_of(q).ndim > 1:
         return _film_force_rows(q, dq, p)
+    args, (key,) = _film_branches(q, dq, p)
+    return np.zeros(2) if key is None else _film_integral(*args, *key, p)
+
+
+def _film_branches(q, dq, p: SFDParams):
+    """(args, keys) of one journal q with rate dq, or of (B, 2) rows.
+
+    keys holds each row's branch of _film_integral, (static, panel
+    count), or None for a concentric row, whose force is zero.  args are
+    q, dq, J dq, q.dq and q.J dq, or None when every row is concentric.
+    The branches are chosen on the rows' values as Python floats.  A
+    ruptured row raises FilmRuptureError, and a NaN one ValueError (that
+    names the row of rows), before any product of the journal is formed.
+    """
     qv = ad.value_of(q)
-    r2 = qv.dot(qv)
-    if r2 < _concentric_r2(p):
-        return np.zeros(2)
-    r = math.sqrt(r2)
-    if r >= 1.0:
-        raise _rupture(r, qv, p)
+    rows, floor, radii = qv.ndim > 1, _concentric_r2(p), []
+    for i, r2 in enumerate(_entries(ad.dot(qv, qv))):
+        r = None if r2 < floor else math.sqrt(r2)
+        if r is not None and not r < 1.0:
+            if r >= 1.0:
+                raise _rupture(r, qv[i] if rows else qv, p)
+            row = f" of row {i}" if rows else ""
+            raise ValueError(f"eccentricity{row} is not a number")
+        radii.append(r)
+    if radii.count(None) == len(radii):
+        return None, radii
     # r' and r psi' (psi the precession angle) are q.dq / r and q.J dq / r.
     jdq = ad.matvec(_QUARTER_TURN, dq)
     qdq, qjdq = ad.dot(q, dq), ad.dot(q, jdq)
-    static = (abs(ad.value_of(qjdq) / r) < STATIC_FLOOR
-              and abs(ad.value_of(qdq) / r) < STATIC_FLOOR)
-    return _film_integral(q, dq, jdq, qdq, qjdq, static, _n_panels(r), p)
+    keys = [None if r is None else
+            (abs(w / r) < STATIC_FLOOR and abs(u / r) < STATIC_FLOOR, _n_panels(r))
+            for w, u, r in zip(_entries(ad.value_of(qjdq)), _entries(ad.value_of(qdq)),
+                               radii)]
+    return (q, dq, jdq, qdq, qjdq), keys
+
+
+def _entries(c):
+    """The entries of one journal's scalar c, or of a (B, 1) column c of rows."""
+    return c[:, 0].tolist() if c.ndim else [c]
 
 
 def _concentric_r2(p: SFDParams):
@@ -247,57 +274,33 @@ def _film_integral(q, dq, jdq, qdq, qjdq, static, n_panels, p: SFDParams):
     return (ad.matvec(wsc, d) * jdq + ad.matvec(wss, d) * dq) * coef
 
 
-def _film_force_rows(q, dq, p: SFDParams, names=None):
+def _film_force_rows(q, dq, p: SFDParams):
     """_film_force of each row of (B, 2) arrays q and dq, bit for bit.
 
     The kinematics run on all rows at once.  The quadrature runs once per
-    branch of the one-journal force: concentric rows get zero force, and
-    the others are grouped by (static, panel count), so no row is ever
-    integrated with another row's panels.  The branches are chosen on the
-    rows' values as Python floats, with the one-journal comparisons.
-    Raises FilmRuptureError if any row has ruptured, and ValueError naming
-    the row (its index in names, the caller's rows) if one is NaN.
+    branch of the one-journal force (_film_branches): concentric rows get
+    zero force, and the others are grouped by (static, panel count), so
+    no row is ever integrated with another row's panels.
     """
-    n_rows, qv = len(q), ad.value_of(q)
-    r2 = ad.dot(qv, qv)
-    floor = _concentric_r2(p)
-    moving = [not r2_i < floor for r2_i in r2[:, 0].tolist()]
-    if not all(moving):
-        idx = np.flatnonzero(moving)
-        if idx.size == 0:
-            return np.zeros((n_rows, 2))
-        return _merge_rows([(idx, _film_force_rows(q[idx], dq[idx], p, idx))], n_rows)
-    rv = np.sqrt(r2)[:, 0].tolist()
-    for i, r_i in enumerate(rv):
-        if not r_i < 1.0:
-            if r_i >= 1.0:
-                raise _rupture(r_i, qv[i], p)
-            row = i if names is None else int(names[i])
-            raise ValueError(f"eccentricity of row {row} is not a number")
-    jdq = ad.matvec(_QUARTER_TURN, dq)
-    qdq, qjdq = ad.dot(q, dq), ad.dot(q, jdq)
-    # (static, panel count) of every row: the branch of its _film_integral.
-    branch = [(abs(w / r_i) < STATIC_FLOOR and abs(u / r_i) < STATIC_FLOOR, _n_panels(r_i))
-              for w, u, r_i in zip(ad.value_of(qjdq)[:, 0].tolist(),
-                                   ad.value_of(qdq)[:, 0].tolist(), rv)]
-    args = (q, dq, jdq, qdq, qjdq)
-    if branch.count(branch[0]) == n_rows:
-        return _film_integral(*args, *branch[0], p)
+    args, keys = _film_branches(q, dq, p)
+    if keys.count(keys[0]) == len(keys) and keys[0] is not None:
+        return _film_integral(*args, *keys[0], p)
     groups = {}
-    for i, key in enumerate(branch):
-        groups.setdefault(key, []).append(i)
+    for i, key in enumerate(keys):
+        if key is not None:
+            groups.setdefault(key, []).append(i)
     parts = [(idx, _film_integral(*(a[idx] for a in args), *key, p))
              for key, idx in groups.items()]
-    return _merge_rows(parts, n_rows)
+    return _merge_rows(parts, len(keys))
 
 
 def _merge_rows(parts, n_rows):
-    """One (n_rows, ...) array from (row indices, rows) parts; zero elsewhere.
+    """One (n_rows, 2) array from (row indices, rows) parts; zero elsewhere.
 
     The result is an ADArray when any part is one.
     """
     ad_parts = [part for _, part in parts if isinstance(part, ad.ADArray)]
-    shape = (n_rows,) + np.shape(ad.value_of(parts[0][1]))[1:]
+    shape = (n_rows, 2)
     value = np.zeros(shape)
     seeds = np.zeros(shape + (ad_parts[0].width,)) if ad_parts else None
     for idx, part in parts:
@@ -384,6 +387,6 @@ def sfd_rotor_system(
     # The site depends on l1 and the damper alone, and takes rows of states.
     return DynamicSystem(
         n_dof=4, M=M, C=C, K=K, Q=q, name="sfd_rotor",
-        sites=Sites(lambda t: T, film, width=2, rate=True),
+        sites=Sites(T, film, width=2, rate=True),
         batch_key=("sfd_rotor", l1, sfd),
     )

@@ -264,8 +264,9 @@ class SolveTerms(NamedTuple):
     forms J and lu_factor(D, base) factors it.  base.f_B is
     lu_factor(A_eff) where a rank-k update pays, k = 0 or 2k <= n with
     A_eff regular, and None otherwise.  seeds, read-only, are the seeds
-    S, c_v S and c_a S of x1, v1 and a1, S = I[:, nl_dofs], or of sites'
-    u and du, S = I_m per site.  k holds the Newmark coefficients.
+    S, c_v S and c_a S of x1, v1 and a1, S = I[:, nl_dofs], or, for
+    Sites.evaluate, of sites' u and du, S = I_m per site.  k holds the
+    Newmark coefficients.
     """
 
     seeds: tuple
@@ -274,7 +275,7 @@ class SolveTerms(NamedTuple):
 
 
 def solve_terms(sys: DynamicSystem, cfg: NewmarkConfig) -> SolveTerms:
-    """The SolveTerms of sys under cfg."""
+    """The SolveTerms of sys under cfg, built once per solve."""
     A_eff = step_matrix(sys, cfg)
     k = _newmark_coeffs(cfg)
     cols, sites = sys.nl_dofs, sys.sites
@@ -301,29 +302,19 @@ def linearize(x1, p: StepTerms, sys: DynamicSystem, terms: SolveTerms):
 
     F_nl runs once on x1, v1 and a1 with the seeds S, c_v S and c_a S of
     terms, as the Newmark maps carry a displacement seed e_j into c_v e_j
-    and c_a e_j: its seeds, dF/dx + c_v dF/dv + c_a dF/da, are D.  With
-    sites of width m, the law runs once on u = G x1 with S, I_m per site,
-    and on du = G v1 with c_v S if it reads the rate, and D is
-    G_n^T blockdiag(law') G_n, with G_n = G(t1)[:, nl_dofs].  With no
-    nl_dofs, or a force without seeds, D is a zero block.  With (B, n)
-    rows x1, stacked StepTerms and stacked SolveTerms, F_nl (or the law)
-    must take rows (DynamicSystem.batch_key); R and D hold each row's.
+    and c_a e_j: its seeds, dF/dx + c_v dF/dv + c_a dF/da, are D.  Sites
+    give F and D themselves (Sites.evaluate), from one pass of their law
+    seeded with S and c_v S.  With no nl_dofs, or a force without seeds,
+    D is a zero block.  With (B, n) rows x1, stacked StepTerms and stacked
+    SolveTerms, F_nl (or the law) must take rows (DynamicSystem.batch_key);
+    R and D hold each row's.
     """
     lin, v1, a1 = _linear_part(x1, p, sys)
     cols, sites, D = sys.nl_dofs, sys.sites, None
     if not len(cols):
         F = ad.stack(sys.F_nl(x1, v1, a1, p.t1))
     elif sites is not None:
-        st, (S, S_v, _) = sites.terms(p.t1, cols), terms.seeds
-        du = (ad._seeded(ad.matvec(st.G, v1), S_v),) if sites.rate else ()
-        law = sites.law(ad._seeded(ad.matvec(st.G, x1), S), *du, p.t1)
-        F = ad.matvec(st.G.T, ad.value_of(law))
-        if isinstance(law, ad.ADArray):
-            # blockdiag(law') G_n, a sum over each site's m columns of law'
-            GD = law.seeds[..., :1] * st.spread[0]
-            for k in range(1, sites.width):
-                GD = GD + law.seeds[..., k:k + 1] * st.spread[k]
-            D = st.G_n.T.dot(GD) if GD.ndim == 2 else np.matmul(st.G_n.T, GD)
+        F, D = sites.evaluate(x1, v1, p.t1, cols, terms.seeds)
     else:
         S, S_v, S_a = terms.seeds
         F = ad.stack(sys.F_nl(ad._seeded(x1, S), ad._seeded(v1, S_v),

@@ -37,21 +37,22 @@ class State:
 
 
 class SiteTerms(NamedTuple):
-    """What every residual and Jacobian of the sites at one t shares."""
+    """G and G_n, kept by Sites for the last t and cols."""
 
     G: np.ndarray  # G(t)
     G_n: np.ndarray  # G(t)[:, cols], on the columns the Jacobian reads
-    spread: tuple  # spread[k]: G_n with row i m + j taken from row i m + k
 
 
 class Sites:
     """The force G(t)^T law(G(t) x, t) of s independent sites of width m.
 
-    gather(t) gives the (s m, n) matrix G(t); rows i m .. i m + m - 1 give
-    site i's m-vector u_i of u = G(t) x.  law(u, t), written with nnrad.ad,
-    gives the (s m,) site forces, site i's from u_i alone.  With rate, it
-    is law(u, du, t) and reads du = G(t) v too, site i's du_i alone; v
-    reaches no other law.  G and its SiteTerms are kept for the last t.
+    gather(t) gives the (s m, n) matrix G(t), or gather is that matrix when
+    it does not depend on t; rows i m .. i m + m - 1 give site i's m-vector
+    u_i of u = G(t) x.  law(u, t), written with nnrad.ad, gives the (s m,)
+    site forces, site i's from u_i alone.  With rate, it is law(u, du, t)
+    and reads du = G(t) v too, site i's du_i alone; v reaches no other law.
+    G is formed once per t from a function, once per Sites from a matrix,
+    and G_n once per G and cols (terms).
     """
 
     def __init__(self, gather, law, width=1, rate=False):
@@ -59,32 +60,52 @@ class Sites:
         self.law = law
         self.width = width
         self.rate = rate
-        self._last = (None, None)
-        self._terms = (None, None, None)
+        G = None if callable(gather) else np.asarray(gather, dtype=float)
+        self._last = (None, None, SiteTerms(G, None))  # (t, cols, terms)
 
     def matrix(self, t):
-        """G(t), from the cache when t is the time of the last call."""
-        if t != self._last[0]:
-            self._last = (t, np.asarray(self.gather(t), dtype=float))
-        return self._last[1]
+        """G(t)."""
+        return self.terms(t).G
 
-    def terms(self, t, cols):
-        """The SiteTerms at t on the columns cols, kept while t and cols (the
-        same array) repeat."""
-        last_t, last_cols, terms = self._terms
-        if t != last_t or cols is not last_cols:
-            G, m = self.matrix(t), self.width
-            G_n = G[:, cols]
-            terms = SiteTerms(G, G_n, (G_n,) if m == 1 else
-                              tuple(G_n[k::m].repeat(m, axis=0) for k in range(m)))
-            self._terms = (t, cols, terms)
+    def terms(self, t, cols=None):
+        """The SiteTerms at t; G_n is G[:, cols] for the last cols given."""
+        last_t, last_cols, terms = self._last
+        if t != last_t and callable(self.gather):
+            terms, last_cols = SiteTerms(np.asarray(self.gather(t), dtype=float), None), None
+        if cols is not None and cols is not last_cols:
+            terms, last_cols = SiteTerms(terms.G, terms.G[:, cols]), cols
+        self._last = (t, last_cols, terms)
         return terms
+
+    def evaluate(self, x, v, t, cols=None, seeds=None):
+        """(F, D): F = G^T law(G x, [G v,] t) at t, rows too, and D None.
+
+        Given the columns cols and the seeds (S, S_v, ...) of SolveTerms,
+        the law runs on u = G x seeded with S, I_m per site, and on
+        du = G v seeded with S_v; F is then a float array and D the
+        Jacobian block G_n^T blockdiag(law') G_n on cols, formed with one
+        block product: the law's (..., s m, m) seeds as (..., s, m, m)
+        times G_n as (s, m, k).
+        """
+        G, G_n = self.terms(t, cols)
+        u = [ad.matvec(G, x), ad.matvec(G, v)] if self.rate else [ad.matvec(G, x)]
+        if seeds is not None:
+            u = list(map(ad._seeded, u, seeds))  # u with S, du with S_v
+        law = self.law(*u, t)
+        if seeds is None or not isinstance(law, ad.ADArray):
+            return ad.matvec(G.T, law), None
+        m, k, lead = self.width, G_n.shape[1], law.seeds.shape[:-2]
+        # GD = blockdiag(law') G_n, column-major as G_n = G[:, cols] is: the
+        # layouts pick the BLAS kernel of G_n^T GD, and so the bits of D.
+        GD = np.empty(lead + (k, len(G_n))).swapaxes(-1, -2)
+        np.matmul(law.seeds.reshape(lead + (-1, m, m)), G_n.reshape(-1, m, k),
+                  out=GD.reshape(lead + (-1, m, k)))
+        D = G_n.T.dot(GD) if GD.ndim == 2 else np.matmul(G_n.T, GD)
+        return ad.matvec(G.T, law.value), D
 
     def force(self, x, v, a, t):
         """G(t)^T law(G(t) x, [G(t) v,] t): the F_nl of the sites; rows too."""
-        G = self.matrix(t)
-        du = (ad.matvec(G, v),) if self.rate else ()
-        return ad.matvec(G.T, self.law(ad.matvec(G, x), *du, t))
+        return self.evaluate(x, v, t)[0]
 
 
 def _zero_force(n):

@@ -445,31 +445,115 @@ class TestSites:
         for sys_, _, _ in self.site_models():
             assert sys_.sites is not None
 
+    @staticmethod
+    def width_3_system(damping=1.0):
+        """Two width-3 sites that read 4 of 10 DOFs through a moving G(t) and
+        not the rate; each site's forces couple its own three entries."""
+        rng = np.random.default_rng(34)
+        G0 = np.zeros((6, 10))
+        G0[:, [1, 3, 4, 7]] = rng.standard_normal((6, 4))
+        roll = np.kron(np.eye(2), np.roll(np.eye(3), 1, axis=1))  # u_j <- u_j+1 of its site
+
+        def law(u, t):
+            return u ** 3 + 0.5 * u * ad.matvec(roll, u)
+
+        return DynamicSystem(n_dof=10, M=1e-8 * np.eye(10), C=damping * 1e-4 * np.eye(10),
+                             K=np.eye(10), nl_dofs=[1, 3, 4, 7], batch_key="width 3",
+                             sites=Sites(lambda t: (1.0 + 0.1 * math.sin(t)) * G0, law,
+                                         width=3))
+
+    @staticmethod
+    def width_3_states(rng, n_rows):
+        shape = (n_rows, 10) if n_rows > 1 else (10,)
+        return tuple(0.5 * rng.standard_normal(shape) for _ in range(3))
+
+    def site_cases(self):
+        """(lock-step systems, their states) of a rate site and a width-3 site."""
+        return [([sfd_rotor_system(w) for w in (700.0, 900.0, 1100.0, 1300.0)],
+                 self.sfd_states),
+                ([self.width_3_system(f) for f in (0.5, 1.0, 2.0, 4.0)],
+                 self.width_3_states)]
+
     def test_sfd_site_jacobian_equals_the_dense_one(self):
-        # base.matrix(D) is A_eff plus the AD Jacobian of the whole force
-        # along the Newmark map v = c_v x + g_v, one row and 4 lock-step rows.
+        # step_jacobian is A_eff plus the AD Jacobian of the whole force
+        # along the Newmark map v = c_v x + g_v, one row and lock-step rows:
+        # the SFD film, which reads the rate, and the width-3 sites.
         rng = np.random.default_rng(33)
         cfg = NewmarkConfig(dt=1e-4)
-        speeds = (700.0, 900.0, 1100.0, 1300.0)
-        for n_rows in (1, 4):
-            systems = [sfd_rotor_system(w) for w in speeds[:n_rows]]
-            terms = [solve_terms(sys_, cfg) for sys_ in systems]
-            if n_rows > 1:
-                sys_, row_terms = _stack(systems, terms, list(range(n_rows)))
-            else:
-                sys_, row_terms = systems[0], terms[0]
-            for _ in range(4):
-                X, V, A = self.sfd_states(rng, n_rows)
-                t1 = 0.01 + cfg.dt
-                p = _offset_terms(_step_terms(X, V, A, t1, sys_.Q(t1), row_terms.k), sys_,
-                                  row_terms.base.B)
-                X1 = X + 1e-7 * rng.standard_normal(X.shape)
-                J = row_terms.base.matrix(linearize(X1, p, sys_, row_terms)[1])
-                dF = ad.jacobian(lambda x: sys_.F_nl(x, p.velocity(x), None, t1), X1)
-                want = row_terms.base.B + dF
-                assert np.abs(J - want).max() <= 1e-12 * np.abs(want).max()
-                # The film reads the whole journal map: every entry of dF counts.
-                assert np.abs(dF).min() > 0.0
+        for models, states in self.site_cases():
+            for n_rows in (1, 4):
+                systems = models[:n_rows]
+                terms = [solve_terms(sys_, cfg) for sys_ in systems]
+                if n_rows > 1:
+                    sys_, row_terms = _stack(systems, terms, list(range(n_rows)))
+                else:
+                    sys_, row_terms = systems[0], terms[0]
+                for _ in range(4):
+                    X, V, A = states(rng, n_rows)
+                    t1 = 0.01 + cfg.dt
+                    p = _offset_terms(_step_terms(X, V, A, t1, sys_.Q(t1), row_terms.k),
+                                      sys_, row_terms.base.B)
+                    X1 = X + 1e-7 * rng.standard_normal(X.shape)
+                    J = step_jacobian(X1, p, sys_, row_terms)
+                    dF = ad.jacobian(lambda x: sys_.F_nl(x, p.velocity(x), None, t1), X1)
+                    want = row_terms.base.B + dF
+                    assert np.abs(J - want).max() <= 1e-12 * np.abs(want).max()
+                    # Every entry of dF on the DOFs the sites read counts.
+                    cols = sys_.nl_dofs
+                    assert np.abs(dF[..., cols[:, None], cols]).min() > 0.0
+
+    def test_block_product_equals_the_explicit_form(self):
+        # D = G_n^T blockdiag(law') G_n, law' = dlaw/du + c_v dlaw/ddu from
+        # ad.jacobian of the law: the block product forms it, on one row and
+        # on three lock-step rows, which share the first system's sites.
+        rng = np.random.default_rng(35)
+        for models, states in self.site_cases():
+            sys_ = models[0]
+            terms = solve_terms(sys_, NewmarkConfig(dt=1e-4))
+            sites, cols, m = sys_.sites, sys_.nl_dofs, sys_.sites.width
+            for n_rows, t in ((1, 0.01), (3, 0.37)):
+                X, V, _ = states(rng, n_rows)
+                G = sites.matrix(t)
+                u, du = ad.matvec(G, X), ad.matvec(G, V)
+                if sites.rate:
+                    L = (ad.jacobian(lambda w: sites.law(w, du, t), u)
+                         + terms.k.c_v * ad.jacobian(lambda w: sites.law(u, w, t), du))
+                else:
+                    L = ad.jacobian(lambda w: sites.law(w, t), u)
+                blocks = np.kron(np.eye(len(G) // m), np.ones((m, m)))
+                assert not (L * (1.0 - blocks)).any()  # the sites are independent
+                G_n = G[:, cols]
+                want = G_n.T @ (L * blocks) @ G_n
+                F, D = sites.evaluate(X, V, t, cols, terms.seeds)
+                assert D.shape == want.shape
+                assert np.abs(D - want).max() <= 1e-12 * np.abs(want).max()
+                assert F.tobytes() == ad.stack(sites.force(X, V, None, t)).tobytes()
+
+    def test_a_matrix_gather_forms_G_once(self):
+        # The SFD rotor's constant journal map is a matrix: G and G_n are the
+        # same arrays at every step time.  The same map as a gather function
+        # is called once per new t, and integrates bit for bit alike.
+        fixed = sfd_rotor_system(900.0)
+        T, calls = fixed.sites.gather, []
+        assert isinstance(T, np.ndarray)
+
+        def gather(t):
+            calls.append(t)
+            return T
+
+        moving = dataclasses.replace(fixed, sites=Sites(gather, fixed.sites.law,
+                                                        width=2, rate=True))
+        first = fixed.sites.terms(0.0, fixed.nl_dofs)
+        x0, v0 = stored_start()
+        cfg = NewmarkConfig(dt=1e-4)
+        got = integrate(fixed, x0, v0, 0.0, 0.002, cfg)
+        want = integrate(moving, x0, v0, 0.0, 0.002, cfg)
+        for name in self.FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert len(calls) == len(set(calls)) == len(got.t)
+        for t in got.t:
+            st = fixed.sites.terms(t, fixed.nl_dofs)
+            assert st.G is first.G and st.G_n is first.G_n
 
     def test_a_rate_law_gets_the_velocity(self):
         # The SFD film reads the rate: past initial_acceleration, the Newton
