@@ -20,8 +20,9 @@ the offset h of the linear part A_eff x1 + h.  What a solve holds fixed,
 the Newmark coefficients, the AD seeds of the force and A_eff's
 linalg.RankKBase, is built once per solve (SolveTerms).
 lu_factor(D, base) factors A_eff plus linearize's block D by the route
-the base fixes: a rank-k update of A_eff's factor, that factor itself
-when F_nl reads no DOF, or a direct inverse.
+the base fixes: a lazy Woodbury factor on A_eff's factor, which forms no
+n x n matrix, that factor itself when F_nl reads no DOF, or a direct
+inverse.
 
 _step_core is the one Newton step.  It runs one row on 1-D arrays, or
 the rows of systems that share a batch_key in lock-step on (B, n)

@@ -95,11 +95,8 @@ class Sites:
         if seeds is None or not isinstance(law, ad.ADArray):
             return ad.matvec(G.T, law), None
         m, k, lead = self.width, G_n.shape[1], law.seeds.shape[:-2]
-        # GD = blockdiag(law') G_n, column-major as G_n = G[:, cols] is: the
-        # layouts pick the BLAS kernel of G_n^T GD, and so the bits of D.
-        GD = np.empty(lead + (k, len(G_n))).swapaxes(-1, -2)
-        np.matmul(law.seeds.reshape(lead + (-1, m, m)), G_n.reshape(-1, m, k),
-                  out=GD.reshape(lead + (-1, m, k)))
+        GD = np.matmul(law.seeds.reshape(lead + (-1, m, m)),
+                       G_n.reshape(-1, m, k)).reshape(lead + (-1, k))
         D = G_n.T.dot(GD) if GD.ndim == 2 else np.matmul(G_n.T, GD)
         return ad.matvec(G.T, law.value), D
 

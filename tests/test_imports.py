@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import os
 import subprocess
@@ -111,3 +112,54 @@ def test_the_solver_calls_the_tracers_patch_points(run, monkeypatch):
 @pytest.mark.parametrize("demo", ["01_ad_basics.py", "04_dual_rotor.py"])
 def test_demo_runs(demo):
     run_fresh(str(Path(__file__).resolve().parents[1] / "demos" / demo))
+
+
+def _private(name):
+    """A dotted name with a segment that is private (_x), not a dunder."""
+    return any(part.startswith("_") and not part.endswith("__")
+               for part in name.split("."))
+
+
+def private_numpy_names(source):
+    """The private NumPy modules and attributes a source names: an import
+    of a private numpy module or name, or an attribute chain on numpy (or
+    an alias of it) with a private segment, such as
+    np.linalg._umath_linalg."""
+    tree = ast.parse(source)
+    aliases, found = {"numpy"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "numpy":
+                    aliases.add((a.asname or a.name).split(".")[0])
+                    found.add(a.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            found.update(f"{node.module}.{a.name}" for a in node.names)
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in aliases:
+            found.add(".".join([node.id] + chain[::-1]))
+    return sorted(name for name in found if _private(name))
+
+
+def test_the_guard_finds_private_numpy_names():
+    assert private_numpy_names(
+        "import numpy as np\nnp.linalg._umath_linalg.inv(a)\nnp.__version__"
+    ) == ["np.linalg._umath_linalg", "np.linalg._umath_linalg.inv"]
+    assert private_numpy_names("from numpy.linalg import _umath_linalg") == [
+        "numpy.linalg._umath_linalg"]
+    assert private_numpy_names("import numpy._core.multiarray as m") == [
+        "numpy._core.multiarray"]
+    assert private_numpy_names("import numpy as np\nx = np.linalg.inv(a)") == []
+
+
+def test_src_names_no_private_numpy_api():
+    # Private NumPy API (the 10 x 10 inv gufunc in numpy.linalg, say) is
+    # left out: it may change or vanish in any NumPy release.
+    src = Path(nnrad.__file__).resolve().parent
+    found = {str(path.relative_to(src)): names for path in sorted(src.rglob("*.py"))
+             if (names := private_numpy_names(path.read_text()))}
+    assert not found, found

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnrad import NewmarkConfig, State, linalg
 from nnrad.linalg import (
@@ -308,8 +310,8 @@ class TestOneRowProducts:
 
 
 class TestRankKBase:
-    """lu_factor(D, base): the inverse of B + P D Q^T, B with a block D
-    added on (base.rows, base.cols), as a rank-k update of B's factor."""
+    """lu_factor(D, base): the factor of B + P D Q^T, B with a block D
+    added on (base.rows, base.cols), as a lazy Woodbury factor on B's."""
 
     @staticmethod
     def dual_blocks(sites=True):
@@ -332,17 +334,76 @@ class TestRankKBase:
         return np.array(Ds), terms
 
     def test_dual_rotor_jacobians_agree_with_the_direct_factor(self):
+        # The lazy factor solves as the direct inverse does, to rounding.
+        rng = np.random.default_rng(33)
         for sites in (True, False):
             Ds, terms = self.dual_blocks(sites)
             base = terms.base
             assert base.f_B is not None and len(base.cols) == 10
             assert Ds.shape[1:] == (len(base.rows), 10)
-            differ = False
             for D in Ds:
-                f, f0 = lu_factor(D, base), lu_factor(base.matrix(D))
-                assert np.max(np.abs(f - f0)) <= 1e-12 * np.max(np.abs(f0))
-                differ |= not np.array_equal(f, f0)
-            assert differ  # the rank-k path ran
+                b = rng.standard_normal(len(base.B))
+                f = lu_factor(D, base)
+                assert isinstance(f, tuple) and f[2].shape == D.shape  # the lazy route
+                x, x0 = lu_solve(f, b), lu_solve(lu_factor(base.matrix(D)), b)
+                assert np.max(np.abs(x - x0)) <= 1e-12 * np.max(np.abs(x0))
+
+    def test_lazy_solve_matches_numpy_solve(self):
+        # One row and stacks, with the sites' k x k blocks and the dense
+        # F_nl's blocks on every row.
+        rng = np.random.default_rng(34)
+        for sites in (True, False):
+            Ds, terms = self.dual_blocks(sites)
+            one = terms.base
+            stacked = rank_k_base(np.array([one.B] * len(Ds)),
+                                  np.array([one.f_B] * len(Ds)), one.rows, one.cols)
+            b = rng.standard_normal((len(Ds), len(one.B)))
+            want = np.array([np.linalg.solve(one.matrix(D), bi) for D, bi in zip(Ds, b)])
+            got = [lu_solve(lu_factor(D, one), bi) for D, bi in zip(Ds, b)]
+            for x in (np.array(got), lu_solve(lu_factor(Ds, stacked), b)):
+                assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_a_large_system_with_a_narrow_block(self):
+        # n = 200, k = 10: the factor holds f_B, f_B[:, rows] and a k x k K,
+        # and solves as numpy.linalg.solve does.
+        rng = np.random.default_rng(35)
+        n = 200
+        B = rng.standard_normal((n, n)) + 2.0 * np.sqrt(n) * np.eye(n)
+        cols = np.sort(rng.choice(n, 10, replace=False))
+        base = rank_k_base(B, lu_factor(B), cols, cols)
+        for _ in range(3):
+            D = 10.0 * rng.standard_normal((10, 10))
+            b = rng.standard_normal(n)
+            f = lu_factor(D, base)
+            assert isinstance(f, tuple) and f[2].shape == (10, 10)
+            want = np.linalg.solve(base.matrix(D), b)
+            assert np.max(np.abs(lu_solve(f, b) - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**31), dense=st.booleans(),
+           scale=st.floats(-6.0, 6.0), gap=st.floats(-15.0, 0.0))
+    @settings(max_examples=200, deadline=None)
+    def test_a_passing_bound_passes_the_screen(self, n, seed, dense, scale, gap):
+        # The bound on max|A| ||A^-1||_inf is an upper bound: wherever the
+        # lazy factor is returned, the explicit inverse passes the screen
+        # and the direct factor finds no small pivot.  On the block's rows
+        # A's column cols[0] is B's times 10**gap: with every row in the
+        # block A nears singularity as gap falls, so the draws span both
+        # sides of the bound.
+        rng = np.random.default_rng(seed)
+        B = rng.standard_normal((n, n)) + n * np.eye(n)
+        cols = np.sort(rng.choice(n, int(rng.integers(1, n // 2 + 1)), replace=False))
+        rows = np.arange(n) if dense else cols
+        base = rank_k_base(B, lu_factor(B), rows, cols)
+        D = 10.0 ** scale * rng.standard_normal((len(rows), len(cols)))
+        D[:, 0] = (10.0 ** gap - 1.0) * B[rows, cols[0]]
+        A = base.matrix(D)
+        try:
+            lazy = isinstance(lu_factor(D, base), tuple)
+        except SingularMatrixError:  # the bound failed, and so did A's pivots
+            lazy = False
+        if lazy:
+            assert linalg._passes(np.abs(A).max(), base.inverse(D))
+            lu_factor(A)
 
     @pytest.mark.parametrize("case", ["zero column", "dependent column"])
     def test_singular_update_reports_the_direct_pivot(self, case):
@@ -353,8 +414,8 @@ class TestRankKBase:
         rows, cols = np.arange(6), np.array([1, 4])
         D = np.zeros((6, 2))
         if case == "zero column":
-            # With A = 2I the k x k matrix I + W[cols] is singular too, so
-            # inv raises.
+            # With A = 2I the k x k matrix I_k + f_B[cols][:, rows] D is
+            # singular too, so inv raises.
             A = 2.0 * np.eye(6)
             D[:, 0] = -A[:, 1]
         else:
@@ -373,10 +434,12 @@ class TestRankKBase:
         F = np.array([f_eff] * len(Ds))
         F[1] = np.nan  # a row without a base is factored directly
         base = rank_k_base(np.array([A_eff] * len(Ds)), F, rows, cols)
-        f = lu_factor(Ds, base)
+        b = np.random.default_rng(36).standard_normal((len(Ds), len(A_eff)))
+        x = lu_solve(lu_factor(Ds, base), b)
         for i in range(len(Ds)):
-            assert np.array_equal(f[i], lu_factor(Ds[i], base.row(i)))
-        assert np.array_equal(f[1], lu_factor(base.row(1).matrix(Ds[1])))
+            one = lu_solve(lu_factor(Ds[i], base.row(i)), b[i])
+            assert np.array_equal(x[i], one)
+        assert np.array_equal(x[1], lu_solve(lu_factor(base.row(1).matrix(Ds[1])), b[1]))
         Ds[2][:, 3] = -A_eff[:, cols[3]]  # J's column cols[3] is zero
         with pytest.raises(SingularMatrixError) as one:
             lu_factor(Ds[2], terms.base)
@@ -386,19 +449,62 @@ class TestRankKBase:
         assert stacked.value.pivot_index == one.value.pivot_index
 
     def test_rows_of_a_stack_reach_blas_as_one_row(self):
-        # A row of a stacked base takes np.matmul, one row ndarray.dot; the
-        # two agree only if both reach BLAS, so f_rows and f_cols are kept
-        # C-contiguous (a gathered f_B[..., :, rows] row would not be).
+        # A row of a stacked base takes np.matvec and np.matmul, one row
+        # ndarray.dot; the two agree only if both reach BLAS, so f_rows and
+        # f_cross are kept C-contiguous (a gathered f_B[..., :, rows] row
+        # would not be).
+        rng = np.random.default_rng(37)
         for sites in (True, False):
             Ds, terms = self.dual_blocks(sites)
             one = terms.base
             base = rank_k_base(np.array([one.B] * len(Ds)),
                                np.array([one.f_B] * len(Ds)), one.rows, one.cols)
+            b = rng.standard_normal((len(Ds), len(one.B)))
             f = lu_factor(Ds, base)
+            x, inv = lu_solve(f, b), linalg._explicit(f)
             for i in range(len(Ds)):
                 row = base.row(i)
-                assert row.f_rows.flags.c_contiguous and row.f_cols.flags.c_contiguous
-                assert np.array_equal(f[i], lu_factor(Ds[i], one))
+                assert row.f_rows.flags.c_contiguous and row.f_cross.flags.c_contiguous
+                fi = lu_factor(Ds[i], one)
+                assert np.array_equal(f[2][i], fi[2])
+                assert np.array_equal(x[i], lu_solve(fi, b[i]))
+                assert np.array_equal(inv[i], linalg._explicit(fi))
+
+    def test_a_stack_with_a_fallback_row_keeps_every_rows_bits(self):
+        # Row 2's block, scaled by 1e6, fails the bound but is regular: it
+        # is factored directly, and every other row stays lazy.
+        Ds, terms = self.dual_blocks()
+        one = terms.base
+        Ds[2] *= 1e6
+        base = rank_k_base(np.array([one.B] * len(Ds)),
+                           np.array([one.f_B] * len(Ds)), one.rows, one.cols)
+        b = np.random.default_rng(38).standard_normal((len(Ds), len(one.B)))
+        f = lu_factor(Ds, base)
+        x = lu_solve(f, b)
+        for i in range(len(Ds)):
+            fi = lu_factor(Ds[i], one)
+            assert isinstance(fi, tuple) == (i != 2)
+            assert np.array_equal(x[i], lu_solve(fi, b[i]))
+        assert np.array_equal(x[2], lu_solve(lu_factor(one.matrix(Ds[2])), b[2]))
+
+    def test_broyden_update_of_a_lazy_factor(self):
+        # lu_update forms the explicit inverse from the lazy factor: the
+        # bits of the update of base.inverse(D), one row and per row of a
+        # stack, and the inverse of A + u v^T to rounding.
+        Ds, terms = self.dual_blocks()
+        one = terms.base
+        rng = np.random.default_rng(39)
+        n = len(one.B)
+        u, v = 1e6 * rng.standard_normal((len(Ds), n)), rng.standard_normal((len(Ds), n))
+        base = rank_k_base(np.array([one.B] * len(Ds)),
+                           np.array([one.f_B] * len(Ds)), one.rows, one.cols)
+        g = lu_update(lu_factor(Ds, base), u, v)
+        for i, D in enumerate(Ds):
+            gi = lu_update(lu_factor(D, one), u[i], v[i])
+            assert np.array_equal(gi, lu_update(one.inverse(D), u[i], v[i]))
+            assert np.array_equal(g[i], gi)
+            want = np.linalg.inv(one.matrix(D) + np.outer(u[i], v[i]))
+            assert np.max(np.abs(gi - want)) <= 1e-11 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("singular", [False, True])
     def test_the_screen_scales_by_the_changed_block(self, singular):
