@@ -9,19 +9,18 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
-import math
 import sys
 
 import numpy as np
 
 from .analysis import spectrum, sweep
-from .models import dual_rotor_system, duffing, pendulum, sfd_rotor_system, van_der_pol
+from .config import (ConfigError, as_integer, as_number, as_text, check_keys, check_schema,
+                     integers, list_of, numbers, read_json, record, require)
+from .models import (dual_rotor_system, duffing, load_rotor_layout, pendulum,
+                     sfd_rotor_system, van_der_pol)
 from .newmark import (STRATEGIES, NewmarkConfig, integrate, solve_terms, step_jacobian,
                       step_terms)
 from .system import State
-
-SCHEMA_VERSION = 1
 
 # Each system type's factory, the keys it accepts besides "type", which
 # are passed to the factory as keywords, and the keyword that a sweep
@@ -46,9 +45,16 @@ CONFIG_KEYS = {
                        "scale", "fd_step", "tol"),
 }
 
+# The "newmark" object: NewmarkConfig's fields, an absent one but dt
+# taking its default.
+NEWMARK = record(dict(
+    dt=as_number, **dict.fromkeys(("beta", "gamma", "tol_dx", "tol_res"), (as_number, None)),
+    max_iter=(as_integer, None), strategy=(as_text, None),
+), NewmarkConfig)
 
-class ConfigError(ValueError):
-    pass
+# A sweep's "speeds" given as a range object, read as (start, stop, count).
+SPEED_RANGE = record(dict(start=as_number, stop=as_number, count=as_integer),
+                     lambda start, stop, count: (start, stop, count))
 
 
 def _fmt(x):
@@ -57,52 +63,15 @@ def _fmt(x):
 
 def _load_config(path, command):
     """The JSON config at path, checked for its schema and its top-level keys."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(
-            f"config must declare \"schema_version\": {SCHEMA_VERSION}"
-        )
-    unknown = sorted(set(doc) - set(CONFIG_KEYS[command]))
-    if unknown:
-        raise ConfigError(
-            f"unknown key {unknown[0]!r} for {command}; accepted: "
-            + ", ".join(CONFIG_KEYS[command])
-        )
+    doc = read_json(path, "config")
+    check_schema(doc, "config")
+    check_keys(doc, CONFIG_KEYS[command], command)
     return doc
 
 
-def _require(doc, key):
-    """doc[key], or a ConfigError naming the missing field."""
-    if key not in doc:
-        raise ConfigError(f"config needs a \"{key}\" field")
-    return doc[key]
-
-
-def _as_number(value, field, integer=False):
-    """A finite JSON number as a float (an int if integer), or a ConfigError naming field."""
-    kinds = int if integer else (int, float)
-    # json reads NaN, Infinity and -Infinity as floats.
-    if (isinstance(value, bool) or not isinstance(value, kinds)
-            or isinstance(value, float) and not math.isfinite(value)):
-        kind = "an integer" if integer else "a finite number"
-        raise ConfigError(f"\"{field}\" must be {kind}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
 def _number(doc, key, default, integer=False):
-    """doc[key] as by _as_number, or default when the key is absent."""
-    return _as_number(doc[key], key, integer) if key in doc else default
-
-
-def _numbers(value, field, integer=False):
-    """A JSON list of numbers as a list, each entry checked by _as_number."""
-    if not isinstance(value, list):
-        raise ConfigError(f"\"{field}\" must be a list of numbers")
-    return [_as_number(v, f"{field}[{i}]", integer) for i, v in enumerate(value)]
+    """doc[key] as by as_number, or default when the key is absent."""
+    return as_number(doc[key], key, integer) if key in doc else default
 
 
 def _system_spec(doc):
@@ -114,18 +83,18 @@ def _system_spec(doc):
     if not isinstance(kind, str) or kind not in SYSTEMS:
         raise ConfigError(f"unknown system type {kind!r}")
     _, keys, _ = SYSTEMS[kind]
-    unknown = sorted(set(spec) - {"type"} - set(keys))
-    if unknown:
-        raise ConfigError(
-            f"unknown key {unknown[0]!r} for system type {kind!r}; accepted: "
-            + ", ".join(keys)
-        )
+    check_keys(spec, ("type",) + keys, f"system type {kind!r}")
     for key in keys:
-        if key == "file":  # open() would take an int as a file descriptor
-            if not isinstance(spec.get(key, ""), str):
-                raise ConfigError(f"\"system.file\" must be a path, got {spec[key]!r}")
-        elif key in spec:
-            _as_number(spec[key], f"system.{key}")
+        if key in spec and key != "file":
+            as_number(spec[key], f"system.{key}")
+    if "file" in spec:
+        # A layout fault is a config error here, before a sweep could record
+        # it as a failed row; open() would take an int as a file descriptor.
+        path = as_text(spec["file"], "system.file")
+        try:
+            load_rotor_layout(path)
+        except ConfigError as err:
+            raise ConfigError(f"\"system.file\": {err}") from err
     return spec
 
 
@@ -142,16 +111,8 @@ def _build_system(spec, speed=None):
 
 
 def _dof_vector(doc, key, n):
-    """doc[key] as a float vector of n entries, zeros when it is absent."""
-    if key not in doc:
-        return np.zeros(n)
-    value = np.array(_numbers(doc[key], key))
-    if value.shape != (n,):
-        raise ConfigError(
-            f"\"{key}\" must list {n} value(s), one per DOF of the system; "
-            f"got shape {value.shape}"
-        )
-    return value
+    """doc[key] as a float vector of n entries, one per DOF, zeros when it is absent."""
+    return np.array(list_of(as_number, n)(doc.get(key, [0.0] * n), key))
 
 
 def _solve_setup(doc):
@@ -161,30 +122,14 @@ def _solve_setup(doc):
     return sys_, _dof_vector(doc, "x0", n), _dof_vector(doc, "v0", n)
 
 
-NEWMARK_NUMBERS = ("dt", "beta", "gamma", "tol_dx", "tol_res", "max_iter")
-
-
 def _newmark_config(doc, args):
+    """The config's "newmark" object, each of --dt and --strategy, if
+    given, in place of its key."""
     nm = doc.get("newmark", {})
-    if not isinstance(nm, dict):
-        raise ConfigError("\"newmark\" must be an object")
-    nm = dict(nm)
-    for key in NEWMARK_NUMBERS:
-        if key in nm:
-            nm[key] = _as_number(nm[key], f"newmark.{key}", key == "max_iter")
-    if not isinstance(nm.get("strategy", ""), str):
-        raise ConfigError(
-            f"\"newmark.strategy\" must be a string, got {nm['strategy']!r}")
-    if args.dt is not None:
-        nm["dt"] = args.dt
-    if args.strategy is not None:
-        nm["strategy"] = args.strategy
-    if "dt" not in nm:
-        raise ConfigError("newmark config needs a \"dt\" field (or pass --dt)")
-    try:
-        return NewmarkConfig(**nm)
-    except (TypeError, ValueError) as err:
-        raise ConfigError(f"bad newmark config: {err}") from err
+    if isinstance(nm, dict):
+        flags = {"dt": args.dt, "strategy": args.strategy}
+        nm = {**nm, **{key: flag for key, flag in flags.items() if flag is not None}}
+    return NEWMARK(nm, "newmark")
 
 
 def _write_csv(path, header, rows):
@@ -200,7 +145,7 @@ def cmd_solve(args):
     cfg = _newmark_config(doc, args)
     n = sys_.n_dof
     t0 = _number(doc, "t0", 0.0)
-    t_end = _as_number(_require(doc, "t_end"), "t_end")
+    t_end = as_number(require(doc, "t_end"), "t_end")
     if t_end < t0:
         raise ConfigError(f"\"t_end\" must be at least \"t0\" = {t0!r}, got {t_end!r}")
     if t_end == t0:
@@ -233,24 +178,19 @@ def cmd_sweep(args):
     model_spec = _system_spec(doc)
     if SYSTEMS[model_spec["type"]][2] is None:  # no keyword for a sweep speed
         raise ConfigError(f"\"system.type\" {model_spec['type']!r} cannot be swept")
-    t_end = _as_number(_require(doc, "t_end"), "t_end")
+    t_end = as_number(require(doc, "t_end"), "t_end")
     cfg = _newmark_config(doc, args)
     speeds_spec = doc.get("speeds")
     if isinstance(speeds_spec, list):
-        speeds = _numbers(speeds_spec, "speeds")
+        speeds = numbers(speeds_spec, "speeds")
     elif isinstance(speeds_spec, dict):
-        missing = [k for k in ("start", "stop", "count") if k not in speeds_spec]
-        if missing:
-            raise ConfigError(f"speed range needs start/stop/count: {missing[0]!r}")
-        start = _as_number(speeds_spec["start"], "speeds.start")
-        stop = _as_number(speeds_spec["stop"], "speeds.stop")
-        count = _as_number(speeds_spec["count"], "speeds.count", integer=True)
+        start, stop, count = SPEED_RANGE(speeds_spec, "speeds")
         if count < 1:
             raise ConfigError(f"\"speeds.count\" must be at least 1, got {count}")
         speeds = list(np.linspace(start, stop, count))
     else:
         raise ConfigError("\"speeds\" must be a list or a start/stop/count object")
-    probe_nodes = _numbers(doc.get("probe_nodes", [0]), "probe_nodes", integer=True)
+    probe_nodes = integers(doc.get("probe_nodes", [0]), "probe_nodes")
     steady_fraction = _number(doc, "steady_fraction", 0.3)
     try:
         rows = sweep(
@@ -297,16 +237,19 @@ def _uniform_step(t):
 
 def cmd_spectrum(args):
     doc = _load_config(args.config, args.command)
-    path = _require(doc, "input")
-    column = _require(doc, "column")
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    path = as_text(require(doc, "input"), "input")
+    column = require(doc, "column")
+    dt = _number(doc, "dt", None)
+    try:
+        with open(path) as fh:
+            header = fh.readline().strip().split(",")
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as err:  # ValueError: not numeric CSV, or not UTF-8
+        raise ConfigError(f"cannot read \"input\" {path}: {err}") from err
     if column not in header:
         raise ConfigError(
             f"column {column!r} not in CSV; available: {', '.join(header)}"
         )
-    dt = doc.get("dt")
     if dt is None and "t" not in header:
         raise ConfigError("no \"dt\" in config and no t column in CSV")
     if len(data) < 2:
@@ -317,7 +260,6 @@ def cmd_spectrum(args):
     sig = data[:, header.index(column)]
     if dt is None:
         dt = _uniform_step(data[:, header.index("t")])
-    dt = _as_number(dt, "dt")
     if dt <= 0.0:
         raise ConfigError(f"\"dt\" must be positive, got {dt!r}")
     freqs, mags = spectrum(sig, dt)

@@ -17,6 +17,8 @@ from typing import List
 
 import numpy as np
 
+from ..config import (ConfigError, as_flag, as_integer, as_number, as_text, check_schema,
+                      list_of, read_json, record)
 from ..linalg import scatter_add
 from ..system import DynamicSystem, Sites
 from .bearing import BearingParams, ball_angles, cage_speed, hertz_load
@@ -100,14 +102,20 @@ class RotorLayout:
         raise ValueError(f"unknown rotor tag {rotor!r}")
 
     def validate(self):
-        refs = [("element", n) for el in self.elements for n in (el.node_i, el.node_j)]
-        refs += [("disk", d.node) for d in self.disks]
-        refs += [("support bearing", b.node) for b in self.support_bearings]
-        refs += [("inter-shaft bearing", n) for b in self.intershaft_bearings
-                 for n in (b.inner_node, b.outer_node)]
-        for kind, node in refs:
+        """A ConfigError naming, by its path in a layout file, the first
+        reference to a node that the layout lacks."""
+        refs = [(f"elements[{i}].nodes[{j}]", "element", n)
+                for i, el in enumerate(self.elements)
+                for j, n in enumerate((el.node_i, el.node_j))]
+        refs += [(f"disks[{i}].node", "disk", d.node) for i, d in enumerate(self.disks)]
+        refs += [(f"support_bearings[{i}].node", "support bearing", b.node)
+                 for i, b in enumerate(self.support_bearings)]
+        refs += [(f"intershaft_bearings[{i}].{key}", "inter-shaft bearing", getattr(b, key))
+                 for i, b in enumerate(self.intershaft_bearings)
+                 for key in ("inner_node", "outer_node")]
+        for path, kind, node in refs:
             if not 0 <= node < self.n_nodes:
-                raise ValueError(f"{kind} references missing node {node}")
+                raise ConfigError(f"\"{path}\": {kind} references missing node {node}")
 
 
 def _plane_maps(*nodes):
@@ -225,89 +233,72 @@ def assemble_dual_rotor(layout: RotorLayout) -> DynamicSystem:
     )
 
 
-def _bearing_from_dict(d) -> BearingParams:
-    return BearingParams(
-        n_balls=int(d["n_balls"]),
-        k_hertz=float(d["k_hertz"]),
-        clearance=float(d["clearance"]),
-        r_inner=float(d["r_inner"]),
-        r_outer=float(d["r_outer"]),
+def _rotor_tag(value, field):
+    if value not in ("lp", "hp"):
+        raise ConfigError(f"\"{field}\" must be \"lp\" or \"hp\", got {value!r}")
+    return value
+
+
+def _layout(nodes, elements, disks, support_bearings, intershaft_bearings, speeds,
+            rayleigh, gravity, **_):  # _: schema_version and comment
+    for i, node in enumerate(nodes):
+        if node["id"] != i:
+            raise ConfigError(f"\"nodes[{i}].id\" must be {i}, got {node['id']}")
+    layout = RotorLayout(
+        np.array([node["z"] for node in nodes]), elements, disks, support_bearings,
+        intershaft_bearings, **speeds, rayleigh_alpha=rayleigh["alpha"],
+        rayleigh_beta=rayleigh["beta"], gravity=gravity,
     )
+    layout.validate()
+    return layout
+
+
+# The records of a layout file: each key's reader, or (reader, default)
+# for an optional key, and what the record builds from the values read.
+_ZERO = (as_number, 0.0)  # an optional number, 0 when absent
+_BEARING = dict(n_balls=as_integer, k_hertz=as_number, clearance=as_number,
+                r_inner=as_number, r_outer=as_number)
+_SHAFT = dict.fromkeys(("density", "length", "area", "young", "i_z", "shear_factor"),
+                       as_number)
+_DISK = dict(mass=as_number, j_d=as_number, j_p=as_number, eccentricity=_ZERO, phase=_ZERO)
+_LAYOUT = record({
+    "schema_version": as_integer,
+    "comment": (as_text, None),
+    "nodes": list_of(record(dict(id=as_integer, z=as_number, rotor=(_rotor_tag, None)))),
+    "elements": list_of(record(
+        dict(nodes=list_of(as_integer, 2), rotor=_rotor_tag, **_SHAFT),
+        lambda nodes, rotor, **props: ShaftElement(*nodes, ShaftElementProps(**props),
+                                                   rotor))),
+    "disks": list_of(record(
+        dict(node=as_integer, rotor=_rotor_tag, **_DISK),
+        lambda node, rotor, **props: DiskPlacement(node, DiskProps(**props), rotor))),
+    "support_bearings": (list_of(record(
+        dict(node=as_integer, rotor=_rotor_tag, **_BEARING),
+        lambda node, rotor, **params: SupportBearing(node, BearingParams(**params),
+                                                     rotor))), []),
+    "intershaft_bearings": (list_of(record(
+        dict(inner_node=as_integer, outer_node=as_integer, **_BEARING),
+        lambda inner_node, outer_node, **params: InterShaftBearing(
+            inner_node, outer_node, BearingParams(**params)))), []),
+    "speeds": (record(dict(omega_lp=_ZERO, omega_hp=_ZERO)), {}),
+    "rayleigh": (record(dict(alpha=_ZERO, beta=_ZERO)), {}),
+    "gravity": (as_flag, False),
+})
 
 
 def load_rotor_layout(source) -> RotorLayout:
     """Read a rotor layout from a JSON file path or parsed dict.
 
     See the packaged data/dual_rotor.json for the schema (schema_version 1,
-    SI units, speeds in rad/s).
+    SI units, speeds in rad/s).  A fault raises ConfigError naming its
+    field, such as "elements[2].density": a missing or unknown key, a
+    value of the wrong type (node indices and n_balls take integers,
+    numbers must be finite), a node id other than its index, a
+    reference to a missing node or a value out of a dataclass's range.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        with open(source) as fh:
-            doc = json.load(fh)
-    if doc.get("schema_version") != 1:
-        raise ValueError("rotor layout file must declare schema_version: 1")
-
-    node_z = np.array([float(nd["z"]) for nd in doc["nodes"]])
-    elements = [
-        ShaftElement(
-            node_i=int(e["nodes"][0]),
-            node_j=int(e["nodes"][1]),
-            rotor=e["rotor"],
-            props=ShaftElementProps(
-                density=float(e["density"]),
-                length=float(e["length"]),
-                area=float(e["area"]),
-                young=float(e["young"]),
-                i_z=float(e["i_z"]),
-                shear_factor=float(e["shear_factor"]),
-            ),
-        )
-        for e in doc["elements"]
-    ]
-    disks = [
-        DiskPlacement(
-            node=int(d["node"]),
-            rotor=d["rotor"],
-            props=DiskProps(
-                mass=float(d["mass"]),
-                j_d=float(d["j_d"]),
-                j_p=float(d["j_p"]),
-                eccentricity=float(d.get("eccentricity", 0.0)),
-                phase=float(d.get("phase", 0.0)),
-            ),
-        )
-        for d in doc["disks"]
-    ]
-    supports = [
-        SupportBearing(
-            node=int(b["node"]), rotor=b["rotor"], params=_bearing_from_dict(b)
-        )
-        for b in doc.get("support_bearings", [])
-    ]
-    intershafts = [
-        InterShaftBearing(
-            inner_node=int(b["inner_node"]),
-            outer_node=int(b["outer_node"]),
-            params=_bearing_from_dict(b),
-        )
-        for b in doc.get("intershaft_bearings", [])
-    ]
-    speeds = doc.get("speeds", {})
-    rayleigh = doc.get("rayleigh", {})
-    return RotorLayout(
-        node_z=node_z,
-        elements=elements,
-        disks=disks,
-        support_bearings=supports,
-        intershaft_bearings=intershafts,
-        omega_lp=float(speeds.get("omega_lp", 0.0)),
-        omega_hp=float(speeds.get("omega_hp", 0.0)),
-        rayleigh_alpha=float(rayleigh.get("alpha", 0.0)),
-        rayleigh_beta=float(rayleigh.get("beta", 0.0)),
-        gravity=bool(doc.get("gravity", False)),
-    )
+    doc = source if isinstance(source, dict) else read_json(source, "rotor layout")
+    check_schema(doc, "rotor layout")
+    return _layout(**_LAYOUT(doc, ""))
 
 
 def _set_speeds(layout, omega_lp, omega_hp) -> RotorLayout:

@@ -113,6 +113,12 @@ class TestSolve:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1"])
+    def test_schema_version_is_the_integer_1(self, tmp_path, capsys, version):
+        cfg = write_config(tmp_path / "c.json", dict(DUFFING_SOLVE, schema_version=version))
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert '"schema_version": 1' in capsys.readouterr().err
+
     def test_unknown_system_type(self, tmp_path):
         doc = dict(DUFFING_SOLVE, system={"type": "wobblator"})
         cfg = write_config(tmp_path / "c.json", doc)
@@ -382,6 +388,76 @@ def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, change, field):
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert f'"{field}"' in capsys.readouterr().err
     assert not out.exists()
+
+
+class TestInputFiles:
+    """A fault in a rotor layout file or a spectrum input is a config error:
+    exit 2, naming "system.file" or "input" and the field."""
+
+    def layout_config(self, tmp_path, command, change):
+        """A dual_rotor config of command whose "file" is the shipped layout
+        after change(doc) edits it."""
+        doc = json.loads(TestDualRotorSpeeds.LAYOUT.read_text())
+        change(doc)
+        layout = tmp_path / "layout.json"
+        layout.write_text(json.dumps(doc))
+        system = {"type": "dual_rotor", "file": str(layout)}
+        if command == "sweep":
+            return write_config(tmp_path / "c.json",
+                                dict(SFD_SWEEP, system=system, t_end=2e-3))
+        return write_config(tmp_path / "c.json", {
+            "schema_version": 1, "system": system, "newmark": {"dt": 1e-4}, "t_end": 1e-3})
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    @pytest.mark.parametrize("change, field", [
+        (lambda doc: doc["elements"][2].pop("density"), "elements[2].density"),
+        (lambda doc: doc["elements"][2].update(length="abc"), "elements[2].length"),
+        (lambda doc: doc["elements"][2].update(nodes=[2, 99]), "elements[2].nodes[1]"),
+    ], ids=["missing density", "string length", "node 99"])
+    def test_layout_fault_exit_2(self, tmp_path, capsys, command, change, field):
+        cfg = self.layout_config(tmp_path, command, change)
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith('config error: "system.file": ')
+        assert f'"{field}"' in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("content", [None, b"{not json", b"\xff"],
+                             ids=["missing file", "not JSON", "not UTF-8"])
+    def test_unreadable_layout_exit_2(self, tmp_path, capsys, content):
+        cfg = self.layout_config(tmp_path, "solve", lambda doc: None)
+        layout = tmp_path / "layout.json"
+        if content is None:
+            layout.unlink()
+        else:
+            layout.write_bytes(content)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith('config error: "system.file": cannot read rotor layout ')
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_shipped_layout_as_file_runs_as_the_default(self, tmp_path, command):
+        cfg = self.layout_config(tmp_path, command, lambda doc: None)
+        doc = json.loads(Path(cfg).read_text())
+        del doc["system"]["file"]
+        default = write_config(tmp_path / "d.json", doc)
+        outs = [tmp_path / "file.csv", tmp_path / "default.csv"]
+        for config, out in zip((cfg, default), outs):
+            assert main([command, "--config", config, "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_missing_spectrum_input_exit_2(self, tmp_path, capsys):
+        doc = {"schema_version": 1, "input": str(tmp_path / "none.csv"), "column": "x_0"}
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err.startswith('config error: cannot read "input" ')
+
+    def test_config_error_is_the_shared_one(self):
+        from nnrad.config import ConfigError
+
+        assert nnrad.cli.ConfigError is ConfigError
+        assert issubclass(ConfigError, ValueError)
 
 
 @pytest.mark.parametrize("command, flag", [

@@ -163,3 +163,42 @@ def test_src_names_no_private_numpy_api():
     found = {str(path.relative_to(src)): names for path in sorted(src.rglob("*.py"))
              if (names := private_numpy_names(path.read_text()))}
     assert not found, found
+
+
+def imported_modules(source, package):
+    """The absolute names a source imports, as module or module.name, its
+    relative imports resolved against package (the source's own)."""
+    parts, found = package.split("."), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) + 1 - node.level] if node.level else []
+            module = ".".join(base + ([node.module] if node.module else []))
+            found.add(module)
+            found.update(f"{module}.{a.name}" for a in node.names)
+    return found
+
+
+def test_the_guard_resolves_relative_imports():
+    assert "nnrad.cli" in imported_modules("from .. import cli", "nnrad.models")
+    assert "nnrad.cli" in imported_modules("from ..cli import main", "nnrad.models")
+    assert "nnrad.models.rotor" in imported_modules("from .rotor import x", "nnrad.models")
+    assert "nnrad.cli" not in imported_modules("from ..config import x", "nnrad.models")
+
+
+def test_models_do_not_import_the_cli():
+    src = Path(nnrad.__file__).resolve().parent
+    found = {}
+    for path in sorted((src / "models").rglob("*.py")):
+        names = imported_modules(path.read_text(), "nnrad.models")
+        found[path.name] = sorted(n for n in names if (n + ".").startswith("nnrad.cli."))
+    assert not any(found.values()), found
+
+
+def test_the_readers_sit_below_cli_and_models():
+    # nnrad.config, which both the CLI and the layout reader import,
+    # imports no nnrad module.
+    path = Path(nnrad.__file__).resolve().parent / "config.py"
+    names = imported_modules(path.read_text(), "nnrad")
+    assert not [n for n in names if n.split(".")[0] == "nnrad"], names

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from nnrad import NewmarkConfig, integrate
+from nnrad.config import ConfigError
 from nnrad.lockstep import integrate_rows
 from nnrad.models.bearing import BearingParams
 from nnrad.models.disk import DiskProps
@@ -250,3 +253,103 @@ class TestLayoutIO:
     def test_schema_version_required(self):
         with pytest.raises(ValueError):
             load_rotor_layout({"nodes": [], "elements": [], "disks": []})
+
+
+def read_shipped(change):
+    """load_rotor_layout of the shipped layout after change(doc) edits it."""
+    doc = json.loads((resources.files("nnrad.models") / "data" / "dual_rotor.json").read_text())
+    change(doc)
+    return load_rotor_layout(doc)
+
+
+class TestLayoutReader:
+    """Every record of a layout file goes through one table of typed
+    readers; a fault raises ConfigError naming its path in the file."""
+
+    def test_shipped_layout_reads_ints_and_floats(self):
+        layout = read_shipped(lambda doc: None)
+        for el in layout.elements:
+            assert type(el.node_i) is int and type(el.node_j) is int
+            assert type(el.props.young) is float  # written 210000000000.0
+        for b in layout.support_bearings + layout.intershaft_bearings:
+            assert type(b.params.n_balls) is int
+        assert layout.node_z.dtype == np.float64
+
+    def test_reordered_nodes(self):
+        # ids were ignored, so a reordered list renumbered the model.
+        with pytest.raises(ConfigError, match=r'"nodes\[0\]\.id" must be 0, got 9'):
+            read_shipped(lambda doc: doc["nodes"].reverse())
+
+    @pytest.mark.parametrize("change, field", [
+        (lambda doc: doc["support_bearings"][0].update(n_balls=8.7),
+         "support_bearings[0].n_balls"),
+        (lambda doc: doc["intershaft_bearings"][0].update(n_balls=8.0),
+         "intershaft_bearings[0].n_balls"),
+        (lambda doc: doc["disks"][0].update(node=1.0), "disks[0].node"),
+        (lambda doc: doc["elements"][3].update(nodes=[3, 4.5]), "elements[3].nodes[1]"),
+        (lambda doc: doc["nodes"][2].update(id="2"), "nodes[2].id"),
+    ], ids=["n_balls 8.7", "n_balls 8.0", "disk node", "element node", "node id"])
+    def test_integer_fields_take_integers(self, change, field):
+        with pytest.raises(ConfigError, match=f'"{re.escape(field)}" must be an integer'):
+            read_shipped(change)
+
+    @pytest.mark.parametrize("value", ["7850", True, None, [7850.0], float("nan"),
+                                       float("inf"), -float("inf")])
+    def test_numeric_fields_take_finite_numbers(self, value):
+        with pytest.raises(ConfigError,
+                           match=r'"elements\[2\]\.density" must be a finite number'):
+            read_shipped(lambda doc: doc["elements"][2].update(density=value))
+
+    @pytest.mark.parametrize("change, key, where", [
+        (lambda doc: doc.update(gravty=True), "gravty", "the top level"),
+        (lambda doc: doc["elements"][1].update(densty=7850.0), "densty", '"elements[1]"'),
+        (lambda doc: doc["speeds"].update(omega_l=1.0), "omega_l", '"speeds"'),
+        (lambda doc: doc["support_bearings"][2].update(omega_inner=1.0), "omega_inner",
+         '"support_bearings[2]"'),
+    ], ids=["top level", "element", "speeds", "bearing ring speed"])
+    def test_unknown_keys(self, change, key, where):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key {key!r} for {where}")):
+            read_shipped(change)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["disks"][1].pop("j_p"), 'missing field "disks[1].j_p"'),
+        (lambda doc: doc["disks"][0].update(rotor="mid"),
+         '"disks[0].rotor" must be "lp" or "hp"'),
+        (lambda doc: doc.update(gravity=1), '"gravity" must be true or false'),
+        (lambda doc: doc["elements"][0].update(nodes=[0, 1, 2]),
+         '"elements[0].nodes" must be a list of length 2'),
+        (lambda doc: doc.update(disks={}), '"disks" must be a list'),
+        (lambda doc: doc["rayleigh"].update(alpha="8"),
+         '"rayleigh.alpha" must be a finite number'),
+    ], ids=["missing key", "rotor tag", "gravity", "node pair", "list", "rayleigh"])
+    def test_other_faults_name_their_field(self, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            read_shipped(change)
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["elements"][2].update(density=-1.0),
+         '"elements[2]": density must be strictly positive'),
+        (lambda doc: doc["intershaft_bearings"][0].update(clearance=-1e-6),
+         '"intershaft_bearings[0]": clearance must be non-negative'),
+        (lambda doc: doc["elements"][2].update(nodes=[2, 99]),
+         '"elements[2].nodes[1]": element references missing node 99'),
+        (lambda doc: doc["intershaft_bearings"][0].update(outer_node=10),
+         '"intershaft_bearings[0].outer_node": inter-shaft bearing references missing '
+         'node 10'),
+    ], ids=["shaft range", "bearing range", "element node", "inter-shaft node"])
+    def test_range_checks_name_the_record(self, change, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            read_shipped(change)
+
+    def test_optional_keys_take_their_defaults(self):
+        def strip(doc):
+            for key in ("comment", "support_bearings", "speeds", "rayleigh", "gravity"):
+                del doc[key]
+            del doc["nodes"][0]["rotor"]
+            del doc["disks"][0]["eccentricity"], doc["disks"][0]["phase"]
+
+        layout = read_shipped(strip)
+        assert layout.support_bearings == []
+        assert (layout.omega_lp, layout.omega_hp) == (0.0, 0.0)
+        assert (layout.rayleigh_alpha, layout.rayleigh_beta, layout.gravity) == (0.0, 0.0, False)
+        assert layout.disks[0].props == DiskProps(mass=8.0, j_d=0.04, j_p=0.08)
