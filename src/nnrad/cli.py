@@ -8,128 +8,145 @@ row and full double precision (shortest round-trip formatting).
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
+import warnings
 
 import numpy as np
 
 from .analysis import spectrum, sweep
-from .config import (ConfigError, as_integer, as_number, as_text, check_keys, check_schema,
-                     integers, list_of, numbers, read_json, record, require)
+from .config import (ConfigError, as_integer, as_number, as_text, at_least, check_schema,
+                     integers, list_of, numbers, read_json, record)
 from .models import (dual_rotor_system, duffing, load_rotor_layout, pendulum,
                      sfd_rotor_system, van_der_pol)
-from .newmark import (STRATEGIES, NewmarkConfig, integrate, solve_terms, step_jacobian,
-                      step_terms)
-from .system import State
+from .newmark import (STRATEGIES, NewmarkConfig, initial_acceleration, integrate,
+                      solve_terms, step_jacobian, step_terms)
+from .system import State, grid_steps
 
-# Each system type's factory, the keys it accepts besides "type", which
-# are passed to the factory as keywords, and the keyword that a sweep
-# speed sets (None: the type cannot be swept, having no rotor whose
-# (x, y) orbit a sweep reads); any other key is an error.
+_NUMBER = (as_number, None)  # an optional number: the builder's default when absent
+_POSITIVE = at_least(as_number, 0, strict=True)
+
+
+def _layout_file(value, field):
+    """A "system.file" path whose rotor layout reads without fault, read
+    here, before a sweep could record a fault as a failed row."""
+    path = as_text(value, field)  # open() would take an int as a file descriptor
+    try:
+        load_rotor_layout(path)
+    except ConfigError as err:
+        raise ConfigError(f"\"{field}\": {err}") from err
+    return path
+
+
+# Each system type's factory, the keys it takes besides "type", passed to
+# it as keywords (an argument the factory requires is a required key),
+# and the key that a sweep speed sets (None: the type cannot be swept,
+# having no rotor whose (x, y) orbit a sweep reads).
 SYSTEMS = {
-    "van_der_pol": (van_der_pol, ("eps",), None),
-    "duffing": (duffing, ("delta", "alpha", "beta", "gamma_f", "omega"), None),
-    "pendulum": (pendulum, (), None),
-    "sfd_rotor": (sfd_rotor_system, ("omega", "mass", "stiffness", "j_d", "j_p", "l1",
-                                     "l2", "damping", "unbalance"), "omega"),
-    "dual_rotor": (dual_rotor_system, ("file", "omega_lp", "omega_hp"), "omega_lp"),
+    "van_der_pol": (van_der_pol, dict(eps=_NUMBER), None),
+    "duffing": (duffing, dict.fromkeys(("delta", "alpha", "beta", "gamma_f", "omega"),
+                                       _NUMBER), None),
+    "pendulum": (pendulum, {}, None),
+    "sfd_rotor": (sfd_rotor_system, dict(omega=as_number, **dict.fromkeys((
+        "mass", "stiffness", "j_d", "j_p", "l1", "l2", "damping", "unbalance"), _NUMBER)),
+        "omega"),
+    "dual_rotor": (dual_rotor_system, dict(file=(_layout_file, None), omega_lp=_NUMBER,
+                                           omega_hp=_NUMBER), "omega_lp"),
 }
 
-# The top-level config keys each command accepts; any other is an error.
-CONFIG_KEYS = {
-    "solve": ("schema_version", "system", "newmark", "x0", "v0", "t0", "t_end"),
-    "sweep": ("schema_version", "system", "newmark", "speeds", "probe_nodes",
-              "t_end", "steady_fraction"),
-    "spectrum": ("schema_version", "input", "column", "dt"),
-    "check-jacobian": ("schema_version", "system", "newmark", "seed", "n_states",
-                       "scale", "fd_step", "tol"),
-}
+
+def _system(swept=False):
+    """A reader of a "system" object, by the record of its type's keys;
+    if swept, less the key that the sweep speed sets."""
+    def read(spec, field):
+        kind = spec.get("type") if isinstance(spec, dict) else None
+        if not isinstance(kind, str) or kind not in SYSTEMS:
+            raise ConfigError(f"\"{field}\" must be an object whose \"type\" is one of "
+                              f"{', '.join(SYSTEMS)}, got {spec!r}")
+        _, keys, speed_key = SYSTEMS[kind]
+        if swept and speed_key is None:
+            raise ConfigError(f"\"{field}.type\" {kind!r} cannot be swept")
+        keys = {key: keys[key] for key in keys if not swept or key != speed_key}
+        return record(dict(type=as_text, **keys))(spec, field)
+    return read
+
+
+def _build_system(spec, speed=None):
+    """The system of a "system" object read by _system, at the sweep speed speed."""
+    factory, _, speed_key = SYSTEMS[spec["type"]]
+    kwargs = {key: value for key, value in spec.items() if key != "type"}
+    if speed is not None:
+        kwargs[speed_key] = speed
+    return factory(**kwargs)
+
+
+def _on_grid(t_end, newmark, t0=0.0, **doc):
+    """A solve or sweep config, checked by the integrators' grid rule
+    unless t_end is t0 (a solve's zero-duration run)."""
+    if t_end != t0:
+        try:
+            grid_steps(t0, t_end, newmark.dt)
+        except ValueError as err:
+            raise ConfigError(f"\"t_end\": {err}") from err
+    return dict(doc, t_end=t_end, newmark=newmark, t0=t0)
+
 
 # The "newmark" object: NewmarkConfig's fields, an absent one but dt
 # taking its default.
 NEWMARK = record(dict(
-    dt=as_number, **dict.fromkeys(("beta", "gamma", "tol_dx", "tol_res"), (as_number, None)),
+    dt=as_number, **dict.fromkeys(("beta", "gamma", "tol_dx", "tol_res"), _NUMBER),
     max_iter=(as_integer, None), strategy=(as_text, None),
 ), NewmarkConfig)
 
-# A sweep's "speeds" given as a range object, read as (start, stop, count).
-SPEED_RANGE = record(dict(start=as_number, stop=as_number, count=as_integer),
-                     lambda start, stop, count: (start, stop, count))
+# A sweep's "speeds" given as a range object.
+SPEED_RANGE = record(dict(start=as_number, stop=as_number, count=at_least(as_integer, 1)),
+                     lambda start, stop, count: list(np.linspace(start, stop, count)))
+
+
+def _speeds(value, field):
+    """A sweep's "speeds": a list of numbers, or a start/stop/count object."""
+    return SPEED_RANGE(value, field) if isinstance(value, dict) else numbers(value, field)
+
+
+# Each command's config: its top-level keys, read by one record; any
+# other key is an error.
+_RUN = dict(schema_version=as_integer, newmark=(NEWMARK, {}), t_end=as_number)
+COMMANDS = {
+    "solve": record(dict(_RUN, system=_system(), x0=(numbers, None), v0=(numbers, None),
+                         t0=(as_number, 0.0)), _on_grid),
+    "sweep": record(dict(_RUN, system=_system(swept=True), speeds=_speeds, t_end=_POSITIVE,
+                         probe_nodes=(integers, [0]), steady_fraction=(as_number, 0.3)),
+                    _on_grid),
+    "spectrum": record(dict(schema_version=as_integer, input=as_text, column=as_text,
+                            dt=(_POSITIVE, None))),
+    "check-jacobian": record(dict(
+        schema_version=as_integer, system=_system(), newmark=(NEWMARK, {}),
+        seed=(at_least(as_integer, 0), 0), n_states=(at_least(as_integer, 1), 20),
+        scale=(as_number, 1.0), fd_step=(_POSITIVE, 1e-6), tol=(at_least(as_number, 0), 1e-5))),
+}
 
 
 def _fmt(x):
     return repr(float(x))
 
 
-def _load_config(path, command):
-    """The JSON config at path, checked for its schema and its top-level keys."""
+def _load_config(path, command, args=None):
+    """The JSON config at path, read in one pass by command's record, each
+    of the --dt, --strategy and --seed flags of args, if given, in place
+    of its key."""
     doc = read_json(path, "config")
     check_schema(doc, "config")
-    check_keys(doc, CONFIG_KEYS[command], command)
-    return doc
-
-
-def _number(doc, key, default, integer=False):
-    """doc[key] as by as_number, or default when the key is absent."""
-    return as_number(doc[key], key, integer) if key in doc else default
-
-
-def _system_spec(doc):
-    """The config's "system" object, checked for its type and its keys."""
-    spec = doc.get("system")
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigError("system spec must be an object with a \"type\" field")
-    kind = spec["type"]
-    if not isinstance(kind, str) or kind not in SYSTEMS:
-        raise ConfigError(f"unknown system type {kind!r}")
-    _, keys, _ = SYSTEMS[kind]
-    check_keys(spec, ("type",) + keys, f"system type {kind!r}")
-    for key in keys:
-        if key in spec and key != "file":
-            as_number(spec[key], f"system.{key}")
-    if "file" in spec:
-        # A layout fault is a config error here, before a sweep could record
-        # it as a failed row; open() would take an int as a file descriptor.
-        path = as_text(spec["file"], "system.file")
-        try:
-            load_rotor_layout(path)
-        except ConfigError as err:
-            raise ConfigError(f"\"system.file\": {err}") from err
-    return spec
-
-
-def _build_system(spec, speed=None):
-    """The system of a spec checked by _system_spec, at the sweep speed speed."""
-    factory, keys, speed_key = SYSTEMS[spec["type"]]
-    kwargs = {key: spec[key] for key in keys if key in spec}
-    if speed is not None:
-        kwargs[speed_key] = speed
-    for name, param in inspect.signature(factory).parameters.items():
-        if param.default is param.empty and name not in kwargs:
-            raise ConfigError(f"{spec['type']} needs an \"{name}\" field")
-    return factory(**kwargs)
+    flags = vars(args) if args else {}
+    nm = {key: flags[key] for key in ("dt", "strategy") if flags.get(key) is not None}
+    if nm and isinstance(doc.get("newmark", {}), dict):
+        doc["newmark"] = {**doc.get("newmark", {}), **nm}
+    if flags.get("seed") is not None:
+        doc["seed"] = flags["seed"]
+    return COMMANDS[command](doc, "")
 
 
 def _dof_vector(doc, key, n):
     """doc[key] as a float vector of n entries, one per DOF, zeros when it is absent."""
     return np.array(list_of(as_number, n)(doc.get(key, [0.0] * n), key))
-
-
-def _solve_setup(doc):
-    """A solve config's system, x0 and v0."""
-    sys_ = _build_system(_system_spec(doc))
-    n = sys_.n_dof
-    return sys_, _dof_vector(doc, "x0", n), _dof_vector(doc, "v0", n)
-
-
-def _newmark_config(doc, args):
-    """The config's "newmark" object, each of --dt and --strategy, if
-    given, in place of its key."""
-    nm = doc.get("newmark", {})
-    if isinstance(nm, dict):
-        flags = {"dt": args.dt, "strategy": args.strategy}
-        nm = {**nm, **{key: flag for key, flag in flags.items() if flag is not None}}
-    return NEWMARK(nm, "newmark")
 
 
 def _write_csv(path, header, rows):
@@ -140,21 +157,15 @@ def _write_csv(path, header, rows):
 
 
 def cmd_solve(args):
-    doc = _load_config(args.config, args.command)
-    sys_, x0, v0 = _solve_setup(doc)
-    cfg = _newmark_config(doc, args)
+    doc = _load_config(args.config, args.command, args)
+    sys_ = _build_system(doc["system"])
     n = sys_.n_dof
-    t0 = _number(doc, "t0", 0.0)
-    t_end = as_number(require(doc, "t_end"), "t_end")
-    if t_end < t0:
-        raise ConfigError(f"\"t_end\" must be at least \"t0\" = {t0!r}, got {t_end!r}")
+    x0, v0 = _dof_vector(doc, "x0", n), _dof_vector(doc, "v0", n)
+    t0, t_end = doc["t0"], doc["t_end"]
     if t_end == t0:
-        from .newmark import initial_acceleration
-
-        a0 = initial_acceleration(sys_, x0, v0, t0)
-        traj_rows = [(t0, x0, v0, a0)]
+        traj_rows = [(t0, x0, v0, initial_acceleration(sys_, x0, v0, t0))]
     else:
-        traj = integrate(sys_, x0, v0, t0, t_end, cfg)
+        traj = integrate(sys_, x0, v0, t0, t_end, doc["newmark"])
         traj_rows = [
             (traj.t[i], traj.x[i], traj.v[i], traj.a[i])
             for i in range(traj.n_samples)
@@ -174,32 +185,16 @@ def cmd_solve(args):
 
 
 def cmd_sweep(args):
-    doc = _load_config(args.config, args.command)
-    model_spec = _system_spec(doc)
-    if SYSTEMS[model_spec["type"]][2] is None:  # no keyword for a sweep speed
-        raise ConfigError(f"\"system.type\" {model_spec['type']!r} cannot be swept")
-    t_end = as_number(require(doc, "t_end"), "t_end")
-    cfg = _newmark_config(doc, args)
-    speeds_spec = doc.get("speeds")
-    if isinstance(speeds_spec, list):
-        speeds = numbers(speeds_spec, "speeds")
-    elif isinstance(speeds_spec, dict):
-        start, stop, count = SPEED_RANGE(speeds_spec, "speeds")
-        if count < 1:
-            raise ConfigError(f"\"speeds.count\" must be at least 1, got {count}")
-        speeds = list(np.linspace(start, stop, count))
-    else:
-        raise ConfigError("\"speeds\" must be a list or a start/stop/count object")
-    probe_nodes = integers(doc.get("probe_nodes", [0]), "probe_nodes")
-    steady_fraction = _number(doc, "steady_fraction", 0.3)
+    doc = _load_config(args.config, args.command, args)
+    probe_nodes = doc["probe_nodes"]
     try:
         rows = sweep(
-            model_factory=lambda s: _build_system(model_spec, speed=s),
-            speeds=speeds,
-            cfg=cfg,
+            model_factory=lambda s: _build_system(doc["system"], speed=s),
+            speeds=doc["speeds"],
+            cfg=doc["newmark"],
             probe_nodes=probe_nodes,
-            t_end=t_end,
-            steady_fraction=steady_fraction,
+            t_end=doc["t_end"],
+            steady_fraction=doc["steady_fraction"],
         )
     except ValueError as err:  # sweep's checks of its inputs, which name the field
         raise ConfigError(str(err)) from err
@@ -221,10 +216,9 @@ def cmd_sweep(args):
 
 
 def _uniform_step(t):
-    """The step of a CSV t column, or a ConfigError naming t if it varies.
-
-    Every step must equal the first to a relative 1e-6, which the repr
-    times that ``nnrad solve`` writes meet.
+    """The step of a CSV t column, or a ConfigError naming t unless every
+    step is positive and equals the first to a relative 1e-6, which the
+    repr times that ``nnrad solve`` writes meet.
     """
     steps = np.diff(t)
     dt = float(steps[0])
@@ -232,16 +226,17 @@ def _uniform_step(t):
         i = int(np.argmax(np.abs(steps - dt)))
         raise ConfigError(f"column \"t\" is not uniform: step {i} is "
                           f"{float(steps[i])!r}, step 0 is {dt!r}")
+    if dt <= 0.0:
+        raise ConfigError(f"column \"t\" must increase, got step {dt!r}")
     return dt
 
 
 def cmd_spectrum(args):
     doc = _load_config(args.config, args.command)
-    path = as_text(require(doc, "input"), "input")
-    column = require(doc, "column")
-    dt = _number(doc, "dt", None)
+    path, column, dt = doc["input"], doc["column"], doc.get("dt")
     try:
-        with open(path) as fh:
+        # An input without data rows is the config error below, not a warning.
+        with open(path) as fh, warnings.catch_warnings(action="ignore", category=UserWarning):
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:  # ValueError: not numeric CSV, or not UTF-8
@@ -260,8 +255,6 @@ def cmd_spectrum(args):
     sig = data[:, header.index(column)]
     if dt is None:
         dt = _uniform_step(data[:, header.index("t")])
-    if dt <= 0.0:
-        raise ConfigError(f"\"dt\" must be positive, got {dt!r}")
     freqs, mags = spectrum(sig, dt)
     _write_csv(
         args.out,
@@ -275,20 +268,12 @@ def cmd_check_jacobian(args):
     """The derivative of F_nl in the step Jacobian the solver factors
     (step_jacobian minus A_eff, which reads only nl_dofs) vs central finite
     differences of F_nl alone along the Newmark maps."""
-    doc = _load_config(args.config, args.command)
-    sys_ = _build_system(_system_spec(doc))
-    cfg = _newmark_config(doc, args)
+    doc = _load_config(args.config, args.command, args)
+    sys_ = _build_system(doc["system"])
+    cfg = doc["newmark"]
     n = sys_.n_dof
-    seed = args.seed if args.seed is not None else _number(doc, "seed", 0, integer=True)
-    rng = np.random.default_rng(seed)
-    n_states = _number(doc, "n_states", 20, integer=True)
-    if n_states < 1:
-        raise ConfigError(f"\"n_states\" must be at least 1, got {n_states}")
-    scale = _number(doc, "scale", 1.0)
-    h = _number(doc, "fd_step", 1e-6)
-    if h <= 0.0:
-        raise ConfigError(f"\"fd_step\" must be positive, got {h!r}")
-    tol = _number(doc, "tol", 1e-5)
+    rng = np.random.default_rng(doc["seed"])
+    n_states, scale, h, tol = doc["n_states"], doc["scale"], doc["fd_step"], doc["tol"]
     terms = solve_terms(sys_, cfg)
 
     gaps = []

@@ -62,6 +62,18 @@ def as_integer(value, field):
     return as_number(value, field, integer=True)
 
 
+def at_least(reader, low, strict=False):
+    """reader, then a ConfigError naming the field unless the value is at
+    least low, or above it if strict."""
+    def read(value, field):
+        value = reader(value, field)
+        if value < low or strict and value == low:
+            raise ConfigError(f"\"{field}\" must be {'above' if strict else 'at least'} "
+                              f"{low}, got {value!r}")
+        return value
+    return read
+
+
 def as_text(value, field):
     """A JSON string, or a ConfigError naming field."""
     if not isinstance(value, str):
@@ -98,7 +110,8 @@ def record(keys, build=dict):
     optional key: an absent one reads default instead, or is left out
     of the values if default is None.  build(**values) makes the
     record's value; a ValueError it raises, such as a dataclass's range
-    check, becomes a ConfigError prefixed by the record's path.
+    check, becomes a ConfigError prefixed by the record's path (by
+    nothing at the top level, path "").
     """
     def read(doc, path):
         if not isinstance(doc, dict):
@@ -115,5 +128,5 @@ def record(keys, build=dict):
         try:
             return build(**values)
         except ValueError as err:
-            raise ConfigError(f"\"{path}\": {err}") from err
+            raise ConfigError(f"\"{path}\": {err}" if path else str(err)) from err
     return read

@@ -23,7 +23,6 @@ a test or the benchmark's tracer may wrap them.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from . import newmark
 from .linalg import rank_k_base
 from .newmark import NewmarkConfig
-from .system import Sites, State, Trajectory
+from .system import Sites, State, Trajectory, grid_steps
 
 __all__ = ["integrate_rows"]
 
@@ -85,12 +84,10 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
     exception that integrate raises for it, located in the same way.  A
     step runs the live rows in lock-step while two or more are live and
     all share one batch_key that is not None (DynamicSystem.batch_key);
-    otherwise it runs each live row on its own.
+    otherwise it runs each live row on its own.  A bad span or dt raises
+    the ValueError of system.grid_steps, the grid rule.
     """
-    if not -math.inf < t0 < t_end < math.inf:
-        raise ValueError(f"t_end must exceed t0, both finite; got t0={t0!r}, "
-                         f"t_end={t_end!r}")
-    n_steps = int(round((t_end - t0) / cfg.dt))
+    n_steps = grid_steps(t0, t_end, cfg.dt)
     n_rows, n = len(systems), systems[0].n_dof
     xs = np.zeros((n_rows, n_steps + 1, n))
     vs = np.zeros((n_rows, n_steps + 1, n))

@@ -7,12 +7,10 @@ acceleration admit the reduction y = [x; v], y' = [v; M^-1 (Q - Cv - Kx - F)].
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .linalg import lu_factor, lu_solve
-from .system import DynamicSystem, Trajectory
+from .system import DynamicSystem, Trajectory, grid_steps
 
 __all__ = ["to_first_order", "rk4_integrate", "DivergenceError"]
 
@@ -53,16 +51,12 @@ def rk4_integrate(field, y0, t0, t_end, dt) -> Trajectory:
 
     Output uses the same Trajectory layout as the Newmark solver;
     accelerations are read from the field at each grid point, the call
-    that is also the next step's first stage: 4 field calls a step.
+    that is also the next step's first stage: 4 field calls a step.  The
+    grid is system.grid_steps's, whose ValueError a bad span or dt raises.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if not -math.inf < t0 < t_end < math.inf:
-        raise ValueError(f"t_end must exceed t0, both finite; got t0={t0!r}, "
-                         f"t_end={t_end!r}")
+    n_steps = grid_steps(t0, t_end, dt)
     y0 = np.asarray(y0, dtype=float)
     n = y0.size // 2
-    n_steps = int(round((t_end - t0) / dt))
 
     t = t0 + dt * np.arange(n_steps + 1)
     ys = np.zeros((n_steps + 1, 2 * n))

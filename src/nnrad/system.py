@@ -8,6 +8,7 @@ the integrators rely on that to obtain exact Jacobians.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, NamedTuple, Optional, Sequence
 
@@ -15,7 +16,30 @@ import numpy as np
 
 from . import ad
 
-__all__ = ["State", "Sites", "SiteTerms", "DynamicSystem", "Trajectory"]
+__all__ = ["State", "Sites", "SiteTerms", "DynamicSystem", "Trajectory", "grid_steps"]
+
+# The most steps a time grid may take: its n + 1 float64 times must fit
+# the largest NumPy array, whose size in bytes is at most intp's maximum.
+MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
+
+
+def grid_steps(t0, t_end, dt):
+    """The step count n of the time grid t0 + i*dt, i = 0 .. n, that ends
+    nearest t_end: the one grid rule of the Newmark and RK4 integrators.
+
+    ValueError unless t0 < t_end, both finite, 0 < dt < inf and the count
+    (t_end - t0) / dt is at most MAX_STEPS, a message naming t_end and dt.
+    """
+    if not -math.inf < t0 < t_end < math.inf:
+        raise ValueError(f"t_end must exceed t0, both finite; got t0={t0!r}, "
+                         f"t_end={t_end!r}")
+    if not 0.0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    steps = (t_end - t0) / dt
+    if not steps <= MAX_STEPS:  # inf when dt is subnormal
+        raise ValueError(f"t_end={t_end!r} is {steps!r} steps of dt={dt!r} from "
+                         f"t0={t0!r}; at most {MAX_STEPS} fit an array")
+    return int(round(steps))
 
 
 @dataclass(frozen=True)
@@ -56,6 +80,8 @@ class Sites:
     """
 
     def __init__(self, gather, law, width=1, rate=False):
+        if isinstance(width, bool) or not isinstance(width, int) or width < 1:
+            raise ValueError(f"Sites width must be a positive integer, got {width!r}")
         self.gather = gather
         self.law = law
         self.width = width
@@ -137,8 +163,10 @@ class DynamicSystem:
     differentiates their law alone and the Newton loop passes F_nl None
     for a, and for v unless the law reads the rate.  F_nl, when not given,
     is derived from them; a given one (a wrapper, say) is kept and must
-    equal it.  nl_dofs must list every DOF that G(t) reads: ValueError
-    names one that G(0) reads outside it.
+    equal it.  G(0) must have n_dof columns and a multiple of the sites'
+    width of rows, and nl_dofs must list every DOF that G(t) reads:
+    ValueError names the shape of G(0), or a DOF that it reads outside
+    nl_dofs.
 
     batch_key opts the system into lock-step batches (analysis.sweep).
     Systems with equal, hashable, non-None keys and equal n_dof promise
@@ -178,7 +206,11 @@ class DynamicSystem:
                 raise ValueError(f"nl_dofs must lie in 0..{n - 1}, got {dofs}")
             self.nl_dofs = np.array(dofs, dtype=int)
         if self.sites is not None:
-            stray = np.any(self.sites.matrix(0.0), axis=0)
+            G, m = self.sites.matrix(0.0), self.sites.width
+            if G.ndim != 2 or G.shape[1] != n or G.shape[0] % m:
+                raise ValueError(f"sites' G(0) must have n_dof = {n} columns and a "
+                                 f"multiple of width {m} of rows, got shape {G.shape}")
+            stray = np.any(G, axis=0)
             stray[self.nl_dofs] = False
             if stray.any():
                 raise ValueError(f"sites read DOF {stray.argmax()}, not in nl_dofs")

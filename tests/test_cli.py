@@ -7,7 +7,7 @@ import pytest
 
 import nnrad.cli
 from nnrad import DynamicSystem
-from nnrad.cli import _build_system, _load_config, _solve_setup, _system_spec, main
+from nnrad.cli import _build_system, _dof_vector, _load_config, main
 from nnrad.models import assemble_dual_rotor, default_dual_rotor_layout, load_rotor_layout
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -145,8 +145,8 @@ class TestSolve:
         assert f'"{field}"' in capsys.readouterr().err
 
     def test_shipped_configs_pass_the_system_check(self):
-        # Each shipped config passes its command's top-level key check and
-        # its system check, and a solve config's x0 and v0 fit its system.
+        # Each shipped config reads through its command's record, system
+        # included, and a solve config's x0 and v0 fit its system.
         commands = {"check_jacobian_duffing": "check-jacobian",
                     "duffing_solve": "solve", "sfd_sweep": "sweep",
                     "spectrum": "spectrum"}
@@ -156,17 +156,17 @@ class TestSolve:
                 f"test with the command it is run by")
             command = commands[path.stem]
             doc = _load_config(path, command)
-            if "system" in doc:
-                _system_spec(doc)
             if command == "solve":
-                _solve_setup(doc)
+                n = _build_system(doc["system"]).n_dof
+                for key in ("x0", "v0"):
+                    _dof_vector(doc, key, n)
 
     def test_sfd_rotor_without_omega_exit_2(self, tmp_path, capsys):
         doc = dict(DUFFING_SOLVE, system={"type": "sfd_rotor"}, x0=[0.0] * 4,
                    v0=[0.0] * 4)
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
-        assert '"omega"' in capsys.readouterr().err
+        assert '"system.omega"' in capsys.readouterr().err
 
     def test_missing_t_end_exit_2(self, tmp_path, capsys):
         doc = dict(DUFFING_SOLVE)
@@ -302,6 +302,17 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == 2
         assert "'steady_frac'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("system, key", [
+        ({"type": "sfd_rotor", "omega": 5.0}, "omega"),
+        ({"type": "dual_rotor", "omega_lp": 800.0}, "omega_lp")])
+    def test_key_the_speed_sets_exit_2(self, tmp_path, capsys, system, key):
+        # Each speed would overwrite it, so a swept system has no such key.
+        cfg = write_config(tmp_path / "c.json", dict(SFD_SWEEP, system=system))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert f"unknown key '{key}' for \"system\"" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_model_key_is_not_a_system(self, tmp_path, capsys):
         doc = {
             "schema_version": 1,
@@ -322,6 +333,8 @@ SFD_SWEEP = {
     "speeds": [900.0],
     "t_end": 0.01,
 }
+
+SPECTRUM = {"schema_version": 1, "input": "traj.csv", "column": "x_0"}
 
 
 @pytest.mark.parametrize(
@@ -363,6 +376,7 @@ SFD_SWEEP = {
         ("solve", DUFFING_SOLVE, {"x0": [-float("inf")]}, "x0[0]"),
         ("solve", DUFFING_SOLVE, {"system": {"type": "dual_rotor", "file": 0}},
          "system.file"),
+        ("spectrum", SPECTRUM, {"column": 5}, "column"),
     ],
 )
 def test_wrong_value_type_exit_2(tmp_path, capsys, command, base, change, field):
@@ -387,6 +401,18 @@ def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, change, field):
     out = tmp_path / "o.csv"
     assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
     assert f'"{field}"' in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320)],
+                         ids=["count past an array length", "count infinite"])
+def test_step_count_out_of_range_exit_2(tmp_path, capsys, command, t_end, dt):
+    base = DUFFING_SOLVE if command == "solve" else SFD_SWEEP
+    cfg = write_config(tmp_path / "c.json", dict(base, t_end=t_end, newmark={"dt": dt}))
+    out = tmp_path / "o.csv"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith('config error: "t_end": ')
     assert not out.exists()
 
 
@@ -546,6 +572,12 @@ class TestSpectrum:
         assert self._run_on_rows(tmp_path, [0.0, 0.001, 0.003, 0.004]) == 2
         assert 'column "t"' in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")  # a warning would reach stderr
+    def test_header_without_rows_exit_2(self, tmp_path, capsys):
+        assert self._run_on_rows(tmp_path, []) == 2
+        assert capsys.readouterr().err == ('config error: column "t" has 0 data rows; '
+                                           'at least 2 are needed\n')
+
     def test_one_row_with_dt_exit_2(self, tmp_path, capsys):
         assert self._run_on_rows(tmp_path, [0.0], dt=0.001) == 2
         assert '"input"' in capsys.readouterr().err
@@ -622,12 +654,17 @@ class TestCheckJacobian:
 
     @pytest.mark.parametrize(
         "field, value", [("fd_step", 0.0), ("fd_step", -1e-6), ("n_states", 0),
-                         ("n_states", -3)])
+                         ("n_states", -3), ("seed", -1), ("tol", -1.0)])
     def test_vacuous_check_exit_2(self, tmp_path, capsys, field, value):
         doc = self._doc({"type": "duffing"}, **{field: value})
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["check-jacobian", "--config", cfg]) == 2
         assert f'"{field}"' in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "c.json", self._doc({"type": "duffing"}))
+        assert main(["check-jacobian", "--config", cfg, "--seed", "-1"]) == 2
+        assert '"seed"' in capsys.readouterr().err
 
     def test_checks_the_jacobian_the_solver_factors(self, tmp_path, monkeypatch,
                                                      capsys):

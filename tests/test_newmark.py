@@ -442,6 +442,19 @@ class TestSites:
             build([0, 3])
         with pytest.raises(ValueError, match="DOF 3, not in nl_dofs"):
             build([0, 1, 2])
+
+    @pytest.mark.parametrize("rows, cols, width, match", [
+        (3, 3, 2, r"multiple of width 2 of rows, got shape \(3, 3\)"),
+        (2, 2, 1, r"n_dof = 3 columns .* got shape \(2, 2\)"),
+        (2, 4, 1, r"n_dof = 3 columns .* got shape \(2, 4\)"),
+        (2, 3, 0, "width must be a positive integer, got 0"),
+    ], ids=["rows not a multiple of width", "too few columns", "too many columns",
+            "width 0"])
+    def test_sites_must_fit_the_system(self, rows, cols, width, match):
+        # Each fails when the system is built, not inside integrate.
+        with pytest.raises(ValueError, match=match):
+            DynamicSystem(n_dof=3, M=np.eye(3), C=np.zeros((3, 3)), K=np.eye(3),
+                          sites=Sites(np.ones((rows, cols)), lambda u, t: u ** 3, width))
         for sys_, _, _ in self.site_models():
             assert sys_.sites is not None
 
@@ -1343,6 +1356,13 @@ class TestIntegrate:
     def test_t_end_not_finite(self, t_end):
         with pytest.raises(ValueError, match="t_end"):
             integrate(linear_sdof(), [1.0], [0.0], 0.0, t_end, NewmarkConfig(dt=1e-3))
+
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320)],
+                             ids=["count past an array length", "count infinite"])
+    def test_step_count_out_of_range(self, t_end, dt):
+        with pytest.raises(ValueError) as exc:
+            integrate(linear_sdof(), [1.0], [0.0], 0.0, t_end, NewmarkConfig(dt=dt))
+        assert f"t_end={t_end!r}" in str(exc.value) and f"dt={dt!r}" in str(exc.value)
 
     def test_van_der_pol_vs_rk4_short(self):
         sys_ = van_der_pol(1.0)

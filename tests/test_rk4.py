@@ -73,6 +73,13 @@ class TestRK4:
         with pytest.raises(ValueError, match="t_end"):
             rk4_integrate(lambda t, y: y, np.zeros(2), 0.0, t_end, 0.1)
 
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320)],
+                             ids=["count past an array length", "count infinite"])
+    def test_step_count_out_of_range(self, t_end, dt):
+        with pytest.raises(ValueError) as exc:
+            rk4_integrate(lambda t, y: y, np.zeros(2), 0.0, t_end, dt)
+        assert f"t_end={t_end!r}" in str(exc.value) and f"dt={dt!r}" in str(exc.value)
+
     def test_divergence_error(self):
         field = lambda t, y: y * y * 1e3  # finite-time blowup
         # The blowup overflows on purpose.
