@@ -11,7 +11,7 @@ import numpy as np
 from .lockstep import integrate_rows
 # bench/tracing.py patches analysis.integrate, so the name must resolve here.
 from .newmark import NewmarkConfig, integrate  # noqa: F401
-from .system import Trajectory
+from .system import Trajectory, grid_steps
 
 __all__ = [
     "amplitude",
@@ -102,9 +102,11 @@ def sweep(
     at t = 0.  An empty speed list, a negative probe node, a
     steady_fraction outside (0, 1) or a t_end outside (0, inf) raises
     ValueError, naming the argument, before any system is built; a probe
-    node past the last node of a built system does so before any row is
-    integrated.  Per-speed failures, of the factory or the solver, are
-    recorded in the row as "<type>: <message>" and the sweep continues.
+    node past the last node of a built system, or a time grid too long for
+    the arrays of a call of integrate_rows (system.grid_steps), does so
+    before any row is integrated.  Per-speed failures, of the factory or
+    the solver, are recorded in the row as "<type>: <message>" and the
+    sweep continues.
     Rows come back ordered by the input speed sequence.
 
     Rows whose systems share a batch_key and n_dof (DynamicSystem) go to
@@ -142,6 +144,11 @@ def sweep(
     for k, sys in systems.items():
         key = (None, k) if sys.batch_key is None else (sys.batch_key, sys.n_dof)
         groups.setdefault(key, []).append(k)
+    for ks in groups.values():  # the grid of each integrate_rows call, before any runs
+        try:
+            grid_steps(0.0, t_end, cfg.dt, len(ks) * systems[ks[0]].n_dof)
+        except ValueError as err:
+            raise ValueError(f'"t_end": {err}') from err
     for ks in groups.values():
         group = [systems[k] for k in ks]
         results = integrate_rows(

@@ -79,12 +79,12 @@ def _build_system(spec, speed=None):
     return factory(**kwargs)
 
 
-def _on_grid(t_end, newmark, t0=0.0, **doc):
-    """A solve or sweep config, checked by the integrators' grid rule
-    unless t_end is t0 (a solve's zero-duration run)."""
+def _on_grid(t_end, newmark, t0=0.0, width=1, **doc):
+    """A solve or sweep config, checked by the integrators' grid rule at
+    width values a sample unless t_end is t0 (a solve's zero-duration run)."""
     if t_end != t0:
         try:
-            grid_steps(t0, t_end, newmark.dt)
+            grid_steps(t0, t_end, newmark.dt, width)
         except ValueError as err:
             raise ConfigError(f"\"t_end\": {err}") from err
     return dict(doc, t_end=t_end, newmark=newmark, t0=t0)
@@ -113,7 +113,7 @@ _RUN = dict(schema_version=as_integer, newmark=(NEWMARK, {}), t_end=as_number)
 COMMANDS = {
     "solve": record(dict(_RUN, system=_system(), x0=(numbers, None), v0=(numbers, None),
                          t0=(as_number, 0.0)), _on_grid),
-    "sweep": record(dict(_RUN, system=_system(swept=True), speeds=_speeds, t_end=_POSITIVE,
+    "sweep": record(dict(_RUN, system=_system(swept=True), speeds=_speeds,
                          probe_nodes=(integers, [0]), steady_fraction=(as_number, 0.3)),
                     _on_grid),
     "spectrum": record(dict(schema_version=as_integer, input=as_text, column=as_text,
@@ -162,6 +162,7 @@ def cmd_solve(args):
     n = sys_.n_dof
     x0, v0 = _dof_vector(doc, "x0", n), _dof_vector(doc, "v0", n)
     t0, t_end = doc["t0"], doc["t_end"]
+    _on_grid(t_end, doc["newmark"], t0, width=n)  # the read checked one value a sample
     if t_end == t0:
         traj_rows = [(t0, x0, v0, initial_acceleration(sys_, x0, v0, t0))]
     else:
@@ -236,7 +237,8 @@ def cmd_spectrum(args):
     path, column, dt = doc["input"], doc["column"], doc.get("dt")
     try:
         # An input without data rows is the config error below, not a warning.
-        with open(path) as fh, warnings.catch_warnings(action="ignore", category=UserWarning):
+        with open(path) as fh, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
     except (OSError, ValueError) as err:  # ValueError: not numeric CSV, or not UTF-8

@@ -87,8 +87,8 @@ def integrate_rows(systems, x0s, v0s, t0, t_end, cfg: NewmarkConfig):
     otherwise it runs each live row on its own.  A bad span or dt raises
     the ValueError of system.grid_steps, the grid rule.
     """
-    n_steps = grid_steps(t0, t_end, cfg.dt)
     n_rows, n = len(systems), systems[0].n_dof
+    n_steps = grid_steps(t0, t_end, cfg.dt, n_rows * n)
     xs = np.zeros((n_rows, n_steps + 1, n))
     vs = np.zeros((n_rows, n_steps + 1, n))
     accs = np.zeros((n_rows, n_steps + 1, n))

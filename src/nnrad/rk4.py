@@ -54,8 +54,8 @@ def rk4_integrate(field, y0, t0, t_end, dt) -> Trajectory:
     that is also the next step's first stage: 4 field calls a step.  The
     grid is system.grid_steps's, whose ValueError a bad span or dt raises.
     """
-    n_steps = grid_steps(t0, t_end, dt)
     y0 = np.asarray(y0, dtype=float)
+    n_steps = grid_steps(t0, t_end, dt, y0.size)
     n = y0.size // 2
 
     t = t0 + dt * np.arange(n_steps + 1)

@@ -18,17 +18,18 @@ from . import ad
 
 __all__ = ["State", "Sites", "SiteTerms", "DynamicSystem", "Trajectory", "grid_steps"]
 
-# The most steps a time grid may take: its n + 1 float64 times must fit
-# the largest NumPy array, whose size in bytes is at most intp's maximum.
-MAX_STEPS = np.iinfo(np.intp).max // 8 - 1
+# The most float64 values one NumPy array may hold: its size in bytes is
+# at most intp's maximum.
+MAX_VALUES = np.iinfo(np.intp).max // 8
 
 
-def grid_steps(t0, t_end, dt):
+def grid_steps(t0, t_end, dt, width=1):
     """The step count n of the time grid t0 + i*dt, i = 0 .. n, that ends
     nearest t_end: the one grid rule of the Newmark and RK4 integrators.
 
-    ValueError unless t0 < t_end, both finite, 0 < dt < inf and the count
-    (t_end - t0) / dt is at most MAX_STEPS, a message naming t_end and dt.
+    ValueError unless t0 < t_end, both finite, 0 < dt < inf and the n + 1
+    samples of width float64 values each fit one array (MAX_VALUES), a
+    message naming t_end and dt.
     """
     if not -math.inf < t0 < t_end < math.inf:
         raise ValueError(f"t_end must exceed t0, both finite; got t0={t0!r}, "
@@ -36,9 +37,11 @@ def grid_steps(t0, t_end, dt):
     if not 0.0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     steps = (t_end - t0) / dt
-    if not steps <= MAX_STEPS:  # inf when dt is subnormal
+    limit = MAX_VALUES // width - 1
+    if not steps <= limit:  # inf when dt is subnormal
         raise ValueError(f"t_end={t_end!r} is {steps!r} steps of dt={dt!r} from "
-                         f"t0={t0!r}; at most {MAX_STEPS} fit an array")
+                         f"t0={t0!r}; at most {limit} steps of {width} values a "
+                         "sample fit an array")
     return int(round(steps))
 
 

@@ -405,10 +405,14 @@ def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, change, field):
 
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
-@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320)],
-                         ids=["count past an array length", "count infinite"])
+@pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320), (1e18, 1.0)],
+                         ids=["count past an array length", "count infinite",
+                              "count past the arrays of four DOFs"])
 def test_step_count_out_of_range_exit_2(tmp_path, capsys, command, t_end, dt):
-    base = DUFFING_SOLVE if command == "solve" else SFD_SWEEP
+    # sfd_rotor has four DOFs: 1e18 steps of one value a sample fit an
+    # array, and fail only at the built system's width.
+    base = (dict(DUFFING_SOLVE, system={"type": "sfd_rotor", "omega": 900.0}, x0=[0.0] * 4,
+                 v0=[0.0] * 4) if command == "solve" else SFD_SWEEP)
     cfg = write_config(tmp_path / "c.json", dict(base, t_end=t_end, newmark={"dt": dt}))
     out = tmp_path / "o.csv"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2

@@ -442,6 +442,8 @@ class TestSites:
             build([0, 3])
         with pytest.raises(ValueError, match="DOF 3, not in nl_dofs"):
             build([0, 1, 2])
+        for sys_, _, _ in self.site_models():
+            assert sys_.sites is not None
 
     @pytest.mark.parametrize("rows, cols, width, match", [
         (3, 3, 2, r"multiple of width 2 of rows, got shape \(3, 3\)"),
@@ -455,8 +457,6 @@ class TestSites:
         with pytest.raises(ValueError, match=match):
             DynamicSystem(n_dof=3, M=np.eye(3), C=np.zeros((3, 3)), K=np.eye(3),
                           sites=Sites(np.ones((rows, cols)), lambda u, t: u ** 3, width))
-        for sys_, _, _ in self.site_models():
-            assert sys_.sites is not None
 
     @staticmethod
     def width_3_system(damping=1.0):
@@ -1357,11 +1357,15 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="t_end"):
             integrate(linear_sdof(), [1.0], [0.0], 0.0, t_end, NewmarkConfig(dt=1e-3))
 
-    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320)],
-                             ids=["count past an array length", "count infinite"])
-    def test_step_count_out_of_range(self, t_end, dt):
+    # 1e18 steps of one value a sample fit an array; of two DOFs they do not.
+    @pytest.mark.parametrize("t_end, dt, n", [(1e300, 1e-2, 1), (0.05, 1e-320, 1),
+                                              (1e18, 1.0, 2)],
+                             ids=["count past an array length", "count infinite",
+                                  "count past the arrays of two DOFs"])
+    def test_step_count_out_of_range(self, t_end, dt, n):
+        sys_ = DynamicSystem(n_dof=n, M=np.eye(n), C=np.zeros((n, n)), K=np.eye(n))
         with pytest.raises(ValueError) as exc:
-            integrate(linear_sdof(), [1.0], [0.0], 0.0, t_end, NewmarkConfig(dt=dt))
+            integrate(sys_, np.ones(n), np.zeros(n), 0.0, t_end, NewmarkConfig(dt=dt))
         assert f"t_end={t_end!r}" in str(exc.value) and f"dt={dt!r}" in str(exc.value)
 
     def test_van_der_pol_vs_rk4_short(self):

@@ -73,8 +73,9 @@ class TestRK4:
         with pytest.raises(ValueError, match="t_end"):
             rk4_integrate(lambda t, y: y, np.zeros(2), 0.0, t_end, 0.1)
 
-    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320)],
-                             ids=["count past an array length", "count infinite"])
+    @pytest.mark.parametrize("t_end, dt", [(1e300, 1e-2), (0.05, 1e-320), (1e18, 1.0)],
+                             ids=["count past an array length", "count infinite",
+                                  "count past the arrays of two values a sample"])
     def test_step_count_out_of_range(self, t_end, dt):
         with pytest.raises(ValueError) as exc:
             rk4_integrate(lambda t, y: y, np.zeros(2), 0.0, t_end, dt)
